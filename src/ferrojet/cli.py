@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -89,10 +90,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.gamma <= 1.0:
             raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
+        # the envelope solvers' own bound; the full equation takes up to 0.5
+        eps_max = 0.5 if self.branch == "gzcs" else solver.ENVELOPE_EPS_MAX
         for eps in self.epsilon:
-            if not (0.0 < eps <= 0.5):
+            if not (0.0 < eps <= eps_max):
                 raise ParameterError(
-                    f"epsilon must lie in (0, 0.5], got {eps}"
+                    f"epsilon must lie in (0, {eps_max:g}] for branch "
+                    f"{self.branch!r}, got {eps}"
                 )
         if self.grid_n is not None and (self.grid_n & (self.grid_n - 1)) != 0:
             raise ParameterError(f"grid N must be a power of two, got {self.grid_n}")
@@ -336,7 +340,8 @@ def cmd_solve(cfg: RunConfig) -> int:
     eps_list = sorted(cfg.epsilon)
     results = {}
     if len(eps_list) > 1:
-        with ProcessPoolExecutor(max_workers=min(4, len(eps_list))) as pool:
+        workers = min(os.cpu_count() or 1, len(eps_list))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 eps: pool.submit(_solve_task, (_cfg_dict(cfg), branch, eps))
                 for eps in eps_list

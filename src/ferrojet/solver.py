@@ -9,12 +9,14 @@ isolated:
   * conjugate-even complex fields -- real transform coefficients, length N
     (full-dispersion NLS, zeta(-Z) = conj zeta(Z)).
 
-The linear solves use dense factorisations of the reduced Jacobian, which
-is assembled by batched application of the analytic derivative to basis
-vectors; a finite-difference cross-check of that derivative is part of the
-acceptance suite.  Damped steps (halving on residual growth, plus a
-geometry guard for the full equation) keep the accepted residual history
-strictly decreasing.
+Each Newton step is matrix-free: restarted GMRES applies the analytic
+derivative (J.v, its state-dependent part prepared once per step), right-
+preconditioned by the exact diagonal of the Jacobian at the flat state.  The
+dense Jacobian (``assemble_jacobian``) serves diagnostics and the fallback
+step taken when GMRES misses its tolerance; a finite-difference cross-check
+of the derivative is part of the acceptance suite.  Damped steps (halving on
+residual growth, plus a geometry guard for the full equation) keep the
+accepted residual history strictly decreasing.
 """
 
 from __future__ import annotations
@@ -47,10 +49,12 @@ __all__ = [
     "fd_nls_problem",
     "travelling_wave_problem",
     "default_scaled_grid",
+    "gmres",
 ]
 
 DEFAULT_SCALED_L = 40.0
 DEFAULT_SCALED_N = 1024
+ENVELOPE_EPS_MAX = 0.3  # full-dispersion KdV and NLS solve 0 < eps <= this
 
 
 def default_scaled_grid() -> SpectralGrid:
@@ -108,43 +112,89 @@ class ConjugateEvenBasis:
 
 # -- generic Newton driver -----------------------------------------------------
 
+# GMRES stops at GMRES_RTOL * |r|.  Much below 1e-12 it stagnates at the
+# attainable accuracy of the rounded J.v and runs into the iteration cap.
+GMRES_RTOL = 1e-12
+GMRES_RESTART = 60
+GMRES_MAX_ITER = 240
+
+
+def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
+          rtol: float, restart: int, max_iter: int):
+    """Restarted GMRES for ``matvec(x) = b`` from x = 0 (Saad & Schultz 1986).
+
+    Arnoldi with classical Gram-Schmidt applied twice and Givens rotations;
+    each restart recomputes the true residual, which is also the one
+    returned: ``(x, iterations, |b - matvec(x)| / |b|)``.  Raises
+    ``LinAlgError`` when the Krylov space exposes an exactly singular map.
+    """
+    x = np.zeros_like(b)
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return x, 0, 0.0
+    its, r, beta = 0, b, bnorm
+    while beta > rtol * bnorm and its < max_iter:
+        m = min(restart, max_iter - its)
+        V = np.zeros((m + 1, b.size))
+        H = np.zeros((m + 1, m))
+        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        V[0], g[0] = r / beta, beta
+        for j in range(m):
+            w = matvec(V[j])
+            h = V[: j + 1] @ w
+            w = w - h @ V[: j + 1]
+            h2 = V[: j + 1] @ w
+            w = w - h2 @ V[: j + 1]
+            col = np.append(h + h2, np.linalg.norm(w))
+            for i in range(j):
+                col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                      cs[i] * col[i + 1] - sn[i] * col[i])
+            rho = np.hypot(col[j], col[j + 1])
+            cs[j], sn[j] = col[j] / rho, col[j + 1] / rho
+            H[:j, j], H[j, j] = col[:j], rho
+            g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+            its += 1
+            if abs(g[j + 1]) <= rtol * bnorm or col[j + 1] == 0.0:
+                break
+            V[j + 1] = w / col[j + 1]
+        k = j + 1
+        x = x + np.linalg.solve(np.triu(H[:k, :k]), g[:k]) @ V[:k]
+        r = b - matvec(x)
+        beta = float(np.linalg.norm(r))
+    return x, its, beta / bnorm
+
 
 @dataclass
 class SolverProblem:
     """Residual map in subspace coordinates plus its Jacobian action.
 
     ``prepare`` (optional) builds a state-dependent linearisation context
-    once per assembly; ``jv_batch`` receives it as third argument when set.
+    once per Newton step; ``jv_batch`` receives it as third argument when
+    set.  Its rows are directions, so one call applies J to a batch.
     """
 
     basis: object
     residual: Callable[[np.ndarray], np.ndarray]
     jv_batch: Callable[..., np.ndarray]
     geometry_ok: Optional[Callable[[np.ndarray], bool]] = None
-    reassemble_each_step: bool = True
     prepare: Optional[Callable[[np.ndarray], object]] = None
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
-    def apply_jacobian(self, v: np.ndarray, W: np.ndarray) -> np.ndarray:
+    def linearize(self, v: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """W -> J(v) W on rows of W, with ``prepare`` run once."""
         if self.prepare is None:
-            return self.jv_batch(v, W)
-        return self.jv_batch(v, W, self.prepare(v))
+            return lambda W: self.jv_batch(v, W)
+        ctx = self.prepare(v)
+        return lambda W: self.jv_batch(v, W, ctx)
 
     def assemble_jacobian(self, v: np.ndarray, chunk: int = 512) -> np.ndarray:
-        d = self.dim
-        J = np.empty((d, d))
-        eye = np.eye(d)
-        ctx = self.prepare(v) if self.prepare is not None else None
-        for lo in range(0, d, chunk):
-            hi = min(d, lo + chunk)
-            if ctx is None:
-                J[:, lo:hi] = self.jv_batch(v, eye[lo:hi]).T
-            else:
-                J[:, lo:hi] = self.jv_batch(v, eye[lo:hi], ctx).T
-        return J
+        """Dense J(v), ``chunk`` basis vectors per batch (a diagnostic)."""
+        jac, eye = self.linearize(v), np.eye(self.dim)
+        return np.hstack([jac(eye[lo:lo + chunk]).T
+                          for lo in range(0, self.dim, chunk)])
 
 
 @dataclass
@@ -169,51 +219,73 @@ def _res_norms(grid: SpectralGrid, basis, r: np.ndarray):
     )
 
 
+def _flat_diagonal(problem: SolverProblem) -> np.ndarray:
+    """Diagonal of J(0), zeros set to one; J(0) is diagonal in each basis."""
+    d = problem.linearize(np.zeros(problem.dim))(np.ones((1, problem.dim)))[0]
+    return np.where(d == 0.0, 1.0, d)
+
+
+def _newton_step(problem: SolverProblem, v: np.ndarray, r: np.ndarray,
+                 precond: np.ndarray):
+    """J(v)^-1 r and its ``linear_solves`` entry: GMRES right-preconditioned
+    by the flat-state diagonal, or a dense solve if GMRES misses its tolerance.
+    """
+    jac = problem.linearize(v)
+    try:
+        y, its, rel = gmres(lambda u: jac((u / precond)[None, :])[0], r,
+                            GMRES_RTOL, GMRES_RESTART, GMRES_MAX_ITER)
+        trace = {"iterations": its, "relative_residual": rel,
+                 "dense_fallback": not rel <= GMRES_RTOL}  # nan is a miss
+        if not trace["dense_fallback"]:
+            return y / precond, trace
+        return np.linalg.solve(problem.assemble_jacobian(v), r), trace
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"singular Jacobian: {exc}") from exc
+
+
 def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
-            max_iter: int, min_step: float = 2.0**-10):
+            max_iter: int, epsilon: float, branch: str,
+            min_step: float = 2.0**-10) -> SolveReport:
     v = np.array(v0, dtype=float)
     grid = problem.basis.grid
+    precond = _flat_diagonal(problem)
     r = problem.residual(v)
     rmax, rl2 = _res_norms(grid, problem.basis, r)
-    history = [rmax]
-    J = None
-    reassemble = True
+    history, linear_solves = [rmax], []
     its = 0
     for its in range(1, max_iter + 1):
         if rmax <= tol:
             break
-        if J is None or reassemble:
-            J = problem.assemble_jacobian(v)
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian: {exc}") from exc
+        step, trace = _newton_step(problem, v, r, precond)
+        linear_solves.append(trace)
         s = 1.0
         while True:
             v_try = v - s * step
-            if problem.geometry_ok is not None and not problem.geometry_ok(v_try):
-                s *= 0.5
-                if s < min_step:
-                    raise ConvergenceError(
-                        "step damping hit the geometry guard floor"
-                    )
-                continue
-            r_try = problem.residual(v_try)
-            rmax_try, rl2_try = _res_norms(grid, problem.basis, r_try)
-            if rmax_try < rmax or rmax_try <= tol:
-                break
+            if problem.geometry_ok is None or problem.geometry_ok(v_try):
+                r_try = problem.residual(v_try)
+                rmax_try, rl2_try = _res_norms(grid, problem.basis, r_try)
+                if rmax_try < rmax or rmax_try <= tol:
+                    break
+                failure = f"Newton stagnation: residual stuck at {rmax:.3e}"
+            else:
+                failure = "step damping hit the geometry guard floor"
             s *= 0.5
             if s < min_step:
-                raise ConvergenceError(
-                    f"Newton stagnation: residual stuck at {rmax:.3e}"
-                )
-        ratio = rmax_try / rmax if rmax > 0 else 0.0
+                raise ConvergenceError(failure)
         v, r, rmax, rl2 = v_try, r_try, rmax_try, rl2_try
         history.append(rmax)
-        # with a frozen Jacobian, reassemble only when contraction degrades
-        reassemble = problem.reassemble_each_step or (ratio > 0.25 and rmax > tol)
-    converged = rmax <= tol
-    return v, converged, its, rmax, rl2, history
+    return SolveReport(
+        converged=rmax <= tol,
+        iterations=its,
+        final_residual=rmax,
+        final_residual_l2=rl2,
+        solution=problem.basis.field(v),
+        epsilon=epsilon,
+        branch=branch,
+        residual_history=history,
+        diagnostics={"residual_history": history,
+                     "linear_solves": linear_solves},
+    )
 
 
 # -- problem factories ---------------------------------------------------------
@@ -310,8 +382,9 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
     """Full truncated equation P(eta) - c^2 Q(eta) = 0 in the even subspace.
 
     The Jacobian always uses the expansion-mode derivative; in oracle mode
-    the residual is BVP-backed and Newton becomes a chord method with the
-    expansion Jacobian (the two operators differ at cubic order).
+    the residual is BVP-backed and each step is a quasi-Newton step with the
+    expansion Jacobian at the iterate (the two operators differ at cubic
+    order).
     """
     basis = EvenBasis(grid)
 
@@ -351,30 +424,11 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
         residual=residual,
         jv_batch=jv_batch,
         geometry_ok=geometry_ok,
-        reassemble_each_step=False,
         prepare=prepare,
     )
 
 
 # -- public solvers -------------------------------------------------------------
-
-
-def _report(problem, v, converged, its, rmax, rl2, history, epsilon, branch,
-            **extras) -> SolveReport:
-    fieldv = problem.basis.field(v)
-    diag = {"residual_history": history}
-    diag.update(extras)
-    return SolveReport(
-        converged=converged,
-        iterations=its,
-        final_residual=rmax,
-        final_residual_l2=rl2,
-        solution=fieldv,
-        epsilon=epsilon,
-        branch=branch,
-        residual_history=history,
-        diagnostics=diag,
-    )
 
 
 def solve_stationary_kdv(coeffs: WnlCoeffs, grid: Optional[SpectralGrid] = None,
@@ -388,9 +442,7 @@ def solve_stationary_kdv(coeffs: WnlCoeffs, grid: Optional[SpectralGrid] = None,
     if seed is None:
         seed = seed_scale * zeta_kdv(grid.z, coeffs)
     v0 = problem.basis.to_coords(np.asarray(seed, dtype=float))
-    v, converged, its, rmax, rl2, hist = _newton(problem, v0, tol, max_iter)
-    return _report(problem, v, converged, its, rmax, rl2, hist,
-                   epsilon=0.0, branch="kdv")
+    return _newton(problem, v0, tol, max_iter, epsilon=0.0, branch="kdv")
 
 
 def solve_full_dispersion_kdv(gamma: float, law: MagnetizationLaw,
@@ -399,23 +451,22 @@ def solve_full_dispersion_kdv(gamma: float, law: MagnetizationLaw,
                               delta: float = 0.5, tol: float = 1e-10,
                               max_iter: int = 25) -> SolveReport:
     """Solve the full-dispersion KdV equation, seeded by the explicit envelope."""
-    if not (0.0 < epsilon <= 0.3):
-        raise ParameterError(
-            f"full-dispersion KdV is solved for 0 < eps <= 0.3, got {epsilon}"
-        )
+    if not (0.0 < epsilon <= ENVELOPE_EPS_MAX):
+        raise ParameterError(f"full-dispersion KdV is solved for 0 < eps <= "
+                             f"{ENVELOPE_EPS_MAX}, got {epsilon}")
     if grid is None:
         grid = default_scaled_grid()
     coeffs = kdv_coeffs(gamma, law)
     problem = fd_kdv_problem(gamma, law, epsilon, grid, delta=delta)
     seed = zeta_kdv(grid.z, coeffs)
     v0 = problem.basis.to_coords(seed)
-    v, converged, its, rmax, rl2, hist = _newton(problem, v0, tol, max_iter)
-    sol = problem.basis.field(v)
-    dev = float(np.max(np.abs(sol.values - seed)))
-    even_defect = sol.shift_reflect_defect()
-    return _report(problem, v, converged, its, rmax, rl2, hist,
-                   epsilon=epsilon, branch="kdv",
-                   deviation_from_kdv=dev, even_defect=even_defect)
+    rep = _newton(problem, v0, tol, max_iter, epsilon=epsilon, branch="kdv")
+    sol = rep.solution
+    rep.diagnostics.update(
+        deviation_from_kdv=float(np.max(np.abs(sol.values - seed))),
+        even_defect=sol.shift_reflect_defect(),
+    )
+    return rep
 
 
 def solve_full_dispersion_nls(gamma: float, law: MagnetizationLaw,
@@ -427,24 +478,23 @@ def solve_full_dispersion_nls(gamma: float, law: MagnetizationLaw,
     """Solve the full-dispersion NLS equation for the +- branch."""
     if sign not in (+1, -1):
         raise ParameterError("branch sign must be +1 or -1")
-    if not (0.0 < epsilon <= 0.3):
-        raise ParameterError(
-            f"full-dispersion NLS is solved for 0 < eps <= 0.3, got {epsilon}"
-        )
+    if not (0.0 < epsilon <= ENVELOPE_EPS_MAX):
+        raise ParameterError(f"full-dispersion NLS is solved for 0 < eps <= "
+                             f"{ENVELOPE_EPS_MAX}, got {epsilon}")
     if grid is None:
         grid = default_scaled_grid()
     coeffs = nls_coeffs(gamma, law)
     problem = fd_nls_problem(gamma, law, epsilon, grid, delta=delta)
     seed = sign * zeta_nls(grid.z, coeffs)
     v0 = problem.basis.to_coords(seed.astype(complex))
-    v, converged, its, rmax, rl2, hist = _newton(problem, v0, tol, max_iter)
-    sol = problem.basis.field(v)
-    dev = float(np.max(np.abs(sol.values - seed)))
-    subspace_defect = float(np.max(np.abs(sol.coeffs.imag)))
-    branch = "nls_plus" if sign > 0 else "nls_minus"
-    return _report(problem, v, converged, its, rmax, rl2, hist,
-                   epsilon=epsilon, branch=branch,
-                   deviation_from_nls=dev, subspace_defect=subspace_defect)
+    rep = _newton(problem, v0, tol, max_iter, epsilon=epsilon,
+                  branch="nls_plus" if sign > 0 else "nls_minus")
+    sol = rep.solution
+    rep.diagnostics.update(
+        deviation_from_nls=float(np.max(np.abs(sol.values - seed))),
+        subspace_defect=float(np.max(np.abs(sol.coeffs.imag))),
+    )
+    return rep
 
 
 def _auto_wave_grid(profile, epsilon: float, min_box: float) -> SpectralGrid:
@@ -528,17 +578,19 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
         dn_oracle=radial if dn_oracle else None, oracle_tol=oracle_tol,
     )
     v0 = problem.basis.to_coords(seed)
-    v, converged, its, rmax, rl2, hist = _newton(problem, v0, tol, max_iter)
-    sol = problem.basis.field(v)
-    deviation = float(np.max(np.abs(sol.values - seed))) / epsilon**power
-    return _report(
-        problem, v, converged, its, rmax, rl2, hist,
-        epsilon=epsilon, branch="gzcs",
-        normalized_deviation=deviation,
-        seed_amplitude=float(np.max(np.abs(seed))),
+    rep = _newton(problem, v0, tol, max_iter, epsilon=epsilon, branch="gzcs")
+    sol = rep.solution
+    seed_amplitude = float(np.max(np.abs(seed)))
+    rep.diagnostics.update(
+        normalized_deviation=float(np.max(np.abs(sol.values - seed)))
+        / epsilon**power,
+        seed_amplitude=seed_amplitude,
+        # well below 1: the solve fell to the flat state, not the wave
+        amplitude_ratio=sol.max_abs() / seed_amplitude,
         even_defect=sol.shift_reflect_defect(),
         regime=profile.regime.value,
     )
+    return rep
 
 
 # -- convergence studies ---------------------------------------------------------
@@ -598,7 +650,7 @@ def check_jacobian(problem: SolverProblem, v: np.ndarray, n_dirs: int = 5,
     for _ in range(n_dirs):
         w = rng.standard_normal(problem.dim)
         w /= np.linalg.norm(w)
-        jw = problem.apply_jacobian(v, w[None, :])[0]
+        jw = problem.linearize(v)(w[None, :])[0]
         step = h * scale
         fd = (problem.residual(v + step * w) - problem.residual(v - step * w)) / (
             2.0 * step

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ferrojet.cli import main, parse_config_file
+from ferrojet.cli import RunConfig, main, parse_config_file
 from ferrojet.errors import ParameterError
 
 
@@ -68,6 +68,9 @@ def test_solve_kdv(tmp_path):
     assert (tmp_path / "profile_kdv_eps0p1.csv").exists()
     assert (tmp_path / "eta_kdv_eps0p1.csv").exists()
     assert (tmp_path / "spectrum_kdv_eps0p1.csv").exists()
+    solves = report["diagnostics"]["linear_solves"]
+    assert len(solves) == len(report["residual_history"]) - 1
+    assert not any(entry["dense_fallback"] for entry in solves)
 
 
 def test_solve_epsilon_ladder_fans_out(tmp_path):
@@ -84,6 +87,24 @@ def test_solve_rejects_zero_epsilon(tmp_path):
     rc = main(["solve", "--branch", "gzcs", "--gamma", "5",
                "--epsilon", "0", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("branch", ["kdv", "nls+", "nls-"])
+def test_solve_rejects_epsilon_above_envelope_bound(branch, tmp_path, capsys):
+    # rejected while validating, before any output or solve
+    out = tmp_path / "out"
+    rc = main(["solve", "--branch", branch, "--gamma", "5", "--epsilon", "0.1",
+               "0.4", "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError" and "0.3" in err["message"]
+    assert not out.exists()
+
+
+def test_gzcs_epsilon_bound_is_wider():
+    RunConfig(branch="gzcs", epsilon=[0.4]).validate()
+    with pytest.raises(ParameterError):
+        RunConfig(branch="gzcs", epsilon=[0.6]).validate()
 
 
 def test_checks_suite_passes(tmp_path, capsys):
