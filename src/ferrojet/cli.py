@@ -14,7 +14,9 @@ written with 17 significant digits and carry no timestamps; the single
 run_metadata.json holds the wall-clock stamp.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  Errors are
-mirrored as one JSON object on stderr.
+mirrored as one JSON object on stderr.  A ``solve`` ladder keeps the rungs
+that converged: each failed epsilon gets its own stderr object and an
+``error`` entry in ``solve_*.json``, and the exit code is still 3.
 """
 
 from __future__ import annotations
@@ -314,12 +316,19 @@ def _solve_one(cfg: RunConfig, branch: str, eps: float):
     return rep
 
 
+def _attempt(cfg: RunConfig, branch: str, eps: float):
+    """The report of one solve, or the numerical error that stopped it."""
+    try:
+        return _solve_one(cfg, branch, eps)
+    except _NUMERICAL_ERRORS as exc:
+        return exc
+
+
 def _solve_task(payload):
     cfg_dict, branch, eps = payload
     cfg = RunConfig(**cfg_dict)
     cfg.out = Path(cfg.out)
-    rep = _solve_one(cfg, branch, eps)
-    return eps, rep
+    return _attempt(cfg, branch, eps)
 
 
 def _cfg_dict(cfg: RunConfig) -> dict:
@@ -336,9 +345,10 @@ def _reconstruct_for_report(cfg, rep, eps):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    """Solve each eps; a rung that fails is reported and the others kept."""
     branch = cfg.branch
+    tag = branch.replace("+", "plus").replace("-", "minus")
     eps_list = sorted(cfg.epsilon)
-    results = {}
     if len(eps_list) > 1:
         workers = min(os.cpu_count() or 1, len(eps_list))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -346,29 +356,32 @@ def cmd_solve(cfg: RunConfig) -> int:
                 eps: pool.submit(_solve_task, (_cfg_dict(cfg), branch, eps))
                 for eps in eps_list
             }
-            for eps, fut in futures.items():
-                results[eps] = fut.result()[1]
+            results = {eps: fut.result() for eps, fut in futures.items()}
     else:
-        results[eps_list[0]] = _solve_one(cfg, branch, eps_list[0])
+        results = {eps_list[0]: _attempt(cfg, branch, eps_list[0])}
 
     reports = []
     failed = False
     for eps in eps_list:
         rep = results[eps]
-        tag = _eps_tag(eps)
+        if isinstance(rep, Exception):
+            error = {"error": type(rep).__name__, "message": str(rep)}
+            print(json.dumps({"epsilon": eps, **error}), file=sys.stderr)
+            reports.append({"branch": branch, "gamma": cfg.gamma,
+                            "epsilon": eps, "status": "error", **error})
+            failed = True
+            continue
+        eps_tag = _eps_tag(eps)
         axis = "Z" if branch != "gzcs" else "z"
-        _field_csv(cfg.out / f"profile_{branch.replace('+', 'plus').replace('-', 'minus')}_eps{tag}.csv",
-                   rep.solution, axis)
-        _spectrum_csv(cfg.out / f"spectrum_{branch.replace('+', 'plus').replace('-', 'minus')}_eps{tag}.csv",
-                      rep.solution)
+        _field_csv(cfg.out / f"profile_{tag}_eps{eps_tag}.csv", rep.solution, axis)
+        _spectrum_csv(cfg.out / f"spectrum_{tag}_eps{eps_tag}.csv", rep.solution)
         if branch != "gzcs":
             eta = _reconstruct_for_report(cfg, rep, eps)
-            _field_csv(cfg.out / f"eta_{branch.replace('+', 'plus').replace('-', 'minus')}_eps{tag}.csv",
-                       eta, "z")
-        reports.append(_report_payload(rep, cfg.gamma))
+            _field_csv(cfg.out / f"eta_{tag}_eps{eps_tag}.csv", eta, "z")
+        reports.append({**_report_payload(rep, cfg.gamma),
+                        "status": "converged" if rep.converged else "not_converged"})
         failed = failed or not rep.converged
-    _write_json(cfg.out / f"solve_{branch.replace('+', 'plus').replace('-', 'minus')}.json",
-                {"reports": reports})
+    _write_json(cfg.out / f"solve_{tag}.json", {"reports": reports})
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 

@@ -13,10 +13,12 @@ operator applies
 
 and the surface operator of the travelling-wave problem is
 
-    K(eta) xi = -u_z|_{r=1},  u = S(F1(eta,u), F2(eta,u), xi),
+    K(eta) xi = -u_z|_{r=1},  u = S(F1(eta,u), F2(eta,u), xi).
 
-solved by Picard iteration on (u_z, D0 u); with eta = 0 a single closed-form
-mode solve reproduces the multiplier f(k).
+The forcing is linear in x = (u_z, D0 u), so this fixed point is the affine
+system (I - T) x = S(0, 0, xi) with T x = S(F(eta, x), 0), solved by the
+restarted GMRES of ``solver.gmres``; each matvec is one application of S.
+With eta = 0 a single closed-form mode solve reproduces the multiplier f(k).
 
 Radial quadrature: Gauss-Legendre state nodes on (0,1); kernel integrals are
 assembled with per-output-node panels split at the diagonal kink, and panels
@@ -27,6 +29,7 @@ scaled Bessel values, so large |k| never overflows.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -278,11 +281,26 @@ def _unmirror(grid: SpectralGrid, rc: np.ndarray) -> np.ndarray:
     return full
 
 
+def _flat_profiles(x: np.ndarray, r: np.ndarray):
+    """I0(xr)/(x I1(x)) and I1(xr)/I1(x) on (x, r), and I0(x)/(x I1(x)).
+
+    The eta = 0 radial profiles per unit i k xi_hat, from scaled values.
+    """
+    i1x = _besseli_scaled(1, x)
+    xr = x[:, None] * r[None, :]
+    e_r1 = np.exp(x[:, None] * (r[None, :] - 1.0))
+    prof0 = _besseli_scaled(0, xr) * e_r1 / (x * i1x)[:, None]
+    prof1 = _besseli_scaled(1, xr) * e_r1 / i1x[:, None]
+    return prof0, prof1, _besseli_scaled(0, x) / (x * i1x)
+
+
 class SolutionOperator:
     """Precomputed per-mode quadrature of the Green's-kernel representation."""
 
     def __init__(self, zgrid: SpectralGrid, rgrid: RadialGrid):
-        self.zgrid = zgrid
+        # zgrid caches this operator, so hold it weakly: a strong reference
+        # would keep both alive until the cyclic collector runs
+        self._zgrid = weakref.ref(zgrid)
         self.rgrid = rgrid
         n_half = zgrid.N // 2
         self.kpos = np.pi * np.arange(n_half + 1) / zgrid.L  # rfft wavenumbers
@@ -305,27 +323,19 @@ class SolutionOperator:
 
         self.MG, self.MH1, self.MH2, self.MH3 = MG, MH1, MH2, MH3
 
-        # boundary (xi) kernels, closed form
-        i1x = _besseli_scaled(1, x)
-        e_r1 = np.exp(x[:, None] * (r[None, :] - 1.0))
-        self.bG = -_besseli_scaled(0, x[:, None] * r[None, :]) * e_r1 / (
-            x[:, None] * i1x[:, None]
-        )
-        self.bH1 = -_besseli_scaled(1, x[:, None] * r[None, :]) * e_r1 / i1x[:, None]
-        self.G11 = -_besseli_scaled(0, x) / (x * i1x)
-
-        # trace rows at r = 1 (smooth integrands; state-node quadrature)
+        # boundary (xi) kernels and trace rows at r = 1, closed form (the
+        # trace integrands are smooth: state-node quadrature)
+        prof0, prof1, prof0_wall = _flat_profiles(x, r)
+        self.bG, self.bH1, self.G11 = -prof0, -prof1, -prof0_wall
         wr_state = rgrid.w * r
-        e_1rt = np.exp(x[:, None] * (r[None, :] - 1.0))
-        self.tG = (
-            -_besseli_scaled(0, x[:, None] * r[None, :]) * e_1rt
-            / (x[:, None] * i1x[:, None])
-        ) * wr_state[None, :]
-        self.tH2 = (
-            -_besseli_scaled(1, x[:, None] * r[None, :]) * e_1rt / i1x[:, None]
-        ) * wr_state[None, :]
+        self.tG = self.bG * wr_state[None, :]
+        self.tH2 = self.bH1 * wr_state[None, :]
 
         self._antideriv = rgrid.antideriv_from_one()
+
+    @property
+    def zgrid(self) -> SpectralGrid:
+        return self._zgrid()
 
     def apply(self, F1_hat: np.ndarray, F2_hat: np.ndarray,
               xi_hat: np.ndarray) -> RadialSolution:
@@ -390,15 +400,7 @@ def solve_flat(xi: SpectralField, rgrid: RadialGrid) -> RadialSolution:
     zgrid = xi.grid
     xi_hat = _to_rcoeffs(zgrid, np.asarray(xi.values, dtype=float))
     kpos = np.pi * np.arange(zgrid.N // 2 + 1) / zgrid.L
-    x = kpos[1:]
-    r = rgrid.r
-    i1x = _besseli_scaled(1, x)
-    prof0 = _besseli_scaled(0, x[:, None] * r[None, :]) * np.exp(
-        x[:, None] * (r[None, :] - 1.0)
-    ) / (x[:, None] * i1x[:, None])
-    prof1 = _besseli_scaled(1, x[:, None] * r[None, :]) * np.exp(
-        x[:, None] * (r[None, :] - 1.0)
-    ) / i1x[:, None]
+    prof0, prof1, prof0_wall = _flat_profiles(kpos[1:], rgrid.r)
 
     nr, nk = rgrid.nr, kpos.size
     ik = 1j * kpos
@@ -408,9 +410,8 @@ def solve_flat(xi: SpectralField, rgrid: RadialGrid) -> RadialSolution:
     d0u_hat[:, 1:] = prof1.T * (ik[1:] * xi_hat[1:])[None, :]
     uz_hat = u_hat * ik[None, :]
 
-    i0x = _besseli_scaled(0, x)
     trace_u = np.zeros(nk, dtype=complex)
-    trace_u[1:] = ik[1:] * xi_hat[1:] * i0x / (x * i1x)
+    trace_u[1:] = ik[1:] * xi_hat[1:] * prof0_wall
     trace_uz = trace_u * ik
     trace_d0u = ik * xi_hat  # D0 u = xi_z at r = 1, exactly
     return RadialSolution(
@@ -441,13 +442,17 @@ def _forcing_terms(rgrid, eta_v, eta_z, uz, d0u):
 
 def solve_flattened_bvp(eta: SpectralField, xi: SpectralField,
                         rgrid: Optional[RadialGrid] = None,
-                        tol: float = 1e-12, max_iter: int = 60,
-                        anderson: bool = False):
-    """Picard solve of u = S(F1(eta,u), F2(eta,u), xi); returns (solution, K field).
+                        tol: float = 1e-12, max_iter: int = 60):
+    """GMRES solve of u = S(F1(eta,u), F2(eta,u), xi); returns (solution, K field).
 
-    Divergence (three consecutive growing updates) raises ConvergenceError
-    with a hint to shrink eta; so does exhausting max_iter.
+    The unknown is x = (u_z, D0 u) on the (nr, N) grid and the system is
+    x - S(F(eta, x), 0) = S(0, 0, xi), whose right-hand side is the closed
+    form ``solve_flat``.  Each matvec is one sweep (``SolutionOperator.apply``).
+    A relative residual above tol after max_iter sweeps, or a Krylov
+    breakdown, raises ConvergenceError with the sweep count and residual.
     """
+    from .solver import gmres  # solver imports this module
+
     if rgrid is None:
         rgrid = RadialGrid.make()
     zgrid = eta.grid
@@ -458,57 +463,37 @@ def solve_flattened_bvp(eta: SpectralField, xi: SpectralField,
         raise GeometryError("flattening breaks down: min(1 + eta) <= 0")
     eta_z = zgrid.deriv_values(eta_v)
     operator = _operator_for(zgrid, rgrid)
+    xi_hat = _to_rcoeffs(zgrid, np.asarray(xi.values, dtype=float))
+    sweeps = 0
 
-    sol = solve_flat(xi, rgrid)
-    uz = _to_rvalues(zgrid, sol.uz_hat)
-    d0u = _to_rvalues(zgrid, sol.d0u_hat)
+    def state(sol: RadialSolution) -> np.ndarray:
+        return np.concatenate([_to_rvalues(zgrid, sol.uz_hat).ravel(),
+                               _to_rvalues(zgrid, sol.d0u_hat).ravel()])
 
-    diffs = []
-    grow = 0
-    prev_pair = None  # Anderson depth-1 memory: (state, image)
-    for it in range(1, max_iter + 1):
+    def forcing(x: np.ndarray):
+        uz, d0u = x.reshape(2, rgrid.nr, zgrid.N)
         F1, F2 = _forcing_terms(rgrid, eta_v, eta_z, uz, d0u)
-        sol = operator.apply(
-            _to_rcoeffs(zgrid, F1), _to_rcoeffs(zgrid, F2),
-            _to_rcoeffs(zgrid, np.asarray(xi.values, dtype=float)),
-        )
-        uz_new = _to_rvalues(zgrid, sol.uz_hat)
-        d0u_new = _to_rvalues(zgrid, sol.d0u_hat)
-        diff = max(np.max(np.abs(uz_new - uz)), np.max(np.abs(d0u_new - d0u)))
-        diffs.append(diff)
-        if anderson:
-            x_cur = np.concatenate([uz.ravel(), d0u.ravel()])
-            g_cur = np.concatenate([uz_new.ravel(), d0u_new.ravel()])
-            if prev_pair is not None:
-                x_prev, g_prev = prev_pair
-                df = (g_cur - x_cur) - (g_prev - x_prev)
-                denom = float(df @ df)
-                if denom > 0.0:
-                    theta = float((g_cur - x_cur) @ df) / denom
-                    mixed = (1.0 - theta) * g_cur + theta * g_prev
-                    half = mixed.size // 2
-                    uz_new = mixed[:half].reshape(uz.shape)
-                    d0u_new = mixed[half:].reshape(d0u.shape)
-            prev_pair = (x_cur, g_cur)
-        uz, d0u = uz_new, d0u_new
-        if diff < tol:
-            break
-        if len(diffs) >= 2 and diffs[-1] > diffs[-2]:
-            grow += 1
-            if grow >= 3:
-                raise ConvergenceError(
-                    "fixed-point iteration diverging; eta is too large for "
-                    f"the contraction (last updates {diffs[-3:]})"
-                )
-        else:
-            grow = 0
-    else:
-        raise ConvergenceError(
-            f"no convergence in {max_iter} iterations (last update {diffs[-1]})"
-        )
+        return _to_rcoeffs(zgrid, F1), _to_rcoeffs(zgrid, F2)
 
-    k_field = sol.surface_velocity_field()
-    return sol, k_field
+    def matvec(x: np.ndarray) -> np.ndarray:
+        nonlocal sweeps
+        sweeps += 1
+        return x - state(operator.apply(*forcing(x), np.zeros_like(xi_hat)))
+
+    try:
+        x, _, rel = gmres(matvec, state(solve_flat(xi, rgrid)), rtol=tol,
+                          restart=max_iter, max_iter=max_iter)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"BVP solve: Krylov breakdown after {sweeps} sweeps ({exc})"
+        ) from exc
+    if rel > tol:
+        raise ConvergenceError(
+            f"BVP solve: relative residual {rel:.3e} > tol {tol:g} after "
+            f"{sweeps} sweeps; eta may be too large"
+        )
+    sol = operator.apply(*forcing(x), xi_hat)
+    return sol, sol.surface_velocity_field()
 
 
 def dn_oracle_apply(eta: SpectralField, rgrid: Optional[RadialGrid] = None,

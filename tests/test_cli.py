@@ -83,6 +83,22 @@ def test_solve_epsilon_ladder_fans_out(tmp_path):
     assert (tmp_path / "profile_kdv_eps0p2.csv").exists()
 
 
+def test_solve_ladder_keeps_converged_rungs(tmp_path, capsys):
+    # the eps = 0.5 rung fails; the two that converge are still written
+    rc = main(["solve", "--branch", "gzcs", "--gamma", "5",
+               "--epsilon", "0.5", "0.45", "0.1", "--out", str(tmp_path)])
+    assert rc == 3
+    reports = read_json(tmp_path / "solve_gzcs.json")["reports"]
+    assert [r["epsilon"] for r in reports] == [0.1, 0.45, 0.5]
+    assert [r["status"] for r in reports] == ["converged", "converged", "error"]
+    assert all(r["converged"] and "diagnostics" in r for r in reports[:2])
+    assert reports[2]["error"] == "ConvergenceError" and reports[2]["message"]
+    assert (tmp_path / "profile_gzcs_eps0p1.csv").exists()
+    assert not (tmp_path / "profile_gzcs_eps0p5.csv").exists()
+    (err,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+    assert err["epsilon"] == 0.5 and err["error"] == "ConvergenceError"
+
+
 def test_solve_rejects_zero_epsilon(tmp_path):
     rc = main(["solve", "--branch", "gzcs", "--gamma", "5",
                "--epsilon", "0", "--out", str(tmp_path)])

@@ -1,5 +1,8 @@
 """Green's kernels, the solution operator, and the fixed-point surface solve."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -150,12 +153,30 @@ def test_bvp_geometry_error(zgrid, rgrid):
         dno.solve_flattened_bvp(eta, xi, rgrid)
 
 
-def test_bvp_divergence_error(zgrid, rgrid):
-    # far outside the contraction regime the update ratio grows
+def _bc_residual(zgrid, rgrid, eta, xi, sol):
+    eta_z = zgrid.deriv_values(eta.values)
+    uz = dno._to_rvalues(zgrid, sol.uz_hat)
+    d0u = dno._to_rvalues(zgrid, sol.d0u_hat)
+    F1, _ = dno._forcing_terms(rgrid, eta.values, eta_z, uz, d0u)
+    bc_lhs = dno._to_rvalues(zgrid, sol.trace_d0u[None, :])[0]
+    bc_rhs = rgrid.boundary_row @ F1 + zgrid.deriv_values(xi.values)
+    return np.max(np.abs(bc_lhs - bc_rhs))
+
+
+def test_bvp_converges_where_picard_diverged(zgrid, rgrid):
+    # far outside the contraction regime (Picard updates grow by ~2.4x per
+    # sweep here) the Krylov solve still converges
     eta = SpectralField.from_values(zgrid, 0.9 * np.cos(zgrid.z), parity="even")
     xi = SpectralField.from_function(zgrid, np.sin)
-    with pytest.raises(ConvergenceError):
-        dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-13, max_iter=60)
+    sol, _ = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-12)
+    assert _bc_residual(zgrid, rgrid, eta, xi, sol) <= 1e-10
+
+
+def test_bvp_iteration_cap_error(zgrid, rgrid):
+    eta = SpectralField.from_values(zgrid, 0.2 * np.cos(zgrid.z), parity="even")
+    xi = SpectralField.from_function(zgrid, np.sin)
+    with pytest.raises(ConvergenceError, match=r"residual .* after \d+ sweeps"):
+        dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-12, max_iter=3)
 
 
 def test_bvp_boundary_condition_post(zgrid, rgrid):
@@ -164,32 +185,22 @@ def test_bvp_boundary_condition_post(zgrid, rgrid):
     xi = SpectralField.from_function(zgrid, np.sin)
     tol = 1e-12
     sol, K = dno.solve_flattened_bvp(eta, xi, rgrid, tol=tol)
-    eta_z = zgrid.deriv_values(eta.values)
-    uz = dno._to_rvalues(zgrid, sol.uz_hat)
-    d0u = dno._to_rvalues(zgrid, sol.d0u_hat)
-    F1, _ = dno._forcing_terms(rgrid, eta.values, eta_z, uz, d0u)
-    bc_lhs = dno._to_rvalues(zgrid, sol.trace_d0u[None, :])[0]
-    bc_rhs = rgrid.boundary_row @ F1 + zgrid.deriv_values(xi.values)
-    assert np.max(np.abs(bc_lhs - bc_rhs)) <= 10.0 * tol + 1e-10
+    assert _bc_residual(zgrid, rgrid, eta, xi, sol) <= 10.0 * tol + 1e-10
 
 
 def test_bvp_contraction_factor(zgrid, rgrid):
+    # the Picard iteration u <- S(F(eta, u), xi) from the flat state is the
+    # reference path: it contracts at ||eta|| = 0.05, and its limit is the
+    # Krylov solution
     eta = SpectralField.from_values(zgrid, 0.05 * np.cos(zgrid.z), parity="even")
     xi = SpectralField.from_function(zgrid, np.sin)
-    diffs = []
-    orig_apply = dno.SolutionOperator.apply
-
-    sol, K = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-13)
-    # successive-difference contraction is implicit in convergence within
-    # max_iter; measure it directly on a short rerun
-    uz_prev = None
     eta_z = zgrid.deriv_values(eta.values)
     sol_f = dno.solve_flat(xi, rgrid)
     uz = dno._to_rvalues(zgrid, sol_f.uz_hat)
     d0u = dno._to_rvalues(zgrid, sol_f.d0u_hat)
     operator = dno._operator_for(zgrid, rgrid)
-    last = None
-    for _ in range(6):
+    ratios, last = [], None
+    for _ in range(60):
         F1, F2 = dno._forcing_terms(rgrid, eta.values, eta_z, uz, d0u)
         s = operator.apply(dno._to_rcoeffs(zgrid, F1), dno._to_rcoeffs(zgrid, F2),
                            dno._to_rcoeffs(zgrid, xi.values))
@@ -197,18 +208,31 @@ def test_bvp_contraction_factor(zgrid, rgrid):
         d0u_new = dno._to_rvalues(zgrid, s.d0u_hat)
         diff = max(np.max(np.abs(uz_new - uz)), np.max(np.abs(d0u_new - d0u)))
         if last is not None:
-            diffs.append(diff / last)
+            ratios.append(diff / last)
         last = diff
         uz, d0u = uz_new, d0u_new
-    assert max(diffs[1:]) < 1.0  # contraction for ||eta|| <= 0.05
+        if diff < 1e-15:
+            break
+    assert max(ratios[1:6]) < 1.0  # contraction for ||eta|| <= 0.05
+    assert diff < 1e-14
+
+    sol, K = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-13)
+    assert np.max(np.abs(dno._to_rvalues(zgrid, sol.uz_hat) - uz)) <= 1e-12
+    assert np.max(np.abs(dno._to_rvalues(zgrid, sol.d0u_hat) - d0u)) <= 1e-12
+    assert np.max(np.abs(K.values - s.surface_velocity_field().values)) <= 1e-12
 
 
-def test_bvp_anderson_acceleration(zgrid, rgrid):
-    eta = SpectralField.from_values(zgrid, 0.05 * np.cos(zgrid.z), parity="even")
-    xi = SpectralField.from_function(zgrid, np.sin)
-    _, K_plain = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-13)
-    _, K_accel = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-13, anderson=True)
-    assert np.max(np.abs(K_plain.values - K_accel.values)) <= 1e-11
+def test_operator_is_freed_with_its_grid(rgrid):
+    # the grid caches its operator; the operator must not keep the grid
+    # alive, or both outlive the solve until the cyclic collector runs
+    gc.disable()
+    try:
+        z = SpectralGrid.make(2 * np.pi, 16)
+        ref = weakref.ref(dno._operator_for(z, rgrid))
+        del z
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("order,window", [(1, (1.8, 2.2)), (2, (2.7, 3.3))])
