@@ -11,6 +11,7 @@ operator-level mode extraction for the weakly nonlinear constants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -67,7 +68,12 @@ def _row(suite, name, value, target, tol, relative=True) -> CheckRow:
 
 # -- quadrature oracles ---------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(400)
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """400-point Gauss-Legendre rule on [-1, 1], built on first use (not on
+    import: it is an eigenvalue problem that every CLI start would pay for)."""
+    return np.polynomial.legendre.leggauss(400)
 
 
 def bessel_i_quadrature(order: int, x: float, m: int = 512) -> float:
@@ -86,16 +92,18 @@ def bessel_i_quadrature(order: int, x: float, m: int = 512) -> float:
 def bessel_k_quadrature(order: int, x: float) -> float:
     """Scaled oracle e^x K_n(x) = int_0^inf e^{-x(cosh t - 1)} cosh(nt) dt."""
     T = float(np.arccosh(1.0 + 45.0 / x))
-    t = 0.5 * T * (_GL_NODES + 1.0)
-    w = 0.5 * T * _GL_WEIGHTS
+    nodes, weights = _gauss_legendre()
+    t = 0.5 * T * (nodes + 1.0)
+    w = 0.5 * T * weights
     return float(np.sum(w * np.exp(-x * (np.cosh(t) - 1.0)) * np.cosh(order * t)))
 
 
 def struve_l_quadrature(order: int, x: float) -> float:
     """Oracle L_0(x) = (2/pi) int_0^{pi/2} sinh(x cos t) dt and its order-1
     analogue (2x/pi) int_0^{pi/2} sinh(x cos t) sin^2 t dt."""
-    t = 0.25 * np.pi * (_GL_NODES + 1.0)
-    w = 0.25 * np.pi * _GL_WEIGHTS
+    nodes, weights = _gauss_legendre()
+    t = 0.25 * np.pi * (nodes + 1.0)
+    w = 0.25 * np.pi * weights
     if order == 0:
         integrand = np.sinh(x * np.cos(t))
         return float(2.0 / np.pi * np.sum(w * integrand))
@@ -139,15 +147,17 @@ def specfun_suite() -> list:
                          0.0, 1e-10, relative=False))
 
     seam_i = np.array([SEAM_I])
+    series_i = _iv_series_scaled(seam_i, (0, 1, 2))
     for order in (0, 1, 2):
-        a = float(_iv_series_scaled(order, seam_i)[0])
+        a = float(series_i[order][0])
         b = float(_iv_asym_scaled(order, seam_i)[0])
         rows.append(_row("specfun", f"I{order} branch seam agreement", a, b,
                          1e-12))
     seam_k = np.array([SEAM_K])
     cf = _kv_cf2_scaled(seam_k)
+    series_k = _kv_series_scaled(seam_k, *_iv_series_scaled(seam_k, (0, 1)))
     for order in (0, 1):
-        a = float(_kv_series_scaled(order, seam_k)[0])
+        a = float(series_k[order][0])
         rows.append(_row("specfun", f"K{order} branch seam agreement", a,
                          float(cf[order][0]), 1e-12))
 

@@ -26,7 +26,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -350,6 +349,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     tag = branch.replace("+", "plus").replace("-", "minus")
     eps_list = sorted(cfg.epsilon)
     if len(eps_list) > 1:
+        # imported here: only a ladder needs the worker machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(os.cpu_count() or 1, len(eps_list))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
@@ -367,6 +369,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         if isinstance(rep, Exception):
             error = {"error": type(rep).__name__, "message": str(rep)}
             print(json.dumps({"epsilon": eps, **error}), file=sys.stderr)
+            if isinstance(rep, ConvergenceError):
+                error["residual_history"] = [float(r) for r in rep.residual_history]
+                error["linear_solves"] = rep.linear_solves
             reports.append({"branch": branch, "gamma": cfg.gamma,
                             "epsilon": eps, "status": "error", **error})
             failed = True

@@ -24,7 +24,8 @@ Radial quadrature: Gauss-Legendre state nodes on (0,1); kernel integrals are
 assembled with per-output-node panels split at the diagonal kink, and panels
 graded dyadically toward the kink on the K-Bessel side (the kernels are
 analytic except for the log point at rt = 0).  Everything is built from
-scaled Bessel values, so large |k| never overflows.
+scaled Bessel values, so large |k| never overflows; each Bessel function is
+evaluated once per kernel argument (``specfun._bessel01_scaled``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, GeometryError
 from .spectral import SpectralField, SpectralGrid
-from .specfun import _besseli_scaled, _besselk_scaled, struvel, besseli
+from .specfun import (
+    _bessel01_scaled,
+    _besseli_scaled,
+    _besselk_scaled,
+    _iv_scaled,
+    besseli,
+    struvel,
+)
 
 __all__ = [
     "RadialGrid",
@@ -129,32 +137,25 @@ class RadialGrid:
 # -- Green's kernels -----------------------------------------------------------
 
 
-def _scaled_parts(x: np.ndarray, arg: np.ndarray):
-    return (
-        _besseli_scaled(0, x * arg),
-        _besseli_scaled(1, x * arg),
-        _besselk_scaled(0, x * arg),
-        _besselk_scaled(1, x * arg),
-    )
-
-
 def greens_kernel(k, r, rt) -> dict:
     """Kernel G and its formal derivatives H1 = G_r, H2 = G_rt, H3 = G_r_rt.
 
     All Bessel combinations are assembled from scaled values with
-    nonpositive exponents, so any |k| is safe.  k must be nonzero.
+    nonpositive exponents, so any |k| is safe.  k must be nonzero.  Each
+    Bessel function is evaluated once per argument: I0, I1 at |k| r_min,
+    all four at |k| r_max, and K1(|k|)/I1(|k|) on k before broadcasting.
     """
     x = np.abs(np.asarray(k, dtype=float))
     if np.any(x == 0.0):
         raise DomainError("k = 0 mode is singular; handled separately")
     r = np.asarray(r, dtype=float)
     rt = np.asarray(rt, dtype=float)
-    x, r, rt = np.broadcast_arrays(x, r, rt)
     lo = np.minimum(r, rt)
     hi = np.maximum(r, rt)
-    i0_lo, i1_lo, _, _ = _scaled_parts(x, lo)
-    i0_hi, i1_hi, k0_hi, k1_hi = _scaled_parts(x, hi)
-    ratio = _besselk_scaled(1, x) / _besseli_scaled(1, x)
+    _, i1_x, _, k1_x = _bessel01_scaled(x)
+    ratio = k1_x / i1_x
+    i0_lo, i1_lo = _iv_scaled(x * lo, (0, 1))
+    i0_hi, i1_hi, k0_hi, k1_hi = _bessel01_scaled(x * hi)
     e_between = np.exp(x * (lo - hi))
     e_wall = np.exp(x * (lo + hi - 2.0))
 

@@ -30,4 +30,14 @@ class GridError(FerrojetError, ValueError):
 
 
 class ConvergenceError(FerrojetError, RuntimeError):
-    """An iterative scheme failed to converge (or diverged)."""
+    """An iterative scheme failed to converge (or diverged).
+
+    A failed Newton solve passes the residual history (max norm, one entry
+    per accepted iterate) and the per-step linear-solve records it reached;
+    both survive pickling.
+    """
+
+    def __init__(self, message: str = "", residual_history=(), linear_solves=()):
+        super().__init__(message)
+        self.residual_history = list(residual_history)
+        self.linear_solves = list(linear_solves)

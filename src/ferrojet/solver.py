@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dno
 from . import operators as op
-from .dispersion import Regime, make_profile
+from .dispersion import DispersionProfile, Regime, make_profile
 from .errors import ConvergenceError, ParameterError, RegimeError
 from .spectral import SpectralField, SpectralGrid
 from .wnl import MagnetizationLaw, WnlCoeffs, kdv_coeffs, nls_coeffs, zeta_kdv, zeta_nls
@@ -271,7 +271,7 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
                 failure = "step damping hit the geometry guard floor"
             s *= 0.5
             if s < min_step:
-                raise ConvergenceError(failure)
+                raise ConvergenceError(failure, history, linear_solves)
         v, r, rmax, rl2 = v_try, r_try, rmax_try, rl2_try
         history.append(rmax)
     return SolveReport(
@@ -342,10 +342,11 @@ def fd_kdv_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
 
 
 def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
-                   grid: SpectralGrid,
-                   delta: Optional[float] = None) -> SolverProblem:
+                   grid: SpectralGrid, delta: Optional[float] = None,
+                   profile: Optional[DispersionProfile] = None) -> SolverProblem:
     """Full-dispersion NLS: eps^-2 g(w + eps D) + a2 - a3 chi0 |z|^2 z."""
-    profile = make_profile(gamma)
+    if profile is None:
+        profile = make_profile(gamma)
     if profile.regime is not Regime.WEAK:
         raise RegimeError("full-dispersion NLS needs the weak regime")
     coeffs = nls_coeffs(gamma, law, profile)
@@ -483,8 +484,10 @@ def solve_full_dispersion_nls(gamma: float, law: MagnetizationLaw,
                              f"{ENVELOPE_EPS_MAX}, got {epsilon}")
     if grid is None:
         grid = default_scaled_grid()
-    coeffs = nls_coeffs(gamma, law)
-    problem = fd_nls_problem(gamma, law, epsilon, grid, delta=delta)
+    profile = make_profile(gamma)
+    coeffs = nls_coeffs(gamma, law, profile)
+    problem = fd_nls_problem(gamma, law, epsilon, grid, delta=delta,
+                             profile=profile)
     seed = sign * zeta_nls(grid.z, coeffs)
     v0 = problem.basis.to_coords(seed.astype(complex))
     rep = _newton(problem, v0, tol, max_iter, epsilon=epsilon,

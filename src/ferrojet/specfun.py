@@ -8,11 +8,19 @@ variants (e^-x I_n, e^x K_n) and the dispersion ratio
 which is the Fourier symbol of the order-zero surface-to-velocity operator.
 
 Evaluation is two-regime: ascending power series below a seam, and an
-asymptotic series (I family) or Lehmer/Thompson-Barnett continued fraction
-(K family) above it.  The I series has positive terms only, so it is run up
-to a generous seam; the K seam sits where the log-series cancellation is
-still harmless.  All ratios that enter Green's-kernel code are formed from
-scaled values, so nothing overflows for arguments up to 1e4 and beyond.
+asymptotic series (I family) or the Steed/Temme continued fraction (K
+family; Temme, J. Comput. Phys. 19, 1975) above it.  The I series has
+positive terms only, so it is run up to a generous seam; the K seam sits
+where the log-series cancellation is still harmless.  All ratios that enter
+Green's-kernel code are formed from scaled values, so nothing overflows for
+arguments up to 1e4 and beyond.
+
+I0, I1, K0 and K1 are evaluated jointly (``_bessel01_scaled``): one pass of
+the I0/I1 series, then below SEAM_K one pass of the K0/K1 log series that
+reuses those I values, or above it one continued fraction, which yields K0
+and K1 together.  Every series stops at the first term below 1e-17 of its
+partial sum in every element; the term counts are only caps.  I2 keeps its
+own series (no recurrence from I0, I1, whose cancellation f' would feel).
 
 Everything is vectorised over numpy arrays; scalars in give scalars out.
 """
@@ -54,9 +62,12 @@ SEAM_L = 60.0
 
 _EULER_GAMMA = 0.57721566490153286060651209008240243
 
+# Term caps; every series stops earlier, at its first term below
+# _SERIES_RTOL of its partial sum in every element.
 _I_SERIES_TERMS = 80
 _K_SERIES_TERMS = 20
 _L_SERIES_TERMS = 130
+_SERIES_RTOL = 1e-17
 _ASYM_TERMS = 24
 _CF_MAX_ITER = 300
 
@@ -74,15 +85,32 @@ def _asym_coeffs(nu: int, n: int) -> np.ndarray:
 _ASYM_A = {nu: _asym_coeffs(nu, _ASYM_TERMS) for nu in (0, 1, 2)}
 
 
-def _iv_series_scaled(nu: int, x: np.ndarray) -> np.ndarray:
-    """e^-x I_nu(x) by the ascending series; valid for 0 <= x <= SEAM_I."""
+def _converged(term: np.ndarray, total: np.ndarray) -> bool:
+    """Every element's newest term is below _SERIES_RTOL of its partial sum.
+
+    Both are nonnegative: pass |total| for a sum that can change sign.
+    """
+    return bool(np.all(term <= _SERIES_RTOL * total))
+
+
+def _iv_series_scaled(x: np.ndarray, orders: tuple) -> list:
+    """e^-x I_nu(x) for each nu in orders by one pass of the ascending series.
+
+    Valid for 0 <= x <= SEAM_I.  The terms are positive, so stopping at the
+    first negligible term per element loses nothing.
+    """
     t = 0.25 * x * x
-    term = (0.5 * x) ** nu / math.factorial(nu)
-    total = term.copy()
+    terms = [(0.5 * x) ** nu / math.factorial(nu) for nu in orders]
+    totals = [term.copy() for term in terms]
     for m in range(1, _I_SERIES_TERMS):
-        term = term * t / (m * (m + nu))
-        total += term
-    return total * np.exp(-x)
+        for term, total, nu in zip(terms, totals, orders):
+            term *= t
+            term *= 1.0 / (m * (m + nu))
+            total += term
+        if all(_converged(term, total) for term, total in zip(terms, totals)):
+            break
+    e = np.exp(-x)
+    return [total * e for total in totals]
 
 
 def _iv_asym_scaled(nu: int, x: np.ndarray) -> np.ndarray:
@@ -96,33 +124,53 @@ def _iv_asym_scaled(nu: int, x: np.ndarray) -> np.ndarray:
     return s / np.sqrt(2.0 * np.pi * x)
 
 
-def _harmonic(n: int) -> float:
-    return sum(1.0 / j for j in range(1, n + 1))
+def _iv_scaled(x: np.ndarray, orders: tuple) -> list:
+    """e^-x I_nu(x) for each nu in orders: one series pass or the asymptotics."""
+    out = [np.empty_like(x) for _ in orders]
+    lo = x <= SEAM_I
+    if np.any(lo):
+        for o, v in zip(out, _iv_series_scaled(x[lo], orders)):
+            o[lo] = v
+    if not np.all(lo):
+        for o, nu in zip(out, orders):
+            o[~lo] = _iv_asym_scaled(nu, x[~lo])
+    return out
 
 
-def _kv_series_scaled(order: int, x: np.ndarray) -> np.ndarray:
-    """e^x K_order(x) from the log series; valid for 0 < x <= SEAM_K."""
+# K0 and K1 log-series coefficients of t^m / (m!)^2: H_m and
+# (H_m + H_{m+1} - 2 gamma) / (m + 1), with harmonic numbers H_m (H_0 = 0)
+_HARMONIC = np.cumsum(np.r_[0.0, 1.0 / np.arange(1, _K_SERIES_TERMS + 1)])
+_K0_COEFFS = _HARMONIC[:-1]
+_K1_COEFFS = ((_HARMONIC[:-1] + _HARMONIC[1:] - 2.0 * _EULER_GAMMA)
+              / np.arange(1, _K_SERIES_TERMS + 1))
+
+
+def _kv_series_scaled(x: np.ndarray, i0: np.ndarray, i1: np.ndarray):
+    """(e^x K0, e^x K1) from the log series; valid for 0 < x <= SEAM_K.
+
+    i0, i1 are e^-x I0(x) and e^-x I1(x) at the same points, so both log
+    series share one pass and reuse the I sums.
+    """
+    # K0 = -(log(x/2) + gamma) I0 + sum_{m>=1} H_m t^m / (m!)^2
+    # K1 = 1/x + log(x/2) I1 - (x/4) sum_m (H_m + H_{m+1} - 2 gamma) t^m / (m! (m+1)!)
     t = 0.25 * x * x
+    term = np.ones_like(x)  # t^m / (m!)^2
+    s0 = np.zeros_like(x)
+    s1 = np.full_like(x, _K1_COEFFS[0])
+    for m in range(1, _K_SERIES_TERMS):
+        term *= t
+        term *= 1.0 / (m * m)
+        d0 = term * _K0_COEFFS[m]
+        d1 = term * _K1_COEFFS[m]
+        s0 += d0
+        s1 += d1
+        if _converged(d0, s0) and _converged(d1, np.abs(s1)):
+            break
+    e = np.exp(x)
     lg = np.log(0.5 * x)
-    i0 = _iv_series_scaled(0, x) * np.exp(x)
-    i1 = _iv_series_scaled(1, x) * np.exp(x)
-    if order == 0:
-        # K0 = -(log(x/2) + gamma) I0 + sum_{m>=1} H_m t^m / (m!)^2
-        term = np.ones_like(x)
-        total = np.zeros_like(x)
-        for m in range(1, _K_SERIES_TERMS):
-            term = term * t / (m * m)
-            total += term * _harmonic(m)
-        k = -(lg + _EULER_GAMMA) * i0 + total
-    else:
-        # K1 = 1/x + log(x/2) I1 - (x/4) sum_m (H_m + H_{m+1} - 2 gamma) t^m / (m! (m+1)!)
-        term = np.ones_like(x)
-        total = (1.0 - 2.0 * _EULER_GAMMA) * term
-        for m in range(1, _K_SERIES_TERMS):
-            term = term * t / (m * (m + 1))
-            total += term * (_harmonic(m) + _harmonic(m + 1) - 2.0 * _EULER_GAMMA)
-        k = 1.0 / x + lg * i1 - 0.25 * x * total
-    return k * np.exp(x)
+    k0 = (s0 - (lg + _EULER_GAMMA) * i0 * e) * e
+    k1 = (1.0 / x + lg * i1 * e - 0.25 * x * s1) * e
+    return k0, k1
 
 
 def _kv_cf2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,22 +183,22 @@ def _kv_cf2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q2 = np.ones_like(x)
     a1 = 0.25
     q = np.full_like(x, a1)
-    c = np.full_like(x, a1)
+    c = a1  # the same for every x
     a = -a1
     s = 1.0 + q * delh
     for i in range(2, _CF_MAX_ITER):
         a -= 2.0 * (i - 1)
-        c = -a * c / i
+        c *= -a / i
         qnew = (q1 - b * q2) / a
         q1 = q2
         q2 = qnew
-        q = q + c * qnew
-        b = b + 2.0
+        q += c * qnew
+        b += 2.0
         d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h = h + delh
+        delh *= b * d - 1.0
+        h += delh
         dels = q * delh
-        s = s + dels
+        s += dels
         if np.max(np.abs(dels / s)) < 1e-16:
             break
     h = a1 * h
@@ -171,6 +219,8 @@ def _lv_series(order: int, x: np.ndarray) -> np.ndarray:
     for m in range(1, _L_SERIES_TERMS):
         term = term * t / ((m + 0.5) * (m + order + 0.5))
         total += term
+        if _converged(term, total):
+            break
     return total
 
 
@@ -194,25 +244,30 @@ def _vectorise(x, fn):
     return out.reshape(arr.shape)
 
 
-def _besseli_scaled(order: int, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    lo = x <= SEAM_I
+def _bessel01_scaled(x: np.ndarray):
+    """(e^-x I0, e^-x I1, e^x K0, e^x K1) at x > 0, one pass per branch.
+
+    One I0/I1 series pass (asymptotics above SEAM_I); below SEAM_K one
+    K0/K1 log-series pass that reuses those I values, above it one
+    continued fraction that yields K0 and K1 together.
+    """
+    i0, i1 = _iv_scaled(x, (0, 1))
+    k0 = np.empty_like(x)
+    k1 = np.empty_like(x)
+    lo = x <= SEAM_K
     if np.any(lo):
-        out[lo] = _iv_series_scaled(order, x[lo])
-    if np.any(~lo):
-        out[~lo] = _iv_asym_scaled(order, x[~lo])
-    return out
+        k0[lo], k1[lo] = _kv_series_scaled(x[lo], i0[lo], i1[lo])
+    if not np.all(lo):
+        k0[~lo], k1[~lo] = _kv_cf2_scaled(x[~lo])
+    return i0, i1, k0, k1
+
+
+def _besseli_scaled(order: int, x: np.ndarray) -> np.ndarray:
+    return _iv_scaled(x, (order,))[0]
 
 
 def _besselk_scaled(order: int, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    lo = x <= SEAM_K
-    if np.any(lo):
-        out[lo] = _kv_series_scaled(order, x[lo])
-    if np.any(~lo):
-        k0, k1 = _kv_cf2_scaled(x[~lo])
-        out[~lo] = k0 if order == 0 else k1
-    return out
+    return _bessel01_scaled(x)[2 + order]
 
 
 def besseli(order: int, x, scaled: bool = False):

@@ -93,10 +93,25 @@ def test_solve_ladder_keeps_converged_rungs(tmp_path, capsys):
     assert [r["status"] for r in reports] == ["converged", "converged", "error"]
     assert all(r["converged"] and "diagnostics" in r for r in reports[:2])
     assert reports[2]["error"] == "ConvergenceError" and reports[2]["message"]
+    # the failed rung's partial Newton history crosses the worker pool
+    history = reports[2]["residual_history"]
+    assert len(history) >= 2 and len(reports[2]["linear_solves"]) == len(history)
     assert (tmp_path / "profile_gzcs_eps0p1.csv").exists()
     assert not (tmp_path / "profile_gzcs_eps0p5.csv").exists()
     (err,) = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
     assert err["epsilon"] == 0.5 and err["error"] == "ConvergenceError"
+
+
+def test_solve_error_entry_keeps_newton_history(tmp_path):
+    # a single eps is solved in-process
+    rc = main(["solve", "--branch", "gzcs", "--gamma", "5",
+               "--epsilon", "0.5", "--out", str(tmp_path)])
+    assert rc == 3
+    (entry,) = read_json(tmp_path / "solve_gzcs.json")["reports"]
+    assert entry["status"] == "error" and "stagnation" in entry["message"]
+    history = entry["residual_history"]
+    assert len(history) >= 2 and len(entry["linear_solves"]) == len(history)
+    assert history == sorted(history, reverse=True)
 
 
 def test_solve_rejects_zero_epsilon(tmp_path):

@@ -10,7 +10,7 @@ from ferrojet import dno
 from ferrojet import operators as op
 from ferrojet.errors import ConvergenceError, DomainError, GeometryError
 from ferrojet.spectral import SpectralField, SpectralGrid
-from ferrojet.specfun import f_ratio
+from ferrojet.specfun import besseli, besselk, f_ratio
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,57 @@ def test_kernel_symmetry_and_signs():
     assert np.all(ker["H3"] >= 0)
     with pytest.raises(DomainError):
         dno.greens_kernel(0.0, 0.3, 0.7)
+
+
+def _reference_kernel(k, r, rt) -> dict:
+    """greens_kernel's formula, every Bessel value from the public functions
+    on the broadcast grid (the evaluation before the joint evaluator)."""
+    x, r, rt = np.broadcast_arrays(np.abs(np.asarray(k, dtype=float)),
+                                   np.asarray(r, dtype=float),
+                                   np.asarray(rt, dtype=float))
+    lo = np.minimum(r, rt)
+    hi = np.maximum(r, rt)
+    i0_lo, i1_lo = (besseli(n, x * lo, scaled=True) for n in (0, 1))
+    i0_hi, i1_hi = (besseli(n, x * hi, scaled=True) for n in (0, 1))
+    k0_hi, k1_hi = (besselk(n, x * hi, scaled=True) for n in (0, 1))
+    ratio = besselk(1, x, scaled=True) / besseli(1, x, scaled=True)
+    e_between = np.exp(x * (lo - hi))
+    e_wall = np.exp(x * (lo + hi - 2.0))
+    G = -(i0_lo * k0_hi * e_between + ratio * i0_lo * i0_hi * e_wall)
+    d_small = -x * i1_lo * (k0_hi * e_between + ratio * i0_hi * e_wall)
+    d_large = x * i0_lo * (k1_hi * e_between - ratio * i1_hi * e_wall)
+    H3 = x**2 * i1_lo * (k1_hi * e_between - ratio * i1_hi * e_wall)
+    r_is_small = r < rt
+    return {"G": G, "H1": np.where(r_is_small, d_small, d_large),
+            "H2": np.where(r_is_small, d_large, d_small), "H3": H3}
+
+
+def test_kernel_matches_reference_formula():
+    # k on both sides of the K seam (2); rt crosses every r, and meets it
+    k = np.logspace(-2, np.log10(30.0), 23)[:, None, None]
+    r = np.linspace(0.05, 1.0, 11)[None, :, None]
+    rt = np.concatenate([np.linspace(0.0, 1.0, 21), [0.05, 0.335, 0.715]])
+    ker = dno.greens_kernel(k, r, rt[None, None, :])
+    ref = _reference_kernel(k, r, rt[None, None, :])
+    for name in ("G", "H1", "H2", "H3"):
+        assert ker[name].shape == ref[name].shape
+        scale = np.max(np.abs(ref[name]))
+        assert np.max(np.abs(ker[name] - ref[name])) <= 1e-12 * scale, name
+
+
+def test_operator_matrices_match_reference_kernel():
+    zgrid = SpectralGrid.make(8 * np.pi, 64)  # k = m/8, m = 1..32
+    rgrid = dno.RadialGrid.make(16)
+    operator = dno.SolutionOperator(zgrid, rgrid)
+    x = operator.kpos[1:]
+    for i, ri in enumerate(rgrid.r):
+        q, wq = dno._panels(float(ri))
+        B = rgrid.interp_to(q)
+        ref = _reference_kernel(x[:, None], ri, q[None, :])
+        for M, name in ((operator.MG, "G"), (operator.MH1, "H1"),
+                        (operator.MH2, "H2"), (operator.MH3, "H3")):
+            want = (ref[name] * (wq * q)[None, :]) @ B
+            assert np.max(np.abs(M[:, i, :] - want)) <= 1e-12 * np.max(np.abs(M)), name
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 5.0, 20.0])

@@ -1,11 +1,13 @@
 """Newton solvers: envelope equations, full-dispersion models, full equation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from ferrojet import solver
 from ferrojet.dispersion import Regime, make_profile
-from ferrojet.errors import ParameterError, RegimeError
+from ferrojet.errors import ConvergenceError, ParameterError, RegimeError
 from ferrojet.spectral import SpectralField, SpectralGrid
 from ferrojet.wnl import kdv_coeffs, nls_coeffs, zeta_kdv, zeta_nls
 
@@ -161,6 +163,22 @@ def test_travelling_wave_rejects_critical_and_zero_eps(linear_law):
         solver.solve_travelling_wave(9.0, linear_law, 0.1)
     with pytest.raises(ParameterError):
         solver.solve_travelling_wave(5.0, linear_law, 0.0)
+
+
+def test_failed_newton_keeps_its_history(linear_law):
+    # gamma = 5, eps = 0.5 stagnates after some accepted steps
+    with pytest.raises(ConvergenceError, match="stagnation") as info:
+        solver.solve_travelling_wave(5.0, linear_law, 0.5)
+    exc = info.value
+    history = exc.residual_history
+    # one linear solve per accepted step, plus the step that failed
+    assert len(history) >= 2 and len(exc.linear_solves) == len(history)
+    assert np.all(np.diff(history) < 0)
+    assert all("iterations" in entry for entry in exc.linear_solves)
+    back = pickle.loads(pickle.dumps(exc))
+    assert str(back) == str(exc)
+    assert back.residual_history == history
+    assert back.linear_solves == exc.linear_solves
 
 
 def test_convergence_study_synthetic():

@@ -95,10 +95,27 @@ def test_k_quadrature_oracle():
         assert np.max(np.abs(vals - oracle) / oracle) <= 1e-12
 
 
+def test_joint_evaluator_matches_scipy_and_public_functions():
+    special = pytest.importorskip("scipy.special")
+    seams = np.array([sf.SEAM_K, sf.SEAM_I])
+    x = np.concatenate([np.logspace(-3, 4, 400), seams,
+                        np.nextafter(seams, 0.0), np.nextafter(seams, np.inf)])
+    joint = sf._bessel01_scaled(x)
+    oracles = (special.i0e, special.i1e, special.k0e, special.k1e)
+    for vals, oracle in zip(joint, oracles):
+        ref = oracle(x)
+        assert np.max(np.abs(vals - ref) / ref) <= 1e-14
+    for order in (0, 1):
+        pairs = ((joint[order], sf.besseli(order, x, scaled=True)),
+                 (joint[2 + order], sf.besselk(order, x, scaled=True)))
+        for vals, public in pairs:
+            assert np.max(np.abs(vals - public) / public) <= 1e-15
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_i_family_two_branch_seam(order):
     seam = np.array([sf.SEAM_I])
-    a = sf._iv_series_scaled(order, seam)[0]
+    a = sf._iv_series_scaled(seam, (order,))[0][0]
     b = sf._iv_asym_scaled(order, seam)[0]
     assert abs(a - b) <= 1e-12 * a
 
@@ -106,7 +123,7 @@ def test_i_family_two_branch_seam(order):
 @pytest.mark.parametrize("order", [0, 1])
 def test_k_family_two_branch_seam(order):
     seam = np.array([sf.SEAM_K])
-    a = sf._kv_series_scaled(order, seam)[0]
+    a = sf._kv_series_scaled(seam, *sf._iv_series_scaled(seam, (0, 1)))[order][0]
     b = sf._kv_cf2_scaled(seam)[order][0]
     assert abs(a - b) <= 1e-12 * a
 
