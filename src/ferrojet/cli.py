@@ -93,6 +93,8 @@ class RunConfig:
             raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
         # the envelope solvers' own bound; the full equation takes up to 0.5
         eps_max = 0.5 if self.branch == "gzcs" else solver.ENVELOPE_EPS_MAX
+        if len(set(self.epsilon)) != len(self.epsilon):
+            raise ParameterError(f"epsilon values must be distinct, got {self.epsilon}")
         for eps in self.epsilon:
             if not (0.0 < eps <= eps_max):
                 raise ParameterError(

@@ -252,34 +252,8 @@ class RadialSolution:
 
     def surface_velocity_field(self) -> SpectralField:
         """K-output: -u_z at the surface as a spectral field."""
-        return SpectralField.from_coeffs(
-            self.zgrid, _unmirror(self.zgrid, -self.trace_uz)
-        )
-
-
-def _rphase(grid: SpectralGrid) -> np.ndarray:
-    if "rphase" not in grid._cache:
-        m = np.arange(grid.N // 2 + 1)
-        grid._cache["rphase"] = np.where(m % 2 == 0, 1.0, -1.0)
-    return grid._cache["rphase"]
-
-
-def _to_rcoeffs(grid: SpectralGrid, values: np.ndarray) -> np.ndarray:
-    return np.fft.rfft(values, axis=-1) * (_rphase(grid) / grid.N)
-
-
-def _to_rvalues(grid: SpectralGrid, rc: np.ndarray) -> np.ndarray:
-    return np.fft.irfft(rc * _rphase(grid) * grid.N, n=grid.N, axis=-1)
-
-
-def _unmirror(grid: SpectralGrid, rc: np.ndarray) -> np.ndarray:
-    """Full FFT-order coefficients of a real field from its rfft half."""
-    n = grid.N
-    full = np.zeros(rc.shape[:-1] + (n,), dtype=complex)
-    full[..., : n // 2 + 1] = rc
-    full[..., n // 2] = full[..., n // 2].real  # real-field Nyquist convention
-    full[..., n // 2 + 1 :] = np.conj(rc[..., 1 : n // 2][..., ::-1])
-    return full
+        return SpectralField.from_values(self.zgrid,
+                                         self.zgrid.to_rvalues(-self.trace_uz))
 
 
 def _flat_profiles(x: np.ndarray, r: np.ndarray):
@@ -303,8 +277,7 @@ class SolutionOperator:
         # would keep both alive until the cyclic collector runs
         self._zgrid = weakref.ref(zgrid)
         self.rgrid = rgrid
-        n_half = zgrid.N // 2
-        self.kpos = np.pi * np.arange(n_half + 1) / zgrid.L  # rfft wavenumbers
+        self.kpos = zgrid.kr
         x = self.kpos[1:]
         r = rgrid.r
         nr = rgrid.nr
@@ -399,8 +372,8 @@ def _operator_for(zgrid: SpectralGrid, rgrid: RadialGrid) -> SolutionOperator:
 def solve_flat(xi: SpectralField, rgrid: RadialGrid) -> RadialSolution:
     """Closed-form per-mode solution of the eta = 0 problem."""
     zgrid = xi.grid
-    xi_hat = _to_rcoeffs(zgrid, np.asarray(xi.values, dtype=float))
-    kpos = np.pi * np.arange(zgrid.N // 2 + 1) / zgrid.L
+    xi_hat = zgrid.to_rcoeffs(np.asarray(xi.values, dtype=float))
+    kpos = zgrid.kr
     prof0, prof1, prof0_wall = _flat_profiles(kpos[1:], rgrid.r)
 
     nr, nk = rgrid.nr, kpos.size
@@ -428,8 +401,8 @@ def apply_solution_operator(zgrid: SpectralGrid, rgrid: RadialGrid,
     """S(F1, F2, xi) for physical-space forcing fields F1, F2 of shape (nr, N)."""
     operator = _operator_for(zgrid, rgrid)
     return operator.apply(
-        _to_rcoeffs(zgrid, F1), _to_rcoeffs(zgrid, F2),
-        _to_rcoeffs(zgrid, np.asarray(xi.values, dtype=float)),
+        zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2),
+        zgrid.to_rcoeffs(np.asarray(xi.values, dtype=float)),
     )
 
 
@@ -464,17 +437,17 @@ def solve_flattened_bvp(eta: SpectralField, xi: SpectralField,
         raise GeometryError("flattening breaks down: min(1 + eta) <= 0")
     eta_z = zgrid.deriv_values(eta_v)
     operator = _operator_for(zgrid, rgrid)
-    xi_hat = _to_rcoeffs(zgrid, np.asarray(xi.values, dtype=float))
+    xi_hat = zgrid.to_rcoeffs(np.asarray(xi.values, dtype=float))
     sweeps = 0
 
     def state(sol: RadialSolution) -> np.ndarray:
-        return np.concatenate([_to_rvalues(zgrid, sol.uz_hat).ravel(),
-                               _to_rvalues(zgrid, sol.d0u_hat).ravel()])
+        return np.concatenate([zgrid.to_rvalues(sol.uz_hat).ravel(),
+                               zgrid.to_rvalues(sol.d0u_hat).ravel()])
 
     def forcing(x: np.ndarray):
         uz, d0u = x.reshape(2, rgrid.nr, zgrid.N)
         F1, F2 = _forcing_terms(rgrid, eta_v, eta_z, uz, d0u)
-        return _to_rcoeffs(zgrid, F1), _to_rcoeffs(zgrid, F2)
+        return zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2)
 
     def matvec(x: np.ndarray) -> np.ndarray:
         nonlocal sweeps

@@ -80,18 +80,13 @@ def dn0_symbol(grid: SpectralGrid) -> np.ndarray:
     return grid._cache["dn0"]
 
 
-def _apply_symbol(grid, values, symbol):
-    out = grid.to_values(grid.to_coeffs(values) * symbol)
-    return out.real if np.isrealobj(values) else out
-
-
 def dn0_apply(grid: SpectralGrid, xi: np.ndarray) -> np.ndarray:
     """K0 xi = f(D) xi."""
-    return _apply_symbol(grid, xi, dn0_symbol(grid))
+    return grid.apply_symbol(xi, dn0_symbol(grid))
 
 
 def _dz(grid, values, order=1):
-    return _apply_symbol(grid, values, grid.ik**order)
+    return grid.apply_symbol(values, grid.ik**order)
 
 
 def dn1_apply(grid: SpectralGrid, eta, xi) -> np.ndarray:

@@ -11,12 +11,13 @@ isolated:
 
 Each Newton step is matrix-free: restarted GMRES applies the analytic
 derivative (J.v, its state-dependent part prepared once per step), right-
-preconditioned by the exact diagonal of the Jacobian at the flat state.  The
-dense Jacobian (``assemble_jacobian``) serves diagnostics and the fallback
-step taken when GMRES misses its tolerance; a finite-difference cross-check
-of the derivative is part of the acceptance suite.  Damped steps (halving on
-residual growth, plus a geometry guard for the full equation) keep the
-accepted residual history strictly decreasing.
+preconditioned by the exact diagonal of the Jacobian at the flat state.  A
+GMRES solve that misses ``GMRES_RTOL`` raises ``ConvergenceError`` with the
+residual history and the linear-solve records, the failed step's included.
+The dense Jacobian (``assemble_jacobian``) serves diagnostics only; a
+finite-difference cross-check of the derivative is part of the acceptance
+suite.  Damped steps (halving on residual growth, plus a geometry guard for
+the full equation) keep the accepted residual history strictly decreasing.
 """
 
 from __future__ import annotations
@@ -64,27 +65,18 @@ def default_scaled_grid() -> SpectralGrid:
 # -- symmetric-subspace coordinates -------------------------------------------
 
 
-def _rphase(grid: SpectralGrid) -> np.ndarray:
-    if "rphase" not in grid._cache:
-        m = np.arange(grid.N // 2 + 1)
-        grid._cache["rphase"] = np.where(m % 2 == 0, 1.0, -1.0)
-    return grid._cache["rphase"]
-
-
 class EvenBasis:
-    """Even real fields <-> real rfft coefficients (cosine modes)."""
+    """Even real fields <-> real half-spectrum coefficients (cosine modes)."""
 
     def __init__(self, grid: SpectralGrid):
         self.grid = grid
         self.dim = grid.N // 2 + 1
 
     def to_values(self, v: np.ndarray) -> np.ndarray:
-        rc = np.asarray(v) * _rphase(self.grid) * self.grid.N
-        return np.fft.irfft(rc, n=self.grid.N, axis=-1)
+        return self.grid.to_rvalues(np.asarray(v))
 
     def to_coords(self, values: np.ndarray) -> np.ndarray:
-        rc = np.fft.rfft(values, axis=-1) * (_rphase(self.grid) / self.grid.N)
-        return rc.real
+        return self.grid.to_rcoeffs(values).real
 
     def field(self, v: np.ndarray) -> SpectralField:
         return SpectralField.from_values(self.grid, self.to_values(v),
@@ -227,20 +219,15 @@ def _flat_diagonal(problem: SolverProblem) -> np.ndarray:
 
 def _newton_step(problem: SolverProblem, v: np.ndarray, r: np.ndarray,
                  precond: np.ndarray):
-    """J(v)^-1 r and its ``linear_solves`` entry: GMRES right-preconditioned
-    by the flat-state diagonal, or a dense solve if GMRES misses its tolerance.
-    """
+    """J(v)^-1 r by GMRES right-preconditioned by the flat-state diagonal,
+    and its ``linear_solves`` entry."""
     jac = problem.linearize(v)
     try:
         y, its, rel = gmres(lambda u: jac((u / precond)[None, :])[0], r,
                             GMRES_RTOL, GMRES_RESTART, GMRES_MAX_ITER)
-        trace = {"iterations": its, "relative_residual": rel,
-                 "dense_fallback": not rel <= GMRES_RTOL}  # nan is a miss
-        if not trace["dense_fallback"]:
-            return y / precond, trace
-        return np.linalg.solve(problem.assemble_jacobian(v), r), trace
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"singular Jacobian: {exc}") from exc
+    return y / precond, {"iterations": its, "relative_residual": rel}
 
 
 def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
@@ -258,6 +245,11 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
             break
         step, trace = _newton_step(problem, v, r, precond)
         linear_solves.append(trace)
+        if not trace["relative_residual"] <= GMRES_RTOL:  # nan is a miss
+            raise ConvergenceError(
+                f"GMRES missed rtol {GMRES_RTOL:g}: relative residual "
+                f"{trace['relative_residual']:.3e} after {trace['iterations']} "
+                "iterations", history, linear_solves)
         s = 1.0
         while True:
             v_try = v - s * step
@@ -294,8 +286,7 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
 def kdv_problem(coeffs: WnlCoeffs, grid: SpectralGrid) -> SolverProblem:
     """Stationary KdV: p zeta'' + 2 c0^2 zeta + 2 c0^2 d0 zeta^2 = 0."""
     basis = EvenBasis(grid)
-    kh = np.pi * np.arange(grid.N // 2 + 1) / grid.L
-    sym = -coeffs.kdv_dispersion * kh**2 + 2.0 * coeffs.c0_squared
+    sym = -coeffs.kdv_dispersion * grid.kr**2 + 2.0 * coeffs.c0_squared
     quad = 2.0 * coeffs.c0_squared * coeffs.d0
 
     def residual(v):
@@ -321,9 +312,8 @@ def fd_kdv_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
         raise RegimeError("full-dispersion KdV needs the strong regime")
     coeffs = kdv_coeffs(gamma, law)
     basis = EvenBasis(grid)
-    kh = np.pi * np.arange(grid.N // 2 + 1) / grid.L
-    sym = profile.g_scaled(epsilon, kh) + 2.0 * coeffs.c0_squared
-    chi0 = (np.abs(epsilon * kh) < delta).astype(float)
+    sym = profile.g_scaled(epsilon, grid.kr) + 2.0 * coeffs.c0_squared
+    chi0 = (np.abs(epsilon * grid.kr) < delta).astype(float)
     quad = 2.0 * coeffs.c0_squared * coeffs.d0
 
     def residual(v):

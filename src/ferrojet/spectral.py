@@ -10,9 +10,18 @@ so c_m is literally the coefficient of exp(i k_m z); the node offset is
 absorbed by the phase (-1)^m relative to numpy's FFT.  Derivatives multiply
 by (i k_m), with the Nyquist mode zeroed to keep real fields real.
 
+Real fields use the half spectrum: c_m for m = 0, 1, ..., N/2 at the
+nonnegative wavenumbers ``kr`` (numpy's rfft layout, same phase), the rest
+being c_-m = conj(c_m).  Every transform routine picks its path from the
+input's dtype: real arrays go through rfft/irfft and stay real, complex
+arrays (the NLS envelope) through the full FFT.  A symbol applied to a real
+field must satisfy s(-k) = conj s(k), so that its output is real too.
+
 Products of band-limited fields are computed exactly by zero-padding: a
 product of p factors is evaluated on a grid of M >= (p+1) N / 2 points and
 truncated back, so the retained N coefficients carry no aliasing error.
+The Nyquist coefficient is split evenly between +N/2 and -N/2 on the way
+up and the two are summed on the way down, in both layouts.
 
 Parity tags:
   'even'           real field with u(z) = u(-z)      <=>  c real and even in m
@@ -90,11 +99,28 @@ class SpectralGrid:
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of exp(i k_m z) from nodal values (last axis)."""
-        return np.fft.fft(values, axis=-1) * (self.phase / self.N)
+        return np.fft.fft(values, n=self.N, axis=-1) * (self.phase / self.N)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values from coefficients (last axis, FFT order)."""
-        return np.fft.ifft(coeffs * self.phase, axis=-1) * self.N
+        return np.fft.ifft(coeffs * self.phase, n=self.N, axis=-1) * self.N
+
+    def to_rcoeffs(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum c_0 .. c_N/2 of real nodal values (last axis)."""
+        h = self.N // 2 + 1
+        return np.fft.rfft(values, n=self.N, axis=-1) * (self.phase[:h] / self.N)
+
+    def to_rvalues(self, rcoeffs: np.ndarray) -> np.ndarray:
+        """Real nodal values from a half spectrum (imaginary c_0, c_N/2 dropped)."""
+        h = self.N // 2 + 1
+        return np.fft.irfft(rcoeffs * self.phase[:h] * self.N, n=self.N, axis=-1)
+
+    @property
+    def kr(self) -> np.ndarray:
+        """Nonnegative wavenumbers pi m / L, m = 0 .. N/2 (half-spectrum order)."""
+        if "kr" not in self._cache:
+            self._cache["kr"] = np.pi * np.arange(self.N // 2 + 1) / self.L
+        return self._cache["kr"]
 
     @property
     def ik(self) -> np.ndarray:
@@ -105,11 +131,20 @@ class SpectralGrid:
             self._cache["ik"] = v
         return self._cache["ik"]
 
-    def deriv_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        out = self.to_values(self.to_coeffs(values) * self.ik**order)
+    def reflect_idx(self) -> np.ndarray:
+        """FFT index of -k_m for each m (k -> -k)."""
+        if "reflect" not in self._cache:
+            self._cache["reflect"] = (-np.arange(self.N)) % self.N
+        return self._cache["reflect"]
+
+    def apply_symbol(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        """Multiplier symbol(k) (FFT order) applied to nodal values (last axis)."""
         if np.isrealobj(values):
-            out = out.real
-        return out
+            return self.to_rvalues(self.to_rcoeffs(values) * symbol[: self.N // 2 + 1])
+        return self.to_values(self.to_coeffs(values) * symbol)
+
+    def deriv_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
+        return self.apply_symbol(values, self.ik**order)
 
     def mode_index(self, k_target: float, tol: float = 1e-9) -> int:
         """FFT index of an exact lattice wavenumber."""
@@ -158,38 +193,41 @@ class SpectralGrid:
     def refine_values(self, values: np.ndarray, nfactors: int = 2) -> np.ndarray:
         """Values resampled on the padded grid for pointwise nonlinearities."""
         padded = self._padded(nfactors)
-        out = padded.to_values(self.pad_coeffs(self.to_coeffs(values), padded))
-        if np.isrealobj(values):
-            out = out.real
-        return out
+        if not np.isrealobj(values):
+            return padded.to_values(self.pad_coeffs(self.to_coeffs(values), padded))
+        n, rc = self.N, self.to_rcoeffs(values)
+        if padded.N == n:
+            return self.to_rvalues(rc)
+        out = np.zeros(rc.shape[:-1] + (padded.N // 2 + 1,), dtype=complex)
+        out[..., : n // 2] = rc[..., : n // 2]
+        out[..., n // 2] = 0.5 * rc[..., n // 2]  # its conjugate half sits at -N/2
+        return padded.to_rvalues(out)
 
     def project_values(self, fine_values: np.ndarray, nfactors: int = 2) -> np.ndarray:
         """Back from the padded grid, dropping the unresolved tail."""
         padded = self._padded(nfactors)
-        out = self.to_values(
-            self.truncate_coeffs(padded.to_coeffs(fine_values), padded)
-        )
-        if np.isrealobj(fine_values):
-            out = out.real
-        return out
+        if not np.isrealobj(fine_values):
+            return self.to_values(
+                self.truncate_coeffs(padded.to_coeffs(fine_values), padded)
+            )
+        rc = padded.to_rcoeffs(fine_values)[..., : self.N // 2 + 1]
+        if padded.N != self.N:
+            rc[..., self.N // 2] *= 2.0  # c_N/2 + c_-N/2 = 2 Re c_N/2
+        return self.to_rvalues(rc)
 
     def product_values(self, factors: Sequence[np.ndarray]) -> np.ndarray:
         """Exact (dealiased) pointwise product of band-limited fields."""
         p = len(factors)
         if p == 1:
             return factors[0]
-        padded = self._padded(p)
         prod = None
-        real = all(np.isrealobj(f) for f in factors)
         for f in factors:
-            fv = padded.to_values(self.pad_coeffs(self.to_coeffs(f), padded))
+            fv = self.refine_values(f, p)
             prod = fv if prod is None else prod * fv
-        out = self.to_values(self.truncate_coeffs(padded.to_coeffs(prod), padded))
-        return out.real if real else out
+        return self.project_values(prod, p)
 
 
 def _parity_defect(grid: SpectralGrid, values: np.ndarray, parity: str) -> float:
-    c = grid.to_coeffs(values)
     if parity == "even":
         rev = values[..., ::-1]
         mirrored = np.roll(rev, 1, axis=-1)  # z -> -z is j -> (N - j) mod N
@@ -199,7 +237,7 @@ def _parity_defect(grid: SpectralGrid, values: np.ndarray, parity: str) -> float
             else np.max(np.abs(values - mirrored))
         )
     if parity == "real-transform":
-        return float(np.max(np.abs(c.imag)))
+        return float(np.max(np.abs(grid.to_coeffs(values).imag)))
     raise ParameterError(f"unknown parity tag {parity!r}")
 
 
@@ -282,11 +320,9 @@ class SpectralField:
         return SpectralField.from_coeffs(self.grid, new_coeffs, parity=parity)
 
     def deriv(self, order: int = 1) -> "SpectralField":
-        c = self.coeffs * self.grid.ik**order
-        out = SpectralField.from_coeffs(self.grid, c)
-        if self.is_real:
-            out._values = out.values  # force realness resolution
-        return out
+        return SpectralField.from_values(
+            self.grid, self.grid.deriv_values(self.values, order)
+        )
 
     def shift_reflect_defect(self) -> float:
         return _parity_defect(self.grid, self.values, self.parity or "even")
@@ -326,19 +362,6 @@ class SpectralField:
     def _require_same_grid(self, other):
         if not isinstance(other, SpectralField) or other.grid is not self.grid:
             raise GridError("fields live on different grids")
-
-
-def _reflect_idx(n: int) -> np.ndarray:
-    return (-np.arange(n)) % n
-
-
-def _grid_reflect(self: SpectralGrid) -> np.ndarray:
-    if "reflect" not in self._cache:
-        self._cache["reflect"] = _reflect_idx(self.N)
-    return self._cache["reflect"]
-
-
-SpectralGrid.reflect_idx = _grid_reflect
 
 
 def dealiased_product(*fields: SpectralField) -> SpectralField:

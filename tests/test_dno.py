@@ -122,8 +122,30 @@ def test_flat_solve_reproduces_multiplier(zgrid, rgrid):
     out = sol.surface_velocity_field()
     assert np.max(np.abs(out.values - f_ratio(k0) * np.cos(k0 * zgrid.z))) <= 1e-10
     # Neumann trace D0 u = xi_z at the surface
-    d0u = dno._to_rvalues(zgrid, sol.trace_d0u[None, :])[0]
+    d0u = zgrid.to_rvalues(sol.trace_d0u[None, :])[0]
     assert np.max(np.abs(d0u - (-k0) * np.sin(k0 * zgrid.z))) <= 1e-10
+
+
+def _unmirrored_field(zgrid, rc):
+    """The former route: full FFT-order coefficients from the rfft half."""
+    n = zgrid.N
+    full = np.zeros(rc.shape[:-1] + (n,), dtype=complex)
+    full[..., : n // 2 + 1] = rc
+    full[..., n // 2] = full[..., n // 2].real
+    full[..., n // 2 + 1 :] = np.conj(rc[..., 1 : n // 2][..., ::-1])
+    return SpectralField.from_coeffs(zgrid, full)
+
+
+def test_surface_velocity_matches_unmirrored_coefficients(zgrid, rgrid, forcing):
+    F1, F2, xi = forcing
+    for sol in (dno.solve_flat(xi, rgrid),
+                dno.apply_solution_operator(zgrid, rgrid, F1, F2, xi)):
+        out = sol.surface_velocity_field()
+        ref = _unmirrored_field(zgrid, -sol.trace_uz)
+        assert np.isrealobj(out.values) and np.isrealobj(ref.values)
+        scale = np.max(np.abs(ref.values))
+        assert np.max(np.abs(out.values - ref.values)) <= 1e-12 * scale
+        assert np.max(np.abs(out.coeffs - ref.coeffs)) <= 1e-12 * scale
 
 
 def test_flat_solve_interior_harmonicity(zgrid, rgrid):
@@ -171,8 +193,8 @@ def test_solution_operator_defining_identity(zgrid, rgrid, forcing):
     F1, F2, xi = forcing
     sol = dno.apply_solution_operator(zgrid, rgrid, F1, F2, xi)
     D = rgrid.diff_matrix()
-    F1h = dno._to_rcoeffs(zgrid, F1)
-    F2h = dno._to_rcoeffs(zgrid, F2)
+    F1h = zgrid.to_rcoeffs(F1)
+    F2h = zgrid.to_rcoeffs(F2)
     k = sol.k
     res = (D @ sol.d0u_hat) + sol.d0u_hat / rgrid.r[:, None] \
         - (k**2)[None, :] * sol.u_hat \
@@ -183,9 +205,9 @@ def test_solution_operator_defining_identity(zgrid, rgrid, forcing):
 def test_solution_operator_boundary_condition(zgrid, rgrid, forcing):
     F1, F2, xi = forcing
     sol = dno.apply_solution_operator(zgrid, rgrid, F1, F2, xi)
-    F1h = dno._to_rcoeffs(zgrid, F1)
-    bc = sol.trace_d0u - rgrid.boundary_row @ F1h - 1j * sol.k * dno._to_rcoeffs(
-        zgrid, xi.values
+    F1h = zgrid.to_rcoeffs(F1)
+    bc = sol.trace_d0u - rgrid.boundary_row @ F1h - 1j * sol.k * zgrid.to_rcoeffs(
+        xi.values
     )
     assert np.max(np.abs(bc)) <= 1e-8
 
@@ -206,10 +228,10 @@ def test_bvp_geometry_error(zgrid, rgrid):
 
 def _bc_residual(zgrid, rgrid, eta, xi, sol):
     eta_z = zgrid.deriv_values(eta.values)
-    uz = dno._to_rvalues(zgrid, sol.uz_hat)
-    d0u = dno._to_rvalues(zgrid, sol.d0u_hat)
+    uz = zgrid.to_rvalues(sol.uz_hat)
+    d0u = zgrid.to_rvalues(sol.d0u_hat)
     F1, _ = dno._forcing_terms(rgrid, eta.values, eta_z, uz, d0u)
-    bc_lhs = dno._to_rvalues(zgrid, sol.trace_d0u[None, :])[0]
+    bc_lhs = zgrid.to_rvalues(sol.trace_d0u[None, :])[0]
     bc_rhs = rgrid.boundary_row @ F1 + zgrid.deriv_values(xi.values)
     return np.max(np.abs(bc_lhs - bc_rhs))
 
@@ -247,16 +269,16 @@ def test_bvp_contraction_factor(zgrid, rgrid):
     xi = SpectralField.from_function(zgrid, np.sin)
     eta_z = zgrid.deriv_values(eta.values)
     sol_f = dno.solve_flat(xi, rgrid)
-    uz = dno._to_rvalues(zgrid, sol_f.uz_hat)
-    d0u = dno._to_rvalues(zgrid, sol_f.d0u_hat)
+    uz = zgrid.to_rvalues(sol_f.uz_hat)
+    d0u = zgrid.to_rvalues(sol_f.d0u_hat)
     operator = dno._operator_for(zgrid, rgrid)
     ratios, last = [], None
     for _ in range(60):
         F1, F2 = dno._forcing_terms(rgrid, eta.values, eta_z, uz, d0u)
-        s = operator.apply(dno._to_rcoeffs(zgrid, F1), dno._to_rcoeffs(zgrid, F2),
-                           dno._to_rcoeffs(zgrid, xi.values))
-        uz_new = dno._to_rvalues(zgrid, s.uz_hat)
-        d0u_new = dno._to_rvalues(zgrid, s.d0u_hat)
+        s = operator.apply(zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2),
+                           zgrid.to_rcoeffs(xi.values))
+        uz_new = zgrid.to_rvalues(s.uz_hat)
+        d0u_new = zgrid.to_rvalues(s.d0u_hat)
         diff = max(np.max(np.abs(uz_new - uz)), np.max(np.abs(d0u_new - d0u)))
         if last is not None:
             ratios.append(diff / last)
@@ -268,8 +290,8 @@ def test_bvp_contraction_factor(zgrid, rgrid):
     assert diff < 1e-14
 
     sol, K = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-13)
-    assert np.max(np.abs(dno._to_rvalues(zgrid, sol.uz_hat) - uz)) <= 1e-12
-    assert np.max(np.abs(dno._to_rvalues(zgrid, sol.d0u_hat) - d0u)) <= 1e-12
+    assert np.max(np.abs(zgrid.to_rvalues(sol.uz_hat) - uz)) <= 1e-12
+    assert np.max(np.abs(zgrid.to_rvalues(sol.d0u_hat) - d0u)) <= 1e-12
     assert np.max(np.abs(K.values - s.surface_velocity_field().values)) <= 1e-12
 
 

@@ -80,26 +80,38 @@ def test_newton_step_matches_dense_step(name, linear_law):
     r = problem.residual(v)
     dense = np.linalg.solve(problem.assemble_jacobian(v), r)
     step, trace = solver._newton_step(problem, v, r, solver._flat_diagonal(problem))
-    assert not trace["dense_fallback"]
     assert 0 < trace["iterations"] <= solver.GMRES_MAX_ITER
     assert trace["relative_residual"] <= solver.GMRES_RTOL
     assert np.linalg.norm(step - dense) <= 1e-12 * np.linalg.norm(dense)
 
 
-def test_dense_fallback_is_traced(linear_law, monkeypatch):
+def test_gmres_miss_raises_with_its_record(linear_law, monkeypatch):
     coeffs = kdv_coeffs(5.0, linear_law)
     grid = SpectralGrid.make(40.0, 256)
     ref = solver.solve_stationary_kdv(coeffs, grid)
+    assert all(e["relative_residual"] <= solver.GMRES_RTOL
+               for e in ref.diagnostics["linear_solves"])
     monkeypatch.setattr(solver, "GMRES_MAX_ITER", 2)
-    rep = solver.solve_stationary_kdv(coeffs, grid)
-    assert rep.converged and rep.iterations == ref.iterations
-    solves = rep.diagnostics["linear_solves"]
-    assert len(solves) == len(rep.residual_history) - 1
-    for entry in solves:
-        assert entry["dense_fallback"] and entry["iterations"] == 2
-        assert entry["relative_residual"] > solver.GMRES_RTOL
-    assert not any(e["dense_fallback"] for e in ref.diagnostics["linear_solves"])
-    assert np.max(np.abs(rep.solution.values - ref.solution.values)) <= 1e-10
+    with pytest.raises(ConvergenceError, match="GMRES missed") as info:
+        solver.solve_stationary_kdv(coeffs, grid)
+    err = info.value
+    # the failed first step is recorded; no iterate was accepted
+    assert err.residual_history == ref.residual_history[:1]
+    (entry,) = err.linear_solves
+    assert entry["iterations"] == 2
+    assert entry["relative_residual"] > solver.GMRES_RTOL
+
+
+def test_stagnation_raises_with_its_record(linear_law):
+    # no step can lower a constant residual, so damping refuses every one
+    problem, v = make_problem("kdv", linear_law)
+    problem.residual = lambda v: np.ones_like(v)
+    problem.jv_batch = lambda v, W: W
+    with pytest.raises(ConvergenceError, match="Newton stagnation") as info:
+        solver._newton(problem, v, 1e-11, 5, epsilon=0.0, branch="kdv")
+    assert len(info.value.residual_history) == 1
+    (entry,) = info.value.linear_solves
+    assert entry["relative_residual"] <= solver.GMRES_RTOL
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -119,5 +131,6 @@ def test_weak_regime_solve_at_n8192(linear_law):
     assert rep.solution.grid.N == 8192
     assert rep.converged and rep.final_residual <= 1e-10
     assert rep.diagnostics["amplitude_ratio"] > 0.5
-    assert not any(e["dense_fallback"] for e in rep.diagnostics["linear_solves"])
+    assert all(e["relative_residual"] <= solver.GMRES_RTOL
+               for e in rep.diagnostics["linear_solves"])
     assert elapsed < 30.0

@@ -166,8 +166,11 @@ def test_travelling_wave_rejects_critical_and_zero_eps(linear_law):
 
 
 def test_failed_newton_keeps_its_history(linear_law):
-    # gamma = 5, eps = 0.5 stagnates after some accepted steps
-    with pytest.raises(ConvergenceError, match="stagnation") as info:
+    # gamma = 5, eps = 0.5 fails after some accepted steps: at an iterate
+    # whose GMRES solve stalls near its tolerance, so by stagnation or by the
+    # GMRES miss
+    with pytest.raises(ConvergenceError,
+                       match="Newton stagnation|GMRES missed") as info:
         solver.solve_travelling_wave(5.0, linear_law, 0.5)
     exc = info.value
     history = exc.residual_history

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ferrojet.errors import GridError, ParameterError
+from ferrojet.operators import dn0_symbol
 from ferrojet.spectral import (
     CutoffSpec,
     SpectralField,
@@ -166,3 +167,58 @@ def test_commensurate_grid():
     m = g.mode_index(omega)
     assert abs(g.k[m] - omega) <= 1e-12
     g.mode_index(2 * omega)
+
+
+# -- real (half-spectrum) path against the complex path ------------------------
+
+
+@pytest.fixture(scope="module")
+def rows(grid):
+    """Batched real rows; row 0 carries a unit Nyquist mode (-1)^j."""
+    v = np.random.default_rng(11).standard_normal((4, grid.N))
+    v[0] += (-1.0) ** np.arange(grid.N)
+    return v
+
+
+def assert_close(real_path, complex_path):
+    assert np.isrealobj(real_path)
+    assert np.max(np.abs(complex_path.imag)) <= 1e-12 * np.max(np.abs(complex_path))
+    assert np.max(np.abs(real_path - complex_path.real)) <= 1e-12 * np.max(
+        np.abs(complex_path)
+    )
+
+
+def test_rcoeffs_round_trip_and_half_spectrum(grid, rows):
+    rc = grid.to_rcoeffs(rows)
+    assert rc.shape == (4, grid.N // 2 + 1)
+    full = grid.to_coeffs(rows)[..., : grid.N // 2 + 1]
+    assert np.max(np.abs(rc - full)) <= 1e-12 * np.max(np.abs(full))
+    assert abs(rc[0, -1]) > 0.5  # the Nyquist mode is present
+    assert np.max(np.abs(grid.to_rvalues(rc) - rows)) <= 1e-12 * np.max(np.abs(rows))
+    assert np.array_equal(grid.kr, np.abs(grid.k[: grid.N // 2 + 1]))
+
+
+@pytest.mark.parametrize("nfactors", [2, 3])
+def test_real_product_matches_complex_path(grid, rows, nfactors):
+    factors = [rows] + [rows[i] for i in range(1, nfactors)]  # batch x single rows
+    got = grid.product_values(factors)
+    want = grid.product_values([f.astype(complex) for f in factors])
+    assert got.shape == rows.shape
+    assert_close(got, want)
+
+
+def test_real_refine_and_project_match_complex_path(grid, rows):
+    fine = grid.refine_values(rows, 3)
+    fine_c = grid.refine_values(rows.astype(complex), 3)
+    assert fine.shape == (4, grid._padded(3).N)
+    assert_close(fine, fine_c)
+    pointwise = np.cos(fine) * fine  # a non-polynomial nonlinearity
+    assert_close(grid.project_values(pointwise, 3),
+                 grid.project_values(pointwise.astype(complex), 3))
+
+
+@pytest.mark.parametrize("which", ["ik", "ik2", "dn0"])
+def test_real_apply_symbol_matches_complex_path(grid, rows, which):
+    symbol = {"ik": grid.ik, "ik2": grid.ik**2, "dn0": dn0_symbol(grid)}[which]
+    assert_close(grid.apply_symbol(rows, symbol),
+                 grid.apply_symbol(rows.astype(complex), symbol))
