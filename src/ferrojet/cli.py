@@ -277,7 +277,6 @@ def _report_payload(rep: solver.SolveReport, gamma: float) -> dict:
     diag = {
         k: (float(v) if np.isscalar(v) and not isinstance(v, str) else v)
         for k, v in rep.diagnostics.items()
-        if k != "residual_history"
     }
     return {
         "branch": rep.branch,

@@ -138,7 +138,7 @@ def omega_of_gamma(gamma: float, tol: float = 1e-12) -> float:
 
 @dataclass(frozen=True)
 class DispersionProfile:
-    """Regime classification plus evaluators for f, f', c^2, g and h.
+    """Regime classification plus evaluators for f, c^2 and g.
 
     In the weak regime c0^2 = 2 omega / f'(omega), which makes g'(omega)
     vanish identically; the strong/critical value is c^2(0) = (gamma-1)/2.
@@ -153,14 +153,8 @@ class DispersionProfile:
     def f(self, k):
         return f_ratio(k)
 
-    def f_prime(self, k):
-        return f_prime(k)
-
     def c2(self, k):
         return c_squared(k, self.gamma)
-
-    def h(self, k):
-        return h_function(k)
 
     def g(self, k):
         """g(k) = gamma - 1 + k^2 - c0^2 f(k), assembled cancellation-free."""

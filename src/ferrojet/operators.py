@@ -19,9 +19,8 @@ three terms are implemented verbatim; a quadratic-plus-cubic mode
 extraction on carrier-wave data cross-validates every weakly nonlinear
 constant against these operators.
 
-Array layer: functions take nodal-value arrays shaped (..., N) and
-broadcast, so Jacobian actions can be batched.  The field layer wraps the
-same operations for SpectralField arguments.
+Functions take nodal-value arrays shaped (..., N) and broadcast, so
+Jacobian actions can be batched.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GeometryError, ParameterError, RegimeError
-from .spectral import SpectralField, SpectralGrid
+from .spectral import SpectralGrid
 from .specfun import f_ratio
 from .wnl import (
     MagnetizationLaw,
@@ -61,12 +60,10 @@ __all__ = [
     "kinetic_exact",
     "dn_mean_response",
     "wave_residual",
-    "homogeneous_term",
     "ExtractionRecord",
     "extract_wnl_coefficients",
     "pressure_jacobian_fields",
     "pressure_jvp",
-    "kinetic_jvp",
     "KineticLinearization",
     "dn_expansion_jvp",
 ]
@@ -291,38 +288,6 @@ def wave_residual(grid: SpectralGrid, eta, c2: float, gamma: float,
     )
 
 
-# -- field-layer wrappers -----------------------------------------------------
-
-
-def _wrap(grid, values, like: SpectralField) -> SpectralField:
-    parity = "even" if like.parity == "even" else None
-    return SpectralField.from_values(grid, values, parity=parity)
-
-
-def dn_expansion_apply(eta: SpectralField, xi: SpectralField,
-                       order: int) -> SpectralField:
-    if eta.grid is not xi.grid:
-        raise ParameterError("eta and xi must share a grid")
-    vals = dn_expansion(eta.grid, eta.values, xi.values, order)
-    return SpectralField.from_values(eta.grid, vals)
-
-
-def homogeneous_term(eta: SpectralField, which: str, gamma: float = None,
-                     law: MagnetizationLaw = None) -> SpectralField:
-    """Homogeneous expansion terms by tag: 'K1'..'K3' pressure, 'L1'..'L3' kinetic."""
-    grid = eta.grid
-    fam, deg = which[0].upper(), int(which[1])
-    if fam == "K":
-        if gamma is None or law is None:
-            raise ParameterError("pressure terms need gamma and the law")
-        vals = pressure_term(grid, eta.values, deg, gamma, law)
-    elif fam == "L":
-        vals = kinetic_term(grid, eta.values, deg)
-    else:
-        raise ParameterError(f"unknown homogeneous term {which!r}")
-    return _wrap(grid, vals, eta)
-
-
 # -- Jacobian actions ---------------------------------------------------------
 
 
@@ -340,7 +305,7 @@ def pressure_jacobian_fields(grid: SpectralGrid, eta, gamma: float,
     _geometry_guard(w)
     s2 = 1.0 + ezf**2
     s = np.sqrt(s2)
-    A = gamma * law.nu_deriv(1.0 / w) / w**2 - 1.0 / (w**2 * s)
+    A = gamma * law.nu_prime(1.0 / w) / w**2 - 1.0 / (w**2 * s)
     B = -ezf / (w * s2 * s) + 3.0 * ezzf * ezf / (s2**2 * s)
     C = -1.0 / (s2 * s)
     return A, B, C
@@ -396,11 +361,6 @@ class KineticLinearization:
         dPf = grid.refine_values(dP, _REFINE)
         rzf = grid.refine_values(_dz(grid, rho), _REFINE)
         return grid.project_values(self.dG_dP * dPf + self.dG_dez * rzf, _REFINE)
-
-
-def kinetic_jvp(grid: SpectralGrid, eta, rho, order: int = 2) -> np.ndarray:
-    """Directional derivative of the kinetic functional (expansion-mode K)."""
-    return KineticLinearization(grid, eta, order).apply(rho)
 
 
 # -- coefficient extraction oracle --------------------------------------------

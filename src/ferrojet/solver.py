@@ -31,7 +31,7 @@ from . import dno
 from . import operators as op
 from .dispersion import DispersionProfile, Regime, make_profile
 from .errors import ConvergenceError, ParameterError, RegimeError
-from .spectral import SpectralField, SpectralGrid
+from .spectral import CutoffSpec, SpectralField, SpectralGrid
 from .wnl import MagnetizationLaw, WnlCoeffs, kdv_coeffs, nls_coeffs, zeta_kdv, zeta_nls
 
 __all__ = [
@@ -275,19 +275,17 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
         epsilon=epsilon,
         branch=branch,
         residual_history=history,
-        diagnostics={"residual_history": history,
-                     "linear_solves": linear_solves},
+        diagnostics={"linear_solves": linear_solves},
     )
 
 
 # -- problem factories ---------------------------------------------------------
 
 
-def kdv_problem(coeffs: WnlCoeffs, grid: SpectralGrid) -> SolverProblem:
-    """Stationary KdV: p zeta'' + 2 c0^2 zeta + 2 c0^2 d0 zeta^2 = 0."""
+def _quadratic_even_problem(grid: SpectralGrid, sym: np.ndarray,
+                            quad) -> SolverProblem:
+    """Even-subspace problem sym * v + quad * coords(u^2); quad may be per mode."""
     basis = EvenBasis(grid)
-    sym = -coeffs.kdv_dispersion * grid.kr**2 + 2.0 * coeffs.c0_squared
-    quad = 2.0 * coeffs.c0_squared * coeffs.d0
 
     def residual(v):
         u = basis.to_values(v)
@@ -304,6 +302,12 @@ def kdv_problem(coeffs: WnlCoeffs, grid: SpectralGrid) -> SolverProblem:
     return SolverProblem(basis=basis, residual=residual, jv_batch=jv_batch)
 
 
+def kdv_problem(coeffs: WnlCoeffs, grid: SpectralGrid) -> SolverProblem:
+    """Stationary KdV: p zeta'' + 2 c0^2 zeta + 2 c0^2 d0 zeta^2 = 0."""
+    sym = -coeffs.kdv_dispersion * grid.kr**2 + 2.0 * coeffs.c0_squared
+    return _quadratic_even_problem(grid, sym, 2.0 * coeffs.c0_squared * coeffs.d0)
+
+
 def fd_kdv_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
                    grid: SpectralGrid, delta: float = 0.5) -> SolverProblem:
     """Full-dispersion KdV: eps^-2 g(eps D) + 2 c0^2 + quadratic cutoff term."""
@@ -311,24 +315,10 @@ def fd_kdv_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
     if profile.regime is not Regime.STRONG:
         raise RegimeError("full-dispersion KdV needs the strong regime")
     coeffs = kdv_coeffs(gamma, law)
-    basis = EvenBasis(grid)
     sym = profile.g_scaled(epsilon, grid.kr) + 2.0 * coeffs.c0_squared
-    chi0 = (np.abs(epsilon * grid.kr) < delta).astype(float)
+    chi0 = CutoffSpec(delta, profile.omega).chi0(epsilon * grid.kr)
     quad = 2.0 * coeffs.c0_squared * coeffs.d0
-
-    def residual(v):
-        u = basis.to_values(v)
-        u2 = grid.product_values([u, u])
-        return sym * v + quad * chi0 * basis.to_coords(u2)
-
-    def jv_batch(v, W):
-        u = basis.to_values(v)
-        w = basis.to_values(W)
-        return sym[None, :] * W + 2.0 * quad * chi0[None, :] * basis.to_coords(
-            grid.product_values([u, w])
-        )
-
-    return SolverProblem(basis=basis, residual=residual, jv_batch=jv_batch)
+    return _quadratic_even_problem(grid, sym, quad * chi0)
 
 
 def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
@@ -345,7 +335,7 @@ def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
     basis = ConjugateEvenBasis(grid)
     k = grid.k
     sym = profile.g(profile.omega + epsilon * k) / epsilon**2 + coeffs.a2
-    chi0 = (np.abs(epsilon * k) < delta).astype(float)
+    chi0 = CutoffSpec(delta, profile.omega).chi0(epsilon * k)
     a3 = coeffs.a3
 
     def cubic(z):
@@ -399,9 +389,7 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
             op.KineticLinearization(grid, eta, dn_order),
         )
 
-    def jv_batch(v, W, ctx=None):
-        if ctx is None:
-            ctx = prepare(v)
+    def jv_batch(v, W, ctx):
         press, kin = ctx
         w = basis.to_values(W)
         dvals = op.pressure_jvp(grid, press, w) - c2 * kin.apply(w)

@@ -28,7 +28,6 @@ Everything is vectorised over numpy arrays; scalars in give scalars out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -36,16 +35,11 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "SpecEval",
     "besseli",
     "besselk",
     "struvel",
     "f_ratio",
     "f_ratio_minus2",
-    "f_ratio_series_coeffs",
-    "modified_bessel_i",
-    "modified_bessel_k",
-    "modified_struve_l",
     "struve_bessel_cross",
     "SEAM_I",
     "SEAM_K",
@@ -361,11 +355,6 @@ F_COEFFS = np.array([2.0 * float(q) for q in _F_Q])
 F_SERIES_CUT = 0.5
 
 
-def f_ratio_series_coeffs() -> np.ndarray:
-    """Taylor coefficients of f(k) in the variable t = k^2/4."""
-    return F_COEFFS.copy()
-
-
 def f_ratio(k):
     """f(k) = |k| I0(|k|) / I1(|k|), even, f(0) = 2; total on the real line."""
 
@@ -400,41 +389,3 @@ def f_ratio_minus2(k):
         return out
 
     return _vectorise(k, fn)
-
-
-@dataclass(frozen=True)
-class SpecEval:
-    """One special-function evaluation with its scaled companion.
-
-    value = scaled_value * e^x for the I family and * e^-x for the K family;
-    for large x the unscaled I value saturates to inf while scaled stays finite.
-    """
-
-    value: float | np.ndarray
-    scaled_value: float | np.ndarray
-    order: int
-    argument: float | np.ndarray
-
-
-def modified_bessel_i(order: int, x, scaled: bool = False) -> SpecEval:
-    """I_order(x) packaged with its exponentially scaled value."""
-    sv = besseli(order, x, scaled=True)
-    with np.errstate(over="ignore"):
-        v = sv * np.exp(np.asarray(x, dtype=float))
-    if np.ndim(x) == 0:
-        v = float(v)
-    return SpecEval(value=v, scaled_value=sv, order=order, argument=x)
-
-
-def modified_bessel_k(order: int, x, scaled: bool = False) -> SpecEval:
-    """K_order(x) packaged with its exponentially scaled value."""
-    sv = besselk(order, x, scaled=True)
-    v = sv * np.exp(-np.asarray(x, dtype=float))
-    if np.ndim(x) == 0:
-        v = float(v)
-    return SpecEval(value=v, scaled_value=sv, order=order, argument=x)
-
-
-def modified_struve_l(order: int, x):
-    """Modified Struve function L_order(x)."""
-    return struvel(order, x)

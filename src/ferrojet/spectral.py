@@ -41,8 +41,6 @@ __all__ = [
     "SpectralGrid",
     "SpectralField",
     "CutoffSpec",
-    "dealiased_product",
-    "coefficient_at",
 ]
 
 
@@ -130,12 +128,6 @@ class SpectralGrid:
             v[self.N // 2] = 0.0
             self._cache["ik"] = v
         return self._cache["ik"]
-
-    def reflect_idx(self) -> np.ndarray:
-        """FFT index of -k_m for each m (k -> -k)."""
-        if "reflect" not in self._cache:
-            self._cache["reflect"] = (-np.arange(self.N)) % self.N
-        return self._cache["reflect"]
 
     def apply_symbol(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Multiplier symbol(k) (FFT order) applied to nodal values (last axis)."""
@@ -278,10 +270,6 @@ class SpectralField:
         return cls(grid, values=fn(grid.z), parity=parity,
                    check_parity=check_parity)
 
-    @classmethod
-    def zero(cls, grid, parity="even"):
-        return cls(grid, values=np.zeros(grid.N), parity=parity)
-
     # -- cached views --------------------------------------------------------
 
     @property
@@ -300,38 +288,13 @@ class SpectralField:
             self._coeffs = self.grid.to_coeffs(self._values)
         return self._coeffs
 
-    @property
-    def is_real(self) -> bool:
-        return np.isrealobj(self.values)
-
     # -- operations ----------------------------------------------------------
-
-    def apply_multiplier(self, symbol) -> "SpectralField":
-        """Pointwise-in-k multiplication by symbol(k) (callable or array)."""
-        mult = symbol(self.grid.k) if callable(symbol) else np.asarray(symbol)
-        new_coeffs = self.coeffs * mult
-        parity = None
-        if self.parity == "even" and np.isrealobj(mult):
-            # an even real symbol preserves evenness
-            if np.allclose(mult, mult[self.grid.reflect_idx()], rtol=0, atol=0):
-                parity = "even"
-        elif self.parity == "real-transform" and np.isrealobj(mult):
-            parity = "real-transform"
-        return SpectralField.from_coeffs(self.grid, new_coeffs, parity=parity)
-
-    def deriv(self, order: int = 1) -> "SpectralField":
-        return SpectralField.from_values(
-            self.grid, self.grid.deriv_values(self.values, order)
-        )
 
     def shift_reflect_defect(self) -> float:
         return _parity_defect(self.grid, self.values, self.parity or "even")
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def l2(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dz))
 
     def evaluate_at(self, points) -> np.ndarray:
         """Exact trigonometric evaluation at arbitrary physical points."""
@@ -343,44 +306,9 @@ class SpectralField:
         for lo in range(0, pts.size, max(1, chunk // self.grid.N)):
             sl = slice(lo, min(pts.size, lo + max(1, chunk // self.grid.N)))
             out[sl] = np.exp(1j * np.outer(pts[sl], k)) @ c
-        if self.is_real:
+        if np.isrealobj(self.values):
             return out.real
         return out
-
-    def __add__(self, other):
-        self._require_same_grid(other)
-        return SpectralField.from_values(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        self._require_same_grid(other)
-        return SpectralField.from_values(self.grid, self.values - other.values)
-
-    def __rmul__(self, scalar):
-        return SpectralField.from_values(self.grid, scalar * self.values,
-                                         parity=self.parity)
-
-    def _require_same_grid(self, other):
-        if not isinstance(other, SpectralField) or other.grid is not self.grid:
-            raise GridError("fields live on different grids")
-
-
-def dealiased_product(*fields: SpectralField) -> SpectralField:
-    """Exact product of band-limited fields via zero padding."""
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid is not grid:
-            raise GridError("product factors live on different grids")
-    vals = grid.product_values([f.values for f in fields])
-    parity = None
-    tags = {f.parity for f in fields}
-    if tags == {"even"}:
-        parity = "even"
-    return SpectralField.from_values(grid, vals, parity=parity)
-
-
-def coefficient_at(field: SpectralField, k_target: float) -> complex:
-    """Coefficient of exp(i k_target z); k_target must sit on the lattice."""
-    return complex(field.coeffs[field.grid.mode_index(k_target)])
 
 
 @dataclass(frozen=True)

@@ -55,18 +55,16 @@ __all__ = [
 class MagnetizationLaw:
     """Nondimensional magnetisation potential nu with nu'(1) = 1.
 
-    Only nu''(1) and nu'''(1) enter the coefficient formulas; the callable
-    itself is used by the fully nonlinear pressure functional.
+    Only nu''(1) and nu'''(1) enter the coefficient formulas; the callables
+    nu and nu' are used by the fully nonlinear pressure functional and its
+    linearisation.
     """
 
     nu: Callable[[np.ndarray], np.ndarray]
+    nu_prime: Callable[[np.ndarray], np.ndarray]
     nu2: float
     nu3: float
     label: str = "custom"
-    nu_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    #: normalisation fixed by the nondimensionalisation
-    nu1: float = 1.0
 
     @staticmethod
     def linear(label: str = "linear") -> "MagnetizationLaw":
@@ -90,14 +88,6 @@ class MagnetizationLaw:
 
         return MagnetizationLaw(nu=nu, nu2=nu2, nu3=nu3, label=label,
                                 nu_prime=nu_prime)
-
-    def nu_deriv(self, s):
-        """nu'(s), analytic when supplied, otherwise a central difference."""
-        if self.nu_prime is not None:
-            return self.nu_prime(s)
-        h = 1e-6
-        return (np.asarray(self.nu(np.asarray(s) + h))
-                - np.asarray(self.nu(np.asarray(s) - h))) / (2.0 * h)
 
     def validate(self, tol_nu1: float = 1e-8, tol_high: float = 1e-6) -> None:
         """Finite-difference check of nu'(1)=1 and the stored nu'', nu'''."""

@@ -155,6 +155,16 @@ def test_solve_rejects_epsilon_above_envelope_bound(branch, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_rejects_cutoff_outside_reduction(tmp_path, capsys):
+    # delta = 1.0 >= omega / 3 = 0.892 at gamma = 15
+    rc = main(["solve", "--branch", "nls+", "--gamma", "15", "--epsilon", "0.1",
+               "--delta", "1.0", "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError" and "delta" in err["message"]
+    assert not (tmp_path / "solve_nlsplus.json").exists()
+
+
 def test_gzcs_epsilon_bound_is_wider():
     RunConfig(branch="gzcs", epsilon=[0.4]).validate()
     with pytest.raises(ParameterError):

@@ -214,7 +214,7 @@ def test_solution_operator_boundary_condition(zgrid, rgrid, forcing):
 
 def test_bvp_at_zero_eta(zgrid, rgrid):
     xi = SpectralField.from_function(zgrid, np.sin)
-    eta = SpectralField.zero(zgrid)
+    eta = SpectralField.from_values(zgrid, np.zeros(zgrid.N))
     sol, K = dno.solve_flattened_bvp(eta, xi, rgrid)
     assert np.max(np.abs(K.values - f_ratio(1.0) * np.sin(zgrid.z))) <= 1e-10
 
@@ -352,7 +352,7 @@ def test_kinetic_expansion_vs_oracle_slope(rgrid):
 
 
 def test_kinetic_oracle_vanishes_on_quiescent_jet(zgrid, rgrid):
-    eta = SpectralField.zero(zgrid)
+    eta = SpectralField.from_values(zgrid, np.zeros(zgrid.N))
     out = op.kinetic_exact(zgrid, eta.values,
                            dno.dn_oracle_apply(eta, rgrid, tol=1e-14))
     assert np.max(np.abs(out)) <= 1e-13

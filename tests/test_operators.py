@@ -181,28 +181,6 @@ def test_extraction_matches_wnl_zeta_coeffs(linear_law):
                                  rel=1e-12)
 
 
-def test_field_layer_wrappers(grid, linear_law):
-    from ferrojet.spectral import SpectralField
-
-    eta = SpectralField.from_values(grid, 0.01 * np.cos(grid.z), parity="even")
-    xi = SpectralField.from_function(grid, np.sin)
-    out = op.dn_expansion_apply(eta, xi, 2)
-    direct = op.dn_expansion(grid, eta.values, xi.values, 2)
-    assert np.max(np.abs(out.values - direct)) == 0.0
-
-    k1 = op.homogeneous_term(eta, "K1", gamma=5.0, law=linear_law)
-    assert np.max(np.abs(
-        k1.values - op.pressure_term(grid, eta.values, 1, 5.0, linear_law)
-    )) == 0.0
-    assert k1.parity == "even"
-    l2 = op.homogeneous_term(eta, "L2")
-    assert np.max(np.abs(l2.values - op.kinetic_term(grid, eta.values, 2))) == 0.0
-    with pytest.raises(ParameterError):
-        op.homogeneous_term(eta, "X1")
-    with pytest.raises(ParameterError):
-        op.homogeneous_term(eta, "K2")  # pressure terms need gamma and law
-
-
 def test_pressure_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng):
     eta = 0.05 * smooth_eta
     fields = op.pressure_jacobian_fields(grid, eta, 5.0, linear_law)

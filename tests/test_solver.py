@@ -93,6 +93,18 @@ def test_fd_nls_branches(linear_law):
         solver.fd_nls_problem(5.0, linear_law, 0.1, solver.default_scaled_grid())
 
 
+def test_cutoff_width_is_validated(linear_law):
+    grid = solver.default_scaled_grid()
+    # omega / 3 = 0.892 at gamma = 15: delta = 1.0 lies outside the reduction
+    with pytest.raises(ParameterError):
+        solver.solve_full_dispersion_nls(15.0, linear_law, 0.1, delta=1.0)
+    for delta in (0.0, -0.5):  # would silently drop the nonlinear term
+        with pytest.raises(ParameterError):
+            solver.fd_kdv_problem(5.0, linear_law, 0.1, grid, delta=delta)
+        with pytest.raises(ParameterError):
+            solver.fd_nls_problem(15.0, linear_law, 0.1, grid, delta=delta)
+
+
 def test_fd_nls_symbol_expansion(linear_law):
     p = make_profile(15.0)
     n = nls_coeffs(15.0, linear_law, p)
@@ -136,7 +148,7 @@ def test_reconstruct_eta_values(linear_law):
     assert eta_w.values[i0] == pytest.approx(0.1 * np.sqrt(2 * n.a2 / n.a3),
                                              rel=1e-10)
     # zero envelope reconstructs the quiescent jet
-    zero = SpectralField.zero(zgrid)
+    zero = SpectralField.from_values(zgrid, np.zeros(zgrid.N))
     eta0 = solver.reconstruct_eta(zero, 0.1, Regime.STRONG, 0.0, target)
     assert eta0.max_abs() == 0.0
 

@@ -20,7 +20,8 @@ from ferrojet.wnl import (
 def test_law_validation(linear_law):
     linear_law.validate()
     MagnetizationLaw.from_derivatives(2.0, -1.0).validate()
-    bad = MagnetizationLaw(nu=lambda s: np.asarray(s) ** 2, nu2=2.0, nu3=0.0)
+    bad = MagnetizationLaw(nu=lambda s: np.asarray(s) ** 2,
+                           nu_prime=lambda s: 2.0 * np.asarray(s), nu2=2.0, nu3=0.0)
     with pytest.raises(ParameterError):
         bad.validate()  # nu'(1) = 2 breaks the normalisation
 
