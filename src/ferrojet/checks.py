@@ -26,7 +26,7 @@ from .specfun import (
     SEAM_K,
     _iv_asym_scaled,
     _iv_series_scaled,
-    _kv_cf2_scaled,
+    _kv_cheb_scaled,
     _kv_series_scaled,
     besseli,
     besselk,
@@ -154,12 +154,12 @@ def specfun_suite() -> list:
         rows.append(_row("specfun", f"I{order} branch seam agreement", a, b,
                          1e-12))
     seam_k = np.array([SEAM_K])
-    cf = _kv_cf2_scaled(seam_k)
+    cheb = _kv_cheb_scaled(seam_k)
     series_k = _kv_series_scaled(seam_k, *_iv_series_scaled(seam_k, (0, 1)))
     for order in (0, 1):
         a = float(series_k[order][0])
         rows.append(_row("specfun", f"K{order} branch seam agreement", a,
-                         float(cf[order][0]), 1e-12))
+                         float(cheb[order][0]), 1e-12))
 
     s = np.linspace(0.0, 20.0, 200)
     cross = struve_bessel_cross(s)

@@ -71,7 +71,7 @@ class RunConfig:
     grid_l: Optional[float] = None
     grid_n: Optional[int] = None
     delta: Optional[float] = None
-    k_order: int = 2
+    k_order: Optional[int] = None  # gzcs only; None keeps the solver's 2
     branch: str = "kdv"
     suite: str = "specfun"
     tol: float = 1e-10
@@ -105,8 +105,15 @@ class RunConfig:
             raise ParameterError(f"grid N must be a power of two, got {self.grid_n}")
         if self.delta is not None and self.delta <= 0.0:
             raise ParameterError("delta must be positive")
-        if self.k_order not in (0, 1, 2):
+        if self.k_order is not None and self.k_order not in (0, 1, 2):
             raise ParameterError("k-order must be 0, 1 or 2")
+        # an option the branch does not take is an error, not a no-op
+        if self.branch == "gzcs" and self.delta is not None:
+            raise ParameterError("delta (the envelope cutoff width) does not "
+                                 "apply to branch 'gzcs'")
+        if self.branch != "gzcs" and self.k_order is not None:
+            raise ParameterError(f"k-order (the gzcs operator order) does not "
+                                 f"apply to branch {self.branch!r}")
 
 
 _CONFIG_FLOAT = {"gamma", "nu2", "nu3", "delta", "tol", "grid_l"}
@@ -188,6 +195,11 @@ def _write_metadata(outdir: Path, command: str, cfg: RunConfig) -> None:
             "epsilon": cfg.epsilon,
             "branch": cfg.branch,
             "suite": cfg.suite,
+            "delta": cfg.delta,
+            "grid_l": cfg.grid_l,
+            "grid_n": cfg.grid_n,
+            "k_order": cfg.k_order,
+            "tol": cfg.tol,
         },
     }
     _write_json(outdir / "run_metadata.json", meta)
@@ -308,9 +320,9 @@ def _solve_one(cfg: RunConfig, branch: str, eps: float):
                                                grid=grid, delta=cfg.delta,
                                                tol=cfg.tol)
     elif branch == "gzcs":
-        rep = solver.solve_travelling_wave(
-            cfg.gamma, law, eps, dn_order=cfg.k_order, grid=grid, tol=cfg.tol,
-        )
+        kwargs = {} if cfg.k_order is None else {"dn_order": cfg.k_order}
+        rep = solver.solve_travelling_wave(cfg.gamma, law, eps, grid=grid,
+                                           tol=cfg.tol, **kwargs)
     else:
         raise ParameterError(f"unknown branch {branch!r}")
     return rep

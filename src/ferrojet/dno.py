@@ -26,10 +26,16 @@ graded dyadically toward the kink on the K-Bessel side (the kernels are
 analytic except for the log point at rt = 0).  Everything is built from
 scaled Bessel values, so large |k| never overflows; each Bessel function is
 evaluated once per kernel argument (``specfun._bessel01_scaled``).
+
+Per mode the four kernel matrices form one real block operator
+A = [[G, H2], [H1, H3]] acting on (i k F2_hat, -F1_hat) and giving
+(u, D0 u - F1_hat), so a sweep is one real batched matmul on the complex
+data viewed as (re, im) column pairs.
 """
 
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -171,6 +177,12 @@ def greens_kernel(k, r, rt) -> dict:
     return {"G": G, "H1": H1, "H2": H2, "H3": H3}
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(n: int):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] (shared: read only)."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _panels(r0: float, n_inner: int = 24, n_outer: int = 16):
     """Quadrature panels for int_0^1 with a kink at r0 and a log point at 0.
 
@@ -178,8 +190,8 @@ def _panels(r0: float, n_inner: int = 24, n_outer: int = 16):
     dyadically away from r0 so each panel keeps the rt = 0 singularity at a
     distance comparable to its length.
     """
-    xg_in, wg_in = np.polynomial.legendre.leggauss(n_inner)
-    xg_out, wg_out = np.polynomial.legendre.leggauss(n_outer)
+    xg_in, wg_in = _gauss_rule(n_inner)
+    xg_out, wg_out = _gauss_rule(n_outer)
     nodes = [0.5 * r0 * (xg_in + 1.0)]
     weights = [0.5 * r0 * wg_in]
     a = r0
@@ -283,27 +295,27 @@ class SolutionOperator:
         nr = rgrid.nr
         nk = x.size
 
-        MG = np.zeros((nk, nr, nr))
-        MH1 = np.zeros((nk, nr, nr))
-        MH2 = np.zeros((nk, nr, nr))
-        MH3 = np.zeros((nk, nr, nr))
+        # one block operator per mode: rows give (u, D0 u), columns act on
+        # (i k F2_hat, -F1_hat).  Each node's row blocks are written in place:
+        # assembling A from finished blocks would briefly hold it twice
+        A = np.empty((nk, 2 * nr, 2 * nr))
         for i, ri in enumerate(r):
             q, wq = _panels(float(ri))
             B = rgrid.interp_to(q)  # (nq, nr)
             ker = greens_kernel(x[:, None], ri, q[None, :])
             wr = wq * q  # quadrature weight times measure rt
-            for M, name in ((MG, "G"), (MH1, "H1"), (MH2, "H2"), (MH3, "H3")):
-                M[:, i, :] = (ker[name] * wr[None, :]) @ B
-
-        self.MG, self.MH1, self.MH2, self.MH3 = MG, MH1, MH2, MH3
+            for row, left, right in ((i, "G", "H2"), (nr + i, "H1", "H3")):
+                A[:, row, :nr] = (ker[left] * wr[None, :]) @ B
+                A[:, row, nr:] = (ker[right] * wr[None, :]) @ B
+        self.A = A
 
         # boundary (xi) kernels and trace rows at r = 1, closed form (the
-        # trace integrands are smooth: state-node quadrature)
+        # trace integrands are smooth: state-node quadrature), in the same
+        # (u, D0 u) / (i k F2_hat, -F1_hat) layout as A
         prof0, prof1, prof0_wall = _flat_profiles(x, r)
-        self.bG, self.bH1, self.G11 = -prof0, -prof1, -prof0_wall
-        wr_state = rgrid.w * r
-        self.tG = self.bG * wr_state[None, :]
-        self.tH2 = self.bH1 * wr_state[None, :]
+        self.b_xi = -np.concatenate([prof0, prof1], axis=1)
+        self.G11 = -prof0_wall
+        self.trace_row = self.b_xi * np.tile(rgrid.w * r, 2)[None, :]
 
         self._antideriv = rgrid.antideriv_from_one()
 
@@ -317,30 +329,25 @@ class SolutionOperator:
 
         F1_hat, F2_hat: (nr, nk) mode coefficients; xi_hat: (nk,).
         """
-        ik = 1j * self.kpos
-        f1 = F1_hat[:, 1:]
-        f2 = F2_hat[:, 1:]
-        xi = xi_hat[1:]
-        u = np.einsum("mij,jm->im", self.MG, f2) * ik[None, 1:]
-        u -= np.einsum("mij,jm->im", self.MH2, f1)
-        u -= ik[None, 1:] * self.bG.T * xi[None, :]
-        d0u = np.einsum("mij,jm->im", self.MH1, f2) * ik[None, 1:]
-        d0u -= np.einsum("mij,jm->im", self.MH3, f1)
-        d0u += f1
-        d0u -= ik[None, 1:] * self.bH1.T * xi[None, :]
-        tr_u = (
-            np.einsum("mj,jm->m", self.tG, f2) * ik[1:]
-            - np.einsum("mj,jm->m", self.tH2, f1)
-            - ik[1:] * self.G11 * xi
-        )
-
         nr, nk = F1_hat.shape
+        ik = 1j * self.kpos
+        g = np.empty((nk - 1, 2 * nr), dtype=complex)
+        g[:, :nr] = (F2_hat[:, 1:] * ik[None, 1:]).T
+        g[:, nr:] = -F1_hat[:, 1:].T
+        # complex data as (re, im) column pairs: one real batched matmul
+        g_re = g.view(float).reshape(nk - 1, 2 * nr, 2)
+        ikxi = ik[1:] * xi_hat[1:]
+        out = np.matmul(self.A, g_re).view(complex)[..., 0]
+        out -= ikxi[:, None] * self.b_xi
+        tr_u = (self.trace_row[:, None, :] @ g_re).view(complex)[:, 0, 0]
+        tr_u -= ikxi * self.G11
+
         u_hat = np.zeros((nr, nk), dtype=complex)
         uz_hat = np.zeros((nr, nk), dtype=complex)
         d0u_hat = np.zeros((nr, nk), dtype=complex)
-        u_hat[:, 1:] = u
-        uz_hat[:, 1:] = u * ik[None, 1:]
-        d0u_hat[:, 1:] = d0u
+        u_hat[:, 1:] = out[:, :nr].T
+        uz_hat[:, 1:] = u_hat[:, 1:] * ik[None, 1:]
+        d0u_hat[:, 1:] = out[:, nr:].T + F1_hat[:, 1:]
         # k = 0: r D0 u = r F1 by regularity; u fixed by u(1) = 0
         d0u_hat[:, 0] = F1_hat[:, 0]
         u_hat[:, 0] = self._antideriv @ F1_hat[:, 0]

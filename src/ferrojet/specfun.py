@@ -8,8 +8,9 @@ variants (e^-x I_n, e^x K_n) and the dispersion ratio
 which is the Fourier symbol of the order-zero surface-to-velocity operator.
 
 Evaluation is two-regime: ascending power series below a seam, and an
-asymptotic series (I family) or the Steed/Temme continued fraction (K
-family; Temme, J. Comput. Phys. 19, 1975) above it.  The I series has
+asymptotic series (I family) or a fixed Chebyshev series for sqrt(x) e^x K_n
+in 4/x - 1 (K family; the design of Cephes k0e/k1e, Moshier, Methods and
+Programs for Mathematical Functions, 1989) above it.  The I series has
 positive terms only, so it is run up to a generous seam; the K seam sits
 where the log-series cancellation is still harmless.  All ratios that enter
 Green's-kernel code are formed from scaled values, so nothing overflows for
@@ -17,8 +18,8 @@ arguments up to 1e4 and beyond.
 
 I0, I1, K0 and K1 are evaluated jointly (``_bessel01_scaled``): one pass of
 the I0/I1 series, then below SEAM_K one pass of the K0/K1 log series that
-reuses those I values, or above it one continued fraction, which yields K0
-and K1 together.  Every series stops at the first term below 1e-17 of its
+reuses those I values, or above it one 26-term Chebyshev sum for K0 and K1
+together.  Every power series stops at the first term below 1e-17 of its
 partial sum in every element; the term counts are only caps.  I2 keeps its
 own series (no recurrence from I0, I1, whose cancellation f' would feel).
 
@@ -49,7 +50,7 @@ __all__ = [
 # Branch seams.  The I series keeps all-positive terms, so accuracy is pure
 # roundoff up to SEAM_I; beyond it the alternating asymptotic series is
 # already below 1e-15 at optimal truncation.  The K log-series loses ~1
-# digit to cancellation at x=2; the continued fraction takes over there.
+# digit to cancellation at x=2; the Chebyshev series takes over there.
 SEAM_I = 30.0
 SEAM_K = 2.0
 SEAM_L = 60.0
@@ -63,7 +64,6 @@ _K_SERIES_TERMS = 20
 _L_SERIES_TERMS = 130
 _SERIES_RTOL = 1e-17
 _ASYM_TERMS = 24
-_CF_MAX_ITER = 300
 
 
 def _asym_coeffs(nu: int, n: int) -> np.ndarray:
@@ -167,37 +167,46 @@ def _kv_series_scaled(x: np.ndarray, i0: np.ndarray, i1: np.ndarray):
     return k0, k1
 
 
-def _kv_cf2_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(e^x K0, e^x K1) by the continued fraction; valid for x > SEAM_K."""
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = d.copy()
-    delh = d.copy()
-    q1 = np.zeros_like(x)
-    q2 = np.ones_like(x)
-    a1 = 0.25
-    q = np.full_like(x, a1)
-    c = a1  # the same for every x
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, _CF_MAX_ITER):
-        a -= 2.0 * (i - 1)
-        c *= -a / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh *= b * d - 1.0
-        h += delh
-        dels = q * delh
-        s += dels
-        if np.max(np.abs(dels / s)) < 1e-16:
-            break
-    h = a1 * h
-    k0 = np.sqrt(np.pi / (2.0 * x)) / s
-    k1 = k0 * (x + 0.5 - h) / x
+# Chebyshev coefficients of sqrt(x) e^x K_n(x) in t = 4/x - 1 on x >= SEAM_K,
+# one column per order n = 0, 1 (the design of Cephes k0e/k1e: Moshier,
+# Methods and Programs for Mathematical Functions, 1989).  Made with mpmath
+# at 50 digits: f sampled at the 80 Chebyshev nodes t_k = cos(pi (k + 1/2)/80),
+# c_j = (2 - [j = 0])/80 sum_k f(t_k) cos(pi j (k + 1/2)/80), j < 26, each
+# rounded to double.  The dropped tail is below 1e-18 of c_0;
+# tests/test_specfun.py regenerates the table.
+_K01_CHEB = np.array([
+    [1.2201515410329777, 1.3603130952422213],
+    [-0.0314481013119645, 0.10392373657681724],
+    [0.0015698838857300533, -0.002857816859622779],
+    [-0.00012849549581627802, 0.00019521551847135162],
+    [1.39498137188765e-05, -1.936197974166083e-05],
+    [-1.8317555227191195e-06, 2.406484947837217e-06],
+    [2.766813639445015e-07, -3.5019606030878126e-07],
+    [-4.660489897687948e-08, 5.7410841254500495e-08],
+    [8.574034017414225e-09, -1.0345762465678097e-08],
+    [-1.6975345093890614e-09, 2.0150497551970347e-09],
+    [3.5773972814003283e-10, -4.1903547593419254e-10],
+    [-7.957489244477396e-11, 9.218315187605315e-11],
+    [1.8559491149549264e-11, -2.129967838427791e-11],
+    [-4.514597883374519e-12, 5.139639673482343e-12],
+    [1.1403405882073441e-12, -1.2891739609498229e-12],
+    [-2.9800969231481784e-13, 3.348419666052243e-13],
+    [8.032890775068375e-14, -8.976705182010146e-14],
+    [-2.2275133267462965e-14, 2.4771544242195988e-14],
+    [6.340076476276646e-15, -7.0198370892147685e-15],
+    [-1.848593377920907e-15, 2.038703166239861e-15],
+    [5.5120559994043335e-16, -6.057047270643018e-16],
+    [-1.6782311257549006e-16, 1.8380935752430455e-16],
+    [5.2103917776435543e-17, -5.689462849193648e-17],
+    [-1.6475805939842632e-17, 1.7940510478863572e-17],
+    [5.3004337711773354e-18, -5.7567444820733025e-18],
+    [-1.7331712005821001e-18, 1.8778651901623268e-18],
+])
+
+
+def _kv_cheb_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e^x K0, e^x K1) by the Chebyshev series; valid for x >= SEAM_K."""
+    k0, k1 = np.polynomial.chebyshev.chebval(4.0 / x - 1.0, _K01_CHEB) / np.sqrt(x)
     return k0, k1
 
 
@@ -243,7 +252,7 @@ def _bessel01_scaled(x: np.ndarray):
 
     One I0/I1 series pass (asymptotics above SEAM_I); below SEAM_K one
     K0/K1 log-series pass that reuses those I values, above it one
-    continued fraction that yields K0 and K1 together.
+    Chebyshev sum that yields K0 and K1 together.
     """
     i0, i1 = _iv_scaled(x, (0, 1))
     k0 = np.empty_like(x)
@@ -252,7 +261,7 @@ def _bessel01_scaled(x: np.ndarray):
     if np.any(lo):
         k0[lo], k1[lo] = _kv_series_scaled(x[lo], i0[lo], i1[lo])
     if not np.all(lo):
-        k0[~lo], k1[~lo] = _kv_cf2_scaled(x[~lo])
+        k0[~lo], k1[~lo] = _kv_cheb_scaled(x[~lo])
     return i0, i1, k0, k1
 
 

@@ -165,6 +165,47 @@ def test_solve_rejects_cutoff_outside_reduction(tmp_path, capsys):
     assert not (tmp_path / "solve_nlsplus.json").exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("branch, option", [
+    ("gzcs", ["--delta", "50"]),
+    ("kdv", ["--k-order", "0"]),
+    ("nls+", ["--k-order", "2"]),
+    ("nls-", ["--k-order", "1"]),
+])
+def test_rejects_option_the_branch_does_not_take(tmp_path, capsys, command,
+                                                 branch, option):
+    gamma = "5" if branch in ("gzcs", "kdv") else "15"
+    rc = main([command, "--branch", branch, "--gamma", gamma, "--epsilon",
+               "0.2", "0.1", "0.05", *option, "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError"
+    assert option[0].lstrip("-") in err["message"]
+    assert not list(tmp_path.glob("solve_*.json"))
+    assert not (tmp_path / "converge.json").exists()
+
+
+def test_branch_options_default_to_unset():
+    cfg = RunConfig()
+    assert cfg.k_order is None and cfg.delta is None
+    RunConfig(branch="gzcs", k_order=1).validate()
+    RunConfig(branch="kdv", delta=2.0).validate()
+    with pytest.raises(ParameterError):
+        RunConfig(branch="gzcs", k_order=3).validate()
+
+
+def test_metadata_records_the_run_configuration(tmp_path):
+    rc = main(["solve", "--branch", "kdv", "--gamma", "5", "--epsilon", "0.1",
+               "--delta", "0.3", "--grid-n", "2048", "--out", str(tmp_path)])
+    assert rc == 0
+    config = read_json(tmp_path / "run_metadata.json")["config"]
+    assert config["delta"] == 0.3 and config["grid_n"] == 2048
+    assert config["grid_l"] is None and config["k_order"] is None
+    assert config["tol"] == 1e-10
+    report = read_json(tmp_path / "solve_kdv.json")["reports"][0]
+    assert report["grid"]["N"] == 2048
+
+
 def test_gzcs_epsilon_bound_is_wider():
     RunConfig(branch="gzcs", epsilon=[0.4]).validate()
     with pytest.raises(ParameterError):

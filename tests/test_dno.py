@@ -80,19 +80,62 @@ def test_kernel_matches_reference_formula():
         assert np.max(np.abs(ker[name] - ref[name])) <= 1e-12 * scale, name
 
 
+def _operator_blocks(operator, nr) -> dict:
+    """The four kernel matrices in the block operator [[G, H2], [H1, H3]]."""
+    A = operator.A
+    return {"G": A[:, :nr, :nr], "H2": A[:, :nr, nr:],
+            "H1": A[:, nr:, :nr], "H3": A[:, nr:, nr:]}
+
+
 def test_operator_matrices_match_reference_kernel():
     zgrid = SpectralGrid.make(8 * np.pi, 64)  # k = m/8, m = 1..32
     rgrid = dno.RadialGrid.make(16)
     operator = dno.SolutionOperator(zgrid, rgrid)
     x = operator.kpos[1:]
+    assert operator.A.shape == (x.size, 2 * rgrid.nr, 2 * rgrid.nr)
+    blocks = _operator_blocks(operator, rgrid.nr)
     for i, ri in enumerate(rgrid.r):
         q, wq = dno._panels(float(ri))
         B = rgrid.interp_to(q)
         ref = _reference_kernel(x[:, None], ri, q[None, :])
-        for M, name in ((operator.MG, "G"), (operator.MH1, "H1"),
-                        (operator.MH2, "H2"), (operator.MH3, "H3")):
+        for name, M in blocks.items():
             want = (ref[name] * (wq * q)[None, :]) @ B
             assert np.max(np.abs(M[:, i, :] - want)) <= 1e-12 * np.max(np.abs(M)), name
+
+
+def _four_einsum_sweep(operator, F1_hat, F2_hat, xi_hat):
+    """(u, D0 u, trace u) by the former sweep: one complex einsum per kernel
+    matrix and separate boundary and trace terms, modes 1.. only."""
+    nr = operator.rgrid.nr
+    blocks = _operator_blocks(operator, nr)
+    bG, bH1 = operator.b_xi[:, :nr], operator.b_xi[:, nr:]
+    wr = operator.rgrid.w * operator.rgrid.r
+    ik = 1j * operator.kpos[1:]
+    f1, f2, xi = F1_hat[:, 1:], F2_hat[:, 1:], xi_hat[1:]
+    u = np.einsum("mij,jm->im", blocks["G"], f2) * ik[None, :]
+    u -= np.einsum("mij,jm->im", blocks["H2"], f1)
+    u -= ik[None, :] * bG.T * xi[None, :]
+    d0u = np.einsum("mij,jm->im", blocks["H1"], f2) * ik[None, :]
+    d0u -= np.einsum("mij,jm->im", blocks["H3"], f1)
+    d0u += f1
+    d0u -= ik[None, :] * bH1.T * xi[None, :]
+    tr_u = (np.einsum("mj,jm->m", bG * wr[None, :], f2) * ik
+            - np.einsum("mj,jm->m", bH1 * wr[None, :], f1)
+            - ik * operator.G11 * xi)
+    return u, d0u, tr_u
+
+
+def test_block_sweep_matches_four_einsum_sweep(zgrid, rgrid, forcing):
+    F1, F2, xi = forcing
+    operator = dno._operator_for(zgrid, rgrid)
+    F1_hat, F2_hat = zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2)
+    xi_hat = zgrid.to_rcoeffs(xi.values)
+    assert np.max(np.abs(xi_hat[1:])) > 0.1
+    sol = operator.apply(F1_hat, F2_hat, xi_hat)
+    want = _four_einsum_sweep(operator, F1_hat, F2_hat, xi_hat)
+    got = (sol.u_hat[:, 1:], sol.d0u_hat[:, 1:], sol.trace_u[1:])
+    for name, a, b in zip(("u", "D0 u", "trace u"), got, want):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 5.0, 20.0])

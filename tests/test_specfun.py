@@ -124,8 +124,41 @@ def test_i_family_two_branch_seam(order):
 def test_k_family_two_branch_seam(order):
     seam = np.array([sf.SEAM_K])
     a = sf._kv_series_scaled(seam, *sf._iv_series_scaled(seam, (0, 1)))[order][0]
-    b = sf._kv_cf2_scaled(seam)[order][0]
+    b = sf._kv_cheb_scaled(seam)[order][0]
     assert abs(a - b) <= 1e-12 * a
+
+
+def test_k_chebyshev_table_regenerates():
+    # the recipe in the comment above specfun._K01_CHEB, at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    n_nodes, n_terms = 80, sf._K01_CHEB.shape[0]
+    with mpmath.workdps(50):
+        theta = [mpmath.pi * (k + mpmath.mpf(1) / 2) / n_nodes
+                 for k in range(n_nodes)]
+        x = [4 / (mpmath.cos(th) + 1) for th in theta]
+        cos = [[mpmath.cos(j * th) for th in theta] for j in range(n_terms + 1)]
+        for order in (0, 1):
+            f = [mpmath.sqrt(v) * mpmath.exp(v) * mpmath.besselk(order, v)
+                 for v in x]
+            c = [(1 if j == 0 else 2) * mpmath.fdot(f, cos[j]) / n_nodes
+                 for j in range(n_terms + 1)]
+            for j in range(n_terms):
+                assert sf._K01_CHEB[j, order] == float(c[j]), (order, j)
+            # the first dropped term is below 1e-18 of c_0
+            assert abs(c[n_terms]) <= 1e-18 * sf._K01_CHEB[0, order]
+
+
+def test_k_above_seam_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([np.logspace(np.log10(sf.SEAM_K), 4, 121)[1:],
+                        [np.nextafter(sf.SEAM_K, 0.0), sf.SEAM_K,
+                         np.nextafter(sf.SEAM_K, np.inf)]])
+    joint = sf._bessel01_scaled(x)
+    with mpmath.workdps(30):
+        for order in (0, 1):
+            ref = np.array([float(mpmath.exp(v) * mpmath.besselk(order, v))
+                            for v in map(mpmath.mpf, x)])
+            assert np.max(np.abs(joint[2 + order] - ref) / ref) <= 1e-14, order
 
 
 def test_f_ratio_values():
