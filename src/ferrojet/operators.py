@@ -21,6 +21,18 @@ constant against these operators.
 
 Functions take nodal-value arrays shaped (..., N) and broadcast, so
 Jacobian actions can be batched.
+
+The residual goes through nodal values: each K_j, product and symbol is
+one transform pair.  Its linearisation (``KineticLinearization``) is applied
+in the half spectrum instead: for a power-of-two N every product and the
+pointwise kinetic nonlinearity live on one padded grid of 2N points, so the
+fields that stay fixed for a Newton step are refined onto it once, and a
+direction costs one rfft, four levels of batched refine/project transforms
+and one inverse transform.  Every symbol is then a multiply on coefficients,
+and the Nyquist coefficient follows ``SpectralGrid.refine_rcoeffs`` and
+``project_rcoeffs`` (split on the way up, 2 Re on the way down).  The
+linearisation agrees with the derivative of ``kinetic_exact``'s pipeline to
+rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -65,7 +77,6 @@ __all__ = [
     "pressure_jacobian_fields",
     "pressure_jvp",
     "KineticLinearization",
-    "dn_expansion_jvp",
 ]
 
 _REFINE = 3  # padding factor for pointwise (non-polynomial) nonlinearities
@@ -320,47 +331,107 @@ def pressure_jvp(grid: SpectralGrid, coeff_fields, rho) -> np.ndarray:
     return grid.project_values(A * rf + B * rzf + C * rzzf, _REFINE)
 
 
-def dn_expansion_jvp(grid: SpectralGrid, eta, xi, rho, order: int) -> np.ndarray:
-    """Directional derivative of eta -> sum_{j<=order} K_j(eta) xi."""
-    out = np.zeros(np.broadcast_shapes(np.shape(rho), np.shape(xi)))
-    if order >= 1:
-        out = out + dn1_apply(grid, rho, xi)
-    if order >= 2:
-        out = out + 2.0 * dn2_apply(grid, eta, rho, xi)
-    return out
-
-
 class KineticLinearization:
     """eta-dependent context of the kinetic-functional derivative.
 
-    Precomputes every quantity that does not depend on the direction, so a
-    batched Jacobian assembly pays the eta-side cost once.  The directional
-    derivative mirrors the discrete pipeline of ``kinetic_exact`` exactly.
+    ``kinetic_exact`` is project(G(P_f, eta_z,f)) on the padded grid, with
+    P = sum_{j <= order} K_j(eta) xi and xi = eta + eta^2/2, so its
+    derivative in the direction rho is
+
+        project(dG/dP dP_f + dG/deta_z rho_z,f),
+        dP = K(eta) sigma + (dK/deta)[rho] xi,   sigma = rho + [eta rho],
+
+    where [.] is a dealiased product.  For a power-of-two N every product of
+    the expansion (two or three factors) and G itself live on one padded
+    grid of 2N points.  ``__init__`` refines the direction-independent fields
+    onto it once per Newton step: eta, eta^2, the dG fields and, per symbol,
+    the fields that rho_f multiplies in (dK/deta)[rho] xi.  ``apply`` works on
+    half spectra: one rfft of the direction, then ik, (ik)^2 and K0 are
+    multiplies on coefficients, every direction-dependent factor is refined
+    once, and the products of one dependency level are refined and projected
+    by one batched transform each (four levels at order 2), with the Nyquist
+    rule of ``SpectralGrid.refine_rcoeffs``/``project_rcoeffs``.  The map is
+    the derivative of the nodal-value pipeline of ``kinetic_exact``; the two
+    agree to rounding, not bit for bit.
     """
 
     def __init__(self, grid: SpectralGrid, eta, order: int = 2):
-        self.grid = grid
-        self.order = order
-        self.eta = np.asarray(eta)
-        self.eta2 = grid.product_values([self.eta, self.eta])
-        self.xi_comb = self.eta + 0.5 * self.eta2
-        P = dn_expansion(grid, self.eta, self.xi_comb, order)
-        ezf = grid.refine_values(_dz(grid, self.eta), _REFINE)
-        Pf = grid.refine_values(P, _REFINE)
-        s2 = 1.0 + ezf**2
-        W = ezf**2 / (2.0 * s2)
-        self.dG_dP = 1.0 - Pf - 2.0 * W * (1.0 - Pf)
-        self.dG_dez = ezf / s2**2 * (1.0 - Pf) ** 2
+        fine = grid._padded(_REFINE)
+        assert grid._padded(2).N == fine.N == 2 * grid.N
+        self.grid, self.fine, self.order = grid, fine, order
+        h = grid.N // 2 + 1
+        S, D = dn0_symbol(grid)[:h], grid.ik[:h]
+        D2 = (D * D).real
+        self.symbols = S, D, D2
+
+        eta = np.asarray(eta)
+        xi = eta + 0.5 * grid.product_values([eta, eta])
+        eta_hat, xi_hat = grid.to_rcoeffs(eta), grid.to_rcoeffs(xi)
+        P_hat = grid.to_rcoeffs(dn_expansion(grid, eta, xi, order))
+        eta_f, ez_f, P_f = self._refine([eta_hat, D * eta_hat, P_hat])
+        s2 = 1.0 + ez_f**2
+        W = ez_f**2 / (2.0 * s2)
+        self.dG_dP = 1.0 - P_f - 2.0 * W * (1.0 - P_f)
+        self.dG_dez = ez_f / s2**2 * (1.0 - P_f) ** 2
+
+        # the rows rho_f multiplies at the first level: eta (for sigma), then
+        # g_D, g_S and, at order 2, g_D2 and K0 xi (S = K0, D = ik, D2 = (ik)^2):
+        #   (dK/deta)[rho] xi = D[rho g_D] + S[rho g_S]
+        #                       + D2[rho g_D2] + S[eta S[rho K0 xi]]
+        rows = [eta_f]
+        if order >= 1:
+            xz_f, k0x_f, xzz_f = self._refine([D * xi_hat, S * xi_hat, D2 * xi_hat])
+            rows += [-xz_f, -k0x_f]
+        if order == 2:
+            (k0_eta_k0x_f,) = self._refine([S * self._project(eta_f * k0x_f)])
+            rows[1] = rows[1] + eta_f * xz_f
+            rows[2] = rows[2] + eta_f * xzz_f + k0_eta_k0x_f - eta_f * k0x_f
+            rows += [eta_f * k0x_f, k0x_f]
+            self.eta2_f = eta_f * eta_f
+        self.rho_rows = np.stack(rows)
+
+    def _refine(self, rows):
+        """Padded-grid values of each half spectrum in rows, by one transform."""
+        rcoeffs = self.grid.refine_rcoeffs(np.stack(rows, axis=-2), _REFINE)
+        return tuple(np.moveaxis(self.fine.to_rvalues(rcoeffs), -2, 0))
+
+    def _project(self, fine_values: np.ndarray) -> np.ndarray:
+        """Half spectra on the grid of padded-grid values (last axis), one transform."""
+        return self.grid.project_rcoeffs(self.fine.to_rcoeffs(fine_values), _REFINE)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        dP = dn_expansion_jvp(grid, self.eta, self.xi_comb, rho, self.order)
-        dP = dP + dn_expansion(
-            grid, self.eta, rho + grid.product_values([self.eta, rho]), self.order
-        )
-        dPf = grid.refine_values(dP, _REFINE)
-        rzf = grid.refine_values(_dz(grid, rho), _REFINE)
-        return grid.project_values(self.dG_dP * dPf + self.dG_dez * rzf, _REFINE)
+        grid, order = self.grid, self.order
+        S, D, D2 = self.symbols
+        r = grid.to_rcoeffs(rho)
+        rho_f, rz_f = self._refine([r, D * r])
+        c = self._project(rho_f[..., None, :] * self.rho_rows)
+        sigma = r + c[..., 0, :]
+        dP = S * sigma  # K0 sigma
+        eta_f = self.rho_rows[0]
+        if order == 1:
+            # (dK1/deta)[rho] xi + K1(eta) sigma
+            ds_f, ks_f = self._refine([D * sigma, S * sigma])
+            q = self._project(np.stack([eta_f * ds_f, eta_f * ks_f], axis=-2))
+            dP += D * (c[..., 1, :] - q[..., 0, :]) + S * (c[..., 2, :] - q[..., 1, :])
+        elif order == 2:
+            # (dK1/deta + dK2/deta)[rho] xi + (K1 + K2)(eta) sigma
+            ee_f = self.eta2_f
+            ds_f, ks_f, dds_f, n_f = self._refine(
+                [D * sigma, S * sigma, D2 * sigma, S * c[..., 4, :]])
+            q = self._project(np.stack([
+                (0.5 * ee_f - eta_f) * ds_f,
+                eta_f * (n_f - ks_f) + 0.5 * ee_f * (dds_f - ks_f),
+                0.5 * ee_f * ks_f,
+                eta_f * ks_f,
+            ], axis=-2))
+            (m_f,) = self._refine([S * q[..., 3, :]])
+            nested = self._project(eta_f * m_f)  # [eta K0[eta K0 sigma]]
+            dP += (D * (c[..., 1, :] + q[..., 0, :])
+                   + S * (c[..., 2, :] + q[..., 1, :] + nested)
+                   + D2 * (c[..., 3, :] + q[..., 2, :]))
+        (dP_f,) = self._refine([dP])
+        out = self._project(self.dG_dP * dP_f + self.dG_dez * rz_f)
+        return grid.to_rvalues(out)
 
 
 # -- coefficient extraction oracle --------------------------------------------

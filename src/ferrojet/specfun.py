@@ -247,22 +247,35 @@ def _vectorise(x, fn):
     return out.reshape(arr.shape)
 
 
-def _bessel01_scaled(x: np.ndarray):
-    """(e^-x I0, e^-x I1, e^x K0, e^x K1) at x > 0, one pass per branch.
+def _k01_scaled(x: np.ndarray, i01=None):
+    """(e^x K0, e^x K1) at x > 0; i01 = (e^-x I0, e^-x I1) at x, if known.
 
-    One I0/I1 series pass (asymptotics above SEAM_I); below SEAM_K one
-    K0/K1 log-series pass that reuses those I values, above it one
-    Chebyshev sum that yields K0 and K1 together.
+    Below SEAM_K one K0/K1 log-series pass that uses the I values (without
+    i01 they are computed there only), above it one Chebyshev sum that
+    yields K0 and K1 together.
     """
-    i0, i1 = _iv_scaled(x, (0, 1))
     k0 = np.empty_like(x)
     k1 = np.empty_like(x)
     lo = x <= SEAM_K
     if np.any(lo):
-        k0[lo], k1[lo] = _kv_series_scaled(x[lo], i0[lo], i1[lo])
+        if i01 is None:
+            i0, i1 = _iv_scaled(x[lo], (0, 1))
+        else:
+            i0, i1 = i01[0][lo], i01[1][lo]
+        k0[lo], k1[lo] = _kv_series_scaled(x[lo], i0, i1)
     if not np.all(lo):
         k0[~lo], k1[~lo] = _kv_cheb_scaled(x[~lo])
-    return i0, i1, k0, k1
+    return k0, k1
+
+
+def _bessel01_scaled(x: np.ndarray):
+    """(e^-x I0, e^-x I1, e^x K0, e^x K1) at x > 0, one pass per branch.
+
+    One I0/I1 series pass (asymptotics above SEAM_I), then ``_k01_scaled``
+    with those I values.
+    """
+    i0, i1 = _iv_scaled(x, (0, 1))
+    return (i0, i1) + _k01_scaled(x, (i0, i1))
 
 
 def _besseli_scaled(order: int, x: np.ndarray) -> np.ndarray:
@@ -270,7 +283,7 @@ def _besseli_scaled(order: int, x: np.ndarray) -> np.ndarray:
 
 
 def _besselk_scaled(order: int, x: np.ndarray) -> np.ndarray:
-    return _bessel01_scaled(x)[2 + order]
+    return _k01_scaled(x)[order]
 
 
 def besseli(order: int, x, scaled: bool = False):

@@ -21,7 +21,11 @@ Products of band-limited fields are computed exactly by zero-padding: a
 product of p factors is evaluated on a grid of M >= (p+1) N / 2 points and
 truncated back, so the retained N coefficients carry no aliasing error.
 The Nyquist coefficient is split evenly between +N/2 and -N/2 on the way
-up and the two are summed on the way down, in both layouts.
+up and the two are summed on the way down, in both layouts; for real
+fields ``refine_rcoeffs``/``project_rcoeffs`` hold that rule, so a caller
+can chain products in the half spectrum without nodal values in between.
+Every transform raises ``GridError`` when the last axis is not N long
+(N/2 + 1 for a half spectrum).
 
 Parity tags:
   'even'           real field with u(z) = u(-z)      <=>  c real and even in m
@@ -95,22 +99,31 @@ class SpectralGrid:
     def dz(self) -> float:
         return 2.0 * self.L / self.N
 
+    def _check_length(self, arr: np.ndarray, n: int) -> None:
+        shape = np.shape(arr)
+        if not shape or shape[-1] != n:
+            raise GridError(f"array of shape {shape} does not end in an axis of {n}")
+
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of exp(i k_m z) from nodal values (last axis)."""
+        self._check_length(values, self.N)
         return np.fft.fft(values, n=self.N, axis=-1) * (self.phase / self.N)
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values from coefficients (last axis, FFT order)."""
+        self._check_length(coeffs, self.N)
         return np.fft.ifft(coeffs * self.phase, n=self.N, axis=-1) * self.N
 
     def to_rcoeffs(self, values: np.ndarray) -> np.ndarray:
         """Half spectrum c_0 .. c_N/2 of real nodal values (last axis)."""
+        self._check_length(values, self.N)
         h = self.N // 2 + 1
         return np.fft.rfft(values, n=self.N, axis=-1) * (self.phase[:h] / self.N)
 
     def to_rvalues(self, rcoeffs: np.ndarray) -> np.ndarray:
         """Real nodal values from a half spectrum (imaginary c_0, c_N/2 dropped)."""
         h = self.N // 2 + 1
+        self._check_length(rcoeffs, h)
         return np.fft.irfft(rcoeffs * self.phase[:h] * self.N, n=self.N, axis=-1)
 
     @property
@@ -182,18 +195,38 @@ class SpectralGrid:
         out[..., n // 2 + 1 :] = coeffs[..., M - n // 2 + 1 :]
         return out
 
+    def refine_rcoeffs(self, rcoeffs: np.ndarray, nfactors: int = 2) -> np.ndarray:
+        """Half spectrum of a real field, zero-padded onto the padded grid.
+
+        c_0 and c_N/2 of a real field are real, so their imaginary parts are
+        dropped; c_N/2 is split evenly, its conjugate half sitting at -N/2.
+        """
+        padded = self._padded(nfactors)
+        n = self.N
+        out = np.zeros(rcoeffs.shape[:-1] + (padded.N // 2 + 1,), dtype=complex)
+        out[..., : n // 2] = rcoeffs[..., : n // 2]
+        out[..., 0] = rcoeffs[..., 0].real
+        out[..., n // 2] = (0.5 if padded.N > n else 1.0) * rcoeffs[..., n // 2].real
+        return out
+
+    def project_rcoeffs(self, fine_rcoeffs: np.ndarray, nfactors: int = 2) -> np.ndarray:
+        """Half spectrum back from the padded grid, dropping the unresolved tail.
+
+        c_N/2 + c_-N/2 = 2 Re c_N/2 on the padded grid; c_0 keeps its real part.
+        """
+        padded = self._padded(nfactors)
+        n = self.N
+        out = fine_rcoeffs[..., : n // 2 + 1].copy()
+        out[..., 0] = out[..., 0].real
+        out[..., n // 2] = (2.0 if padded.N > n else 1.0) * out[..., n // 2].real
+        return out
+
     def refine_values(self, values: np.ndarray, nfactors: int = 2) -> np.ndarray:
         """Values resampled on the padded grid for pointwise nonlinearities."""
         padded = self._padded(nfactors)
         if not np.isrealobj(values):
             return padded.to_values(self.pad_coeffs(self.to_coeffs(values), padded))
-        n, rc = self.N, self.to_rcoeffs(values)
-        if padded.N == n:
-            return self.to_rvalues(rc)
-        out = np.zeros(rc.shape[:-1] + (padded.N // 2 + 1,), dtype=complex)
-        out[..., : n // 2] = rc[..., : n // 2]
-        out[..., n // 2] = 0.5 * rc[..., n // 2]  # its conjugate half sits at -N/2
-        return padded.to_rvalues(out)
+        return padded.to_rvalues(self.refine_rcoeffs(self.to_rcoeffs(values), nfactors))
 
     def project_values(self, fine_values: np.ndarray, nfactors: int = 2) -> np.ndarray:
         """Back from the padded grid, dropping the unresolved tail."""
@@ -202,10 +235,9 @@ class SpectralGrid:
             return self.to_values(
                 self.truncate_coeffs(padded.to_coeffs(fine_values), padded)
             )
-        rc = padded.to_rcoeffs(fine_values)[..., : self.N // 2 + 1]
-        if padded.N != self.N:
-            rc[..., self.N // 2] *= 2.0  # c_N/2 + c_-N/2 = 2 Re c_N/2
-        return self.to_rvalues(rc)
+        return self.to_rvalues(
+            self.project_rcoeffs(padded.to_rcoeffs(fine_values), nfactors)
+        )
 
     def product_values(self, factors: Sequence[np.ndarray]) -> np.ndarray:
         """Exact (dealiased) pointwise product of band-limited fields."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ferrojet import operators as op
+from ferrojet import solver
 from ferrojet.errors import GeometryError, ParameterError
 from ferrojet.spectral import SpectralGrid
 from ferrojet.specfun import f_ratio
@@ -211,3 +212,73 @@ def test_kinetic_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng
     batch = kin.apply(R)
     for i in range(3):
         assert np.max(np.abs(batch[i] - kin.apply(R[i]))) <= 1e-13
+
+
+class _NodalKineticLinearization:
+    """KineticLinearization as a nodal-value pipeline: every K_j, product and
+    symbol goes through values on the grid, as ``kinetic_exact`` does."""
+
+    def __init__(self, grid, eta, order=2):
+        self.grid, self.order = grid, order
+        self.eta = np.asarray(eta)
+        eta2 = grid.product_values([self.eta, self.eta])
+        self.xi_comb = self.eta + 0.5 * eta2
+        P = op.dn_expansion(grid, self.eta, self.xi_comb, order)
+        ezf = grid.refine_values(grid.deriv_values(self.eta), 3)
+        Pf = grid.refine_values(P, 3)
+        s2 = 1.0 + ezf**2
+        W = ezf**2 / (2.0 * s2)
+        self.dG_dP = 1.0 - Pf - 2.0 * W * (1.0 - Pf)
+        self.dG_dez = ezf / s2**2 * (1.0 - Pf) ** 2
+
+    def apply(self, rho):
+        grid, eta, xi = self.grid, self.eta, self.xi_comb
+        dP = np.zeros(np.broadcast_shapes(np.shape(rho), np.shape(xi)))
+        if self.order >= 1:
+            dP = dP + op.dn1_apply(grid, rho, xi)
+        if self.order >= 2:
+            dP = dP + 2.0 * op.dn2_apply(grid, eta, rho, xi)
+        dP = dP + op.dn_expansion(grid, eta, rho + grid.product_values([eta, rho]),
+                                  self.order)
+        dPf = grid.refine_values(dP, 3)
+        rzf = grid.refine_values(grid.deriv_values(rho), 3)
+        return grid.project_values(self.dG_dP * dPf + self.dG_dez * rzf, 3)
+
+
+def _regime_eta(grid, regime):
+    if regime == "strong":  # KdV-like hump
+        return 0.2 / np.cosh(0.15 * grid.z) ** 2
+    return 0.3 / np.cosh(0.1 * grid.z) * np.cos(1.3 * grid.z)  # NLS-like packet
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+@pytest.mark.parametrize("N", [512, 1024, 2048])
+def test_kinetic_linearization_matches_nodal_pipeline(N, regime, order):
+    grid = SpectralGrid.make(200.0, N)
+    eta = _regime_eta(grid, regime)
+    R = np.random.default_rng(N + order).standard_normal((3, N))
+    R[1] += (-1.0) ** np.arange(N)
+    R[2] = (-1.0) ** np.arange(N)  # a unit Nyquist coefficient alone
+    assert abs(grid.to_rcoeffs(R[2])[-1]) == 1.0
+    kin = op.KineticLinearization(grid, eta, order)
+    ref = _NodalKineticLinearization(grid, eta, order).apply(R)
+    got = kin.apply(R)
+    scale = np.max(np.abs(ref), axis=-1)
+    assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-12 * scale)
+    single = kin.apply(R[0])
+    assert single.shape == (N,)
+    assert np.max(np.abs(single - ref[0])) <= 1e-12 * scale[0]
+
+
+def test_travelling_wave_solve_unchanged_by_half_spectrum(linear_law, monkeypatch):
+    def run():
+        rep = solver.solve_travelling_wave(5.0, linear_law, 0.2)
+        gmres = [s["iterations"] for s in rep.diagnostics["linear_solves"]]
+        return rep.iterations, gmres, rep.solution.values
+
+    iters, gmres, sol = run()
+    monkeypatch.setattr(op, "KineticLinearization", _NodalKineticLinearization)
+    ref_iters, ref_gmres, ref_sol = run()
+    assert (iters, gmres) == (ref_iters, ref_gmres)
+    assert np.max(np.abs(sol - ref_sol)) <= 1e-12

@@ -112,6 +112,16 @@ def test_joint_evaluator_matches_scipy_and_public_functions():
             assert np.max(np.abs(vals - public) / public) <= 1e-15
 
 
+def test_k_alone_is_the_joint_evaluators_k():
+    # besselk computes I only below SEAM_K; its K stays bit for bit the same
+    seam = np.array([sf.SEAM_K])
+    x = np.concatenate([np.logspace(-3, 4, 701), seam, np.nextafter(seam, 0.0),
+                        np.nextafter(seam, np.inf)])
+    joint = sf._bessel01_scaled(x)
+    for order in (0, 1):
+        assert np.array_equal(sf.besselk(order, x, scaled=True), joint[2 + order])
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_i_family_two_branch_seam(order):
     seam = np.array([sf.SEAM_I])

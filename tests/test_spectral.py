@@ -188,3 +188,41 @@ def test_real_apply_symbol_matches_complex_path(grid, rows, which):
     symbol = {"ik": grid.ik, "ik2": grid.ik**2, "dn0": dn0_symbol(grid)}[which]
     assert_close(grid.apply_symbol(rows, symbol),
                  grid.apply_symbol(rows.astype(complex), symbol))
+
+
+def test_half_spectrum_refine_and_project_match_the_value_routes(grid, rows):
+    rc = grid.to_rcoeffs(rows)
+    fine = grid._padded(3)
+    assert np.array_equal(fine.to_rvalues(grid.refine_rcoeffs(rc, 3)),
+                          grid.refine_values(rows, 3))
+    pointwise = np.cos(grid.refine_values(rows, 3))
+    assert np.array_equal(
+        grid.to_rvalues(grid.project_rcoeffs(fine.to_rcoeffs(pointwise), 3)),
+        grid.project_values(pointwise, 3))
+    # the round trip keeps a half spectrum whose c_0 and c_N/2 are real
+    back = grid.project_rcoeffs(grid.refine_rcoeffs(rc, 3), 3)
+    assert np.array_equal(back.imag[:, [0, -1]], np.zeros((4, 2)))
+    assert np.max(np.abs(back - rc)) <= 1e-15 * np.max(np.abs(rc))
+
+
+# a wrong-length last axis raises instead of being padded or cut to N
+def test_to_coeffs_rejects_wrong_length(grid):
+    with pytest.raises(GridError):
+        grid.to_coeffs(np.ones(grid.N + 4))
+
+
+def test_to_values_rejects_wrong_length(grid):
+    with pytest.raises(GridError):
+        grid.to_values(np.ones(grid.N - 1, dtype=complex))
+
+
+def test_to_rcoeffs_rejects_wrong_length(grid):
+    with pytest.raises(GridError):
+        grid.to_rcoeffs(np.ones(grid.N + 4))
+
+
+def test_to_rvalues_rejects_wrong_length(grid):
+    with pytest.raises(GridError):
+        grid.to_rvalues(np.ones(5, dtype=complex))
+    with pytest.raises(GridError):
+        grid.to_rvalues(np.ones(grid.N, dtype=complex))  # a full spectrum
