@@ -350,8 +350,10 @@ def _cfg_dict(cfg: RunConfig) -> dict:
 
 
 def _reconstruct_for_report(cfg, rep, eps):
+    # the target box is the envelope's own, eps z in [-L, L): a wider one
+    # would show the periodic envelope's next copy as a second wave
     profile = make_profile(cfg.gamma)
-    target = solver._auto_wave_grid(profile, eps, 40.0)
+    target = solver._auto_wave_grid(profile, eps, rep.solution.grid.L)
     return solver.reconstruct_eta(rep.solution, eps, profile.regime,
                                   profile.omega, target)
 

@@ -481,33 +481,27 @@ def dn_oracle_apply(eta: SpectralField, rgrid: Optional[RadialGrid] = None,
                     tol: float = 1e-12) -> Callable[[np.ndarray], np.ndarray]:
     """K(eta) as a callable on nodal values, backed by the BVP solve.
 
-    The box mean of xi is invisible to the Neumann problem (its z-derivative
-    vanishes), but on the line the operator carries the long-wave response
-    f(0) = 2 at k = 0; restoring that rank-one piece makes the BVP route
-    discretise the same operator as the multiplier expansion.
+    The periodic Neumann problem cannot see k = 0: the box mean of xi
+    vanishes under d/dz, and the trace derivative carries no mean.  On the
+    line the operator is smooth there (f(0) = 2), so both lost pieces come
+    from the second-order expansion, in one batched call on the mean-free
+    part xi' and the constant mean xibar: the box mean of K(eta) xi' and the
+    whole of K(eta) xibar.  Every other mode of the output is the BVP's own,
+    so it stays an independent check of the expansion.
     """
-    from .operators import dn_expansion, dn_mean_response
+    from .operators import dn_expansion
 
     grid = eta.grid
     eta_values = np.asarray(eta.values, dtype=float)
 
     def apply(xi_values: np.ndarray) -> np.ndarray:
         xi_arr = np.asarray(xi_values, dtype=float)
-        # The k = 0 input direction is a removable singularity of the line
-        # operator that the periodic Neumann problem cannot see (constants
-        # vanish under d/dz).  Split it off and complete it with the
-        # low-order response; the BVP handles the mean-free complement and
-        # its lost output mean is restored in closed form.
         xibar = float(np.mean(xi_arr))
         xi_prime = xi_arr - xibar
-        xi = SpectralField.from_values(grid, xi_prime)
-        _, out = solve_flattened_bvp(eta, xi, rgrid=rgrid, tol=tol)
-        vals = np.asarray(out.values, dtype=float)
-        vals = vals + dn_mean_response(grid, eta_values, xi_prime)
-        if xibar != 0.0:
-            vals = vals + dn_expansion(
-                grid, eta_values, np.full(grid.N, xibar), 2
-            )
-        return vals
+        _, out = solve_flattened_bvp(eta, SpectralField.from_values(grid, xi_prime),
+                                     rgrid=rgrid, tol=tol)
+        lost = dn_expansion(grid, eta_values,
+                            np.stack([xi_prime, np.full(grid.N, xibar)]), 2)
+        return np.asarray(out.values, dtype=float) + np.mean(lost[0]) + lost[1]
 
     return apply

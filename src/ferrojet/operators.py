@@ -22,9 +22,13 @@ constant against these operators.
 Functions take nodal-value arrays shaped (..., N) and broadcast, so
 Jacobian actions can be batched.
 
-The residual goes through nodal values: each K_j, product and symbol is
-one transform pair.  Its linearisation (``KineticLinearization``) is applied
-in the half spectrum instead: for a power-of-two N every product and the
+The kinetic part of the residual goes through nodal values: each K_j,
+product and symbol is one transform pair.  The pressure part is local, so
+``pressure_exact``, ``pressure_jacobian_fields`` and ``pressure_jvp`` take
+their field (eta, or the directions), its first and its second derivative
+on the padded grid from one rfft and one batched half-spectrum refine.
+The kinetic linearisation (``KineticLinearization``) is applied in the
+half spectrum instead: for a power-of-two N every product and the
 pointwise kinetic nonlinearity live on one padded grid of 2N points, so the
 fields that stay fixed for a Newton step are refined onto it once, and a
 direction costs one rfft, four levels of batched refine/project transforms
@@ -70,7 +74,6 @@ __all__ = [
     "kinetic_term2_alt",
     "kinetic_term3_alt",
     "kinetic_exact",
-    "dn_mean_response",
     "wave_residual",
     "ExtractionRecord",
     "extract_wnl_coefficients",
@@ -129,26 +132,6 @@ def dn2_apply(grid: SpectralGrid, ea, eb, xi) -> np.ndarray:
     return t1 + t2 + t3 + t4 + t5
 
 
-def dn_mean_response(grid: SpectralGrid, eta, xi) -> float:
-    """Box mean of (K0 + K1 + K2)(eta) xi, evaluated from the multiplier forms.
-
-    The surface operator acts on the line, where its transform is smooth at
-    k = 0 (f(0) = 2); a periodic Neumann solve cannot see that single mode
-    because its trace derivative is mean-free.  This closed-form mean makes
-    the boundary-value realisation discretise the same line operator as the
-    multiplier expansion; it carries the expansions' k = 0 content only, so
-    every other mode of the oracle remains an independent check.
-    """
-    k0xi = dn0_apply(grid, xi)
-    xizz = _dz(grid, xi, 2)
-    k0_eta_k0xi = dn0_apply(grid, grid.product_values([eta, k0xi]))
-    mean = 2.0 * np.mean(xi) - 2.0 * np.mean(grid.product_values([eta, k0xi]))
-    mean += np.mean(grid.product_values([eta, eta, xizz]))
-    mean -= np.mean(grid.product_values([eta, eta, k0xi]))
-    mean += 2.0 * np.mean(grid.product_values([eta, k0_eta_k0xi]))
-    return float(mean)
-
-
 def dn_expansion(grid: SpectralGrid, eta, xi, order: int) -> np.ndarray:
     """sum_{j <= order} K_j(eta) xi for order in {0, 1, 2}."""
     if order not in (0, 1, 2):
@@ -164,21 +147,33 @@ def dn_expansion(grid: SpectralGrid, eta, xi, order: int) -> np.ndarray:
 # -- pressure functional (local) ---------------------------------------------
 
 
-def _geometry_guard(one_plus_eta):
-    if np.min(one_plus_eta) <= 0.0:
-        raise GeometryError(
-            f"free surface touches the rod: min(1 + eta) = {np.min(one_plus_eta)}"
-        )
+def _refine_rows(grid: SpectralGrid, rows):
+    """Padded-grid values of each half spectrum in rows, by one transform."""
+    rcoeffs = grid.refine_rcoeffs(np.stack(rows, axis=-2), _REFINE)
+    return tuple(np.moveaxis(grid._padded(_REFINE).to_rvalues(rcoeffs), -2, 0))
+
+
+def _refined_jet(grid: SpectralGrid, values):
+    """Padded-grid values of f, f_z and f_zz for real f (batched, last axis):
+    one rfft, the derivatives as multiplies on the half spectrum, one refine."""
+    c = grid.to_rcoeffs(values)
+    D = grid.ik[: grid.N // 2 + 1]
+    return _refine_rows(grid, [c, D * c, D * D * c])
+
+
+def _refined_surface(grid: SpectralGrid, eta):
+    """1 + eta, eta_z and eta_zz on the padded grid, guarded against 1 + eta <= 0."""
+    ef, ezf, ezzf = _refined_jet(grid, eta)
+    w = 1.0 + ef
+    if np.min(w) <= 0.0:
+        raise GeometryError(f"free surface touches the rod: min(1 + eta) = {np.min(w)}")
+    return w, ezf, ezzf
 
 
 def pressure_exact(grid: SpectralGrid, eta, gamma: float,
                    law: MagnetizationLaw) -> np.ndarray:
     """Fully nonlinear pressure functional; vanishes on the quiescent jet."""
-    ef = grid.refine_values(eta, _REFINE)
-    ezf = grid.refine_values(_dz(grid, eta), _REFINE)
-    ezzf = grid.refine_values(_dz(grid, eta, 2), _REFINE)
-    w = 1.0 + ef
-    _geometry_guard(w)
+    w, ezf, ezzf = _refined_surface(grid, eta)
     s = np.sqrt(1.0 + ezf**2)
     out = (
         -gamma * (law.nu(1.0 / w) - law.nu(1.0))
@@ -309,11 +304,7 @@ def pressure_jacobian_fields(grid: SpectralGrid, eta, gamma: float,
     d P[eta] rho = project( A rho + B rho_z + C rho_zz ) with all fields on
     the refined grid.
     """
-    ef = grid.refine_values(eta, _REFINE)
-    ezf = grid.refine_values(_dz(grid, eta), _REFINE)
-    ezzf = grid.refine_values(_dz(grid, eta, 2), _REFINE)
-    w = 1.0 + ef
-    _geometry_guard(w)
+    w, ezf, ezzf = _refined_surface(grid, eta)
     s2 = 1.0 + ezf**2
     s = np.sqrt(s2)
     A = gamma * law.nu_prime(1.0 / w) / w**2 - 1.0 / (w**2 * s)
@@ -325,9 +316,7 @@ def pressure_jacobian_fields(grid: SpectralGrid, eta, gamma: float,
 def pressure_jvp(grid: SpectralGrid, coeff_fields, rho) -> np.ndarray:
     """Apply the pressure linearisation to directions rho (batched)."""
     A, B, C = coeff_fields
-    rf = grid.refine_values(rho, _REFINE)
-    rzf = grid.refine_values(_dz(grid, rho), _REFINE)
-    rzzf = grid.refine_values(_dz(grid, rho, 2), _REFINE)
+    rf, rzf, rzzf = _refined_jet(grid, rho)
     return grid.project_values(A * rf + B * rzf + C * rzzf, _REFINE)
 
 
@@ -368,7 +357,7 @@ class KineticLinearization:
         xi = eta + 0.5 * grid.product_values([eta, eta])
         eta_hat, xi_hat = grid.to_rcoeffs(eta), grid.to_rcoeffs(xi)
         P_hat = grid.to_rcoeffs(dn_expansion(grid, eta, xi, order))
-        eta_f, ez_f, P_f = self._refine([eta_hat, D * eta_hat, P_hat])
+        eta_f, ez_f, P_f = _refine_rows(grid, [eta_hat, D * eta_hat, P_hat])
         s2 = 1.0 + ez_f**2
         W = ez_f**2 / (2.0 * s2)
         self.dG_dP = 1.0 - P_f - 2.0 * W * (1.0 - P_f)
@@ -380,20 +369,16 @@ class KineticLinearization:
         #                       + D2[rho g_D2] + S[eta S[rho K0 xi]]
         rows = [eta_f]
         if order >= 1:
-            xz_f, k0x_f, xzz_f = self._refine([D * xi_hat, S * xi_hat, D2 * xi_hat])
+            xz_f, k0x_f, xzz_f = _refine_rows(
+                grid, [D * xi_hat, S * xi_hat, D2 * xi_hat])
             rows += [-xz_f, -k0x_f]
         if order == 2:
-            (k0_eta_k0x_f,) = self._refine([S * self._project(eta_f * k0x_f)])
+            (k0_eta_k0x_f,) = _refine_rows(grid, [S * self._project(eta_f * k0x_f)])
             rows[1] = rows[1] + eta_f * xz_f
             rows[2] = rows[2] + eta_f * xzz_f + k0_eta_k0x_f - eta_f * k0x_f
             rows += [eta_f * k0x_f, k0x_f]
             self.eta2_f = eta_f * eta_f
         self.rho_rows = np.stack(rows)
-
-    def _refine(self, rows):
-        """Padded-grid values of each half spectrum in rows, by one transform."""
-        rcoeffs = self.grid.refine_rcoeffs(np.stack(rows, axis=-2), _REFINE)
-        return tuple(np.moveaxis(self.fine.to_rvalues(rcoeffs), -2, 0))
 
     def _project(self, fine_values: np.ndarray) -> np.ndarray:
         """Half spectra on the grid of padded-grid values (last axis), one transform."""
@@ -403,33 +388,33 @@ class KineticLinearization:
         grid, order = self.grid, self.order
         S, D, D2 = self.symbols
         r = grid.to_rcoeffs(rho)
-        rho_f, rz_f = self._refine([r, D * r])
+        rho_f, rz_f = _refine_rows(grid, [r, D * r])
         c = self._project(rho_f[..., None, :] * self.rho_rows)
         sigma = r + c[..., 0, :]
         dP = S * sigma  # K0 sigma
         eta_f = self.rho_rows[0]
         if order == 1:
             # (dK1/deta)[rho] xi + K1(eta) sigma
-            ds_f, ks_f = self._refine([D * sigma, S * sigma])
+            ds_f, ks_f = _refine_rows(grid, [D * sigma, S * sigma])
             q = self._project(np.stack([eta_f * ds_f, eta_f * ks_f], axis=-2))
             dP += D * (c[..., 1, :] - q[..., 0, :]) + S * (c[..., 2, :] - q[..., 1, :])
         elif order == 2:
             # (dK1/deta + dK2/deta)[rho] xi + (K1 + K2)(eta) sigma
             ee_f = self.eta2_f
-            ds_f, ks_f, dds_f, n_f = self._refine(
-                [D * sigma, S * sigma, D2 * sigma, S * c[..., 4, :]])
+            ds_f, ks_f, dds_f, n_f = _refine_rows(
+                grid, [D * sigma, S * sigma, D2 * sigma, S * c[..., 4, :]])
             q = self._project(np.stack([
                 (0.5 * ee_f - eta_f) * ds_f,
                 eta_f * (n_f - ks_f) + 0.5 * ee_f * (dds_f - ks_f),
                 0.5 * ee_f * ks_f,
                 eta_f * ks_f,
             ], axis=-2))
-            (m_f,) = self._refine([S * q[..., 3, :]])
+            (m_f,) = _refine_rows(grid, [S * q[..., 3, :]])
             nested = self._project(eta_f * m_f)  # [eta K0[eta K0 sigma]]
             dP += (D * (c[..., 1, :] + q[..., 0, :])
                    + S * (c[..., 2, :] + q[..., 1, :] + nested)
                    + D2 * (c[..., 3, :] + q[..., 2, :]))
-        (dP_f,) = self._refine([dP])
+        (dP_f,) = _refine_rows(grid, [dP])
         out = self._project(self.dG_dP * dP_f + self.dG_dez * rz_f)
         return grid.to_rvalues(out)
 

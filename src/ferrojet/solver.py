@@ -521,9 +521,12 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
                           oracle_tol: float = 1e-12) -> SolveReport:
     """Newton solve of the full truncated travelling-wave equation.
 
-    Seeded by the reconstructed leading-order profile; reports the
-    normalised deviation ||eta - seed||_inf / eps^2 (strong) or / eps
-    (weak) alongside the solve diagnostics.
+    Seeded by the explicit leading-order profile evaluated in closed form on
+    the grid: eps^2 zeta_KdV(eps z) (strong regime) or
+    eps zeta_NLS(eps z) cos(omega z) (weak regime, where omega must sit on
+    the grid's lattice or ``GridError`` is raised).  Reports the normalised
+    deviation ||eta - seed||_inf / eps^2 (strong) or / eps (weak) alongside
+    the solve diagnostics.
     """
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")
@@ -534,23 +537,15 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
     if grid is None:
         grid = _auto_wave_grid(profile, epsilon, min_box)
 
+    z = grid.z
     if profile.regime is Regime.STRONG:
-        coeffs = kdv_coeffs(gamma, law)
-        zgrid = SpectralGrid.make(epsilon * grid.L, 1024)
-        zeta = SpectralField.from_values(zgrid, zeta_kdv(zgrid.z, coeffs),
-                                         parity="even")
+        seed = epsilon**2 * zeta_kdv(epsilon * z, kdv_coeffs(gamma, law))
         power = 2
     else:
+        grid.mode_index(profile.omega)  # raises GridError if incommensurate
         coeffs = nls_coeffs(gamma, law, profile)
-        zgrid = SpectralGrid.make(epsilon * grid.L, 1024)
-        zeta = SpectralField.from_values(
-            zgrid, zeta_nls(zgrid.z, coeffs).astype(complex),
-            parity="real-transform",
-        )
+        seed = epsilon * zeta_nls(epsilon * z, coeffs) * np.cos(profile.omega * z)
         power = 1
-    seed_field = reconstruct_eta(zeta, epsilon, profile.regime, profile.omega,
-                                 grid)
-    seed = seed_field.values
 
     radial = rgrid if rgrid is not None else (dno.RadialGrid.make() if dn_oracle
                                               else None)

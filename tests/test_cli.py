@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from ferrojet import solver
@@ -277,3 +278,22 @@ def test_float_round_trip_precision(tmp_path):
     p = make_profile(5.0)
     assert f == p.f(k)  # 17 significant digits round-trip exactly
     assert c2 == p.c2(k)
+
+
+@pytest.mark.parametrize("branch, gamma, extra", [
+    ("kdv", "5", ["--delta", "2"]),
+    ("nls+", "15", []),
+])
+def test_reconstructed_eta_has_one_wave_on_a_short_envelope_box(
+        tmp_path, branch, gamma, extra):
+    # the reconstruction box must be the envelope's own: on a wider one the
+    # periodic envelope repeats and a second wave shows at the box edge
+    rc = main(["solve", "--branch", branch, "--gamma", gamma, "--epsilon", "0.1",
+               "--grid-l", "20", *extra, "--out", str(tmp_path)])
+    assert rc == 0
+    tag = branch.replace("+", "plus")
+    z, eta = np.loadtxt(tmp_path / f"eta_{tag}_eps0p1.csv", delimiter=",",
+                        skiprows=1, unpack=True)
+    L = -z[0]
+    peak = np.max(np.abs(eta))
+    assert np.max(np.abs(eta[np.abs(z) > 0.75 * L])) <= 1e-2 * peak

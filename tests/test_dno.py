@@ -418,3 +418,31 @@ def test_oracle_matches_expansion_through_second_order(zgrid, rgrid):
     xi = np.sin(zgrid.z) + 0.3 * np.cos(2 * zgrid.z)
     diff = apply_k(xi) - op.dn_expansion(zgrid, etav, xi, 2)
     assert np.max(np.abs(diff)) <= 50.0 * a**3
+
+
+def _old_mean_response(grid, eta, xi):
+    """Box mean of (K0 + K1 + K2)(eta) xi from the multiplier forms, the
+    closed form the oracle once added for its lost k = 0 output."""
+    k0xi = op.dn0_apply(grid, xi)
+    xizz = grid.deriv_values(xi, 2)
+    k0_eta_k0xi = op.dn0_apply(grid, grid.product_values([eta, k0xi]))
+    mean = 2.0 * np.mean(xi) - 2.0 * np.mean(grid.product_values([eta, k0xi]))
+    mean += np.mean(grid.product_values([eta, eta, xizz]))
+    mean -= np.mean(grid.product_values([eta, eta, k0xi]))
+    mean += 2.0 * np.mean(grid.product_values([eta, k0_eta_k0xi]))
+    return float(mean)
+
+
+def test_oracle_k0_completion_matches_closed_form_mean(zgrid, rgrid):
+    etav = 0.1 * np.cos(zgrid.z) + 0.05 * np.cos(2 * zgrid.z)
+    eta = SpectralField.from_values(zgrid, etav, parity="even")
+    xi = 0.4 + np.sin(zgrid.z) + 0.3 * np.cos(3 * zgrid.z)  # nonzero mean
+    got = dno.dn_oracle_apply(eta, rgrid, tol=1e-14)(xi)
+
+    xibar = np.mean(xi)
+    xi_prime = xi - xibar
+    _, out = dno.solve_flattened_bvp(eta, SpectralField.from_values(zgrid, xi_prime),
+                                     rgrid=rgrid, tol=1e-14)
+    ref = (out.values + _old_mean_response(zgrid, etav, xi_prime)
+           + op.dn_expansion(zgrid, etav, np.full(zgrid.N, xibar), 2))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))

@@ -282,3 +282,47 @@ def test_travelling_wave_solve_unchanged_by_half_spectrum(linear_law, monkeypatc
     ref_iters, ref_gmres, ref_sol = run()
     assert (iters, gmres) == (ref_iters, ref_gmres)
     assert np.max(np.abs(sol - ref_sol)) <= 1e-12
+
+
+def _refine_each(grid, f):
+    """f, f_z and f_zz refined one field at a time through nodal values."""
+    return tuple(grid.refine_values(v, 3) for v in
+                 (f, grid.deriv_values(f), grid.deriv_values(f, 2)))
+
+
+def test_pressure_routines_match_refine_per_field(linear_law, rng):
+    grid = SpectralGrid.make(200.0, 512)
+    eta = _regime_eta(grid, "weak")
+    gamma = 15.0
+    ef, ezf, ezzf = _refine_each(grid, eta)
+    w = 1.0 + ef
+    s2 = 1.0 + ezf**2
+    s = np.sqrt(s2)
+    ref_p = grid.project_values(
+        -gamma * (linear_law.nu(1.0 / w) - linear_law.nu(1.0))
+        + 1.0 / (w * s) - ezzf / s**3 - 1.0, 3)
+    got_p = op.pressure_exact(grid, eta, gamma, linear_law)
+    assert np.max(np.abs(got_p - ref_p)) <= 1e-12 * np.max(np.abs(ref_p))
+
+    ref_fields = (
+        gamma * linear_law.nu_prime(1.0 / w) / w**2 - 1.0 / (w**2 * s),
+        -ezf / (w * s2 * s) + 3.0 * ezzf * ezf / (s2**2 * s),
+        -1.0 / (s2 * s),
+    )
+    fields = op.pressure_jacobian_fields(grid, eta, gamma, linear_law)
+    for got, ref in zip(fields, ref_fields):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    R = rng.standard_normal((3, grid.N))
+    R[2] = (-1.0) ** np.arange(grid.N)  # a unit Nyquist coefficient alone
+    A, B, C = fields
+    ref_rows = []
+    for rho in R:
+        rf, rzf, rzzf = _refine_each(grid, rho)
+        ref_rows.append(grid.project_values(A * rf + B * rzf + C * rzzf, 3))
+    got = op.pressure_jvp(grid, fields, R)
+    assert got.shape == R.shape
+    for g, ref in zip(got, ref_rows):
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+    single = op.pressure_jvp(grid, fields, R[0])
+    assert np.max(np.abs(single - ref_rows[0])) <= 1e-12 * np.max(np.abs(ref_rows[0]))

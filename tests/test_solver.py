@@ -7,7 +7,7 @@ import pytest
 
 from ferrojet import solver
 from ferrojet.dispersion import Regime, make_profile
-from ferrojet.errors import ConvergenceError, ParameterError, RegimeError
+from ferrojet.errors import ConvergenceError, GridError, ParameterError, RegimeError
 from ferrojet.spectral import SpectralField, SpectralGrid
 from ferrojet.wnl import kdv_coeffs, nls_coeffs, zeta_kdv, zeta_nls
 
@@ -283,3 +283,69 @@ def test_nls_nondegeneracy_under_refinement(linear_law):
     for sign in (+1, -1):
         assert min(sigmas[sign]) > 0.05
         assert abs(sigmas[sign][0] - sigmas[sign][1]) <= 0.2 * max(sigmas[sign])
+
+
+def _envelope_route_seed(gamma, law, eps, grid):
+    """The travelling-wave seed as it once was built: the explicit envelope
+    sampled on a 1024-point box and re-summed at eps z by reconstruct_eta."""
+    profile = make_profile(gamma)
+    zgrid = SpectralGrid.make(eps * grid.L, 1024)
+    if profile.regime is Regime.STRONG:
+        zeta = SpectralField.from_values(
+            zgrid, zeta_kdv(zgrid.z, kdv_coeffs(gamma, law)), parity="even")
+    else:
+        zeta = SpectralField.from_values(
+            zgrid, zeta_nls(zgrid.z, nls_coeffs(gamma, law, profile)).astype(complex),
+            parity="real-transform")
+    return solver.reconstruct_eta(zeta, eps, profile.regime, profile.omega,
+                                  grid).values
+
+
+def _seeded_solve(monkeypatch, gamma, law, eps):
+    """solve_travelling_wave's report with the problem and seed it solved from."""
+    seen = {}
+    newton = solver._newton
+
+    def spy(problem, v0, *args, **kwargs):
+        seen.update(problem=problem, v0=v0, args=args, kwargs=kwargs)
+        return newton(problem, v0, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_newton", spy)
+    rep = solver.solve_travelling_wave(gamma, law, eps)
+    monkeypatch.setattr(solver, "_newton", newton)
+    return rep, seen
+
+
+@pytest.mark.parametrize("gamma, eps, n", [(5.0, 0.2, None), (5.0, 0.05, 2048),
+                                           (15.0, 0.2, None)])
+def test_closed_form_seed_matches_envelope_route(monkeypatch, linear_law,
+                                                 gamma, eps, n):
+    _, seen = _seeded_solve(monkeypatch, gamma, linear_law, eps)
+    problem = seen["problem"]
+    grid = problem.basis.grid
+    if n is not None:
+        assert grid.N == n
+    ref = problem.basis.to_coords(_envelope_route_seed(gamma, linear_law, eps, grid))
+    assert np.max(np.abs(seen["v0"] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("gamma, eps", [(5.0, 0.2), (15.0, 0.1)])
+def test_solve_unchanged_by_closed_form_seed(monkeypatch, linear_law, gamma, eps):
+    rep, seen = _seeded_solve(monkeypatch, gamma, linear_law, eps)
+    problem = seen["problem"]
+    ref_seed = _envelope_route_seed(gamma, linear_law, eps, problem.basis.grid)
+    ref = solver._newton(problem, problem.basis.to_coords(ref_seed),
+                         *seen["args"], **seen["kwargs"])
+
+    def gmres(r):
+        return [s["iterations"] for s in r.diagnostics["linear_solves"]]
+
+    assert rep.converged and ref.converged
+    assert (rep.iterations, gmres(rep)) == (ref.iterations, gmres(ref))
+    assert np.max(np.abs(rep.solution.values - ref.solution.values)) <= 1e-12
+
+
+def test_weak_seed_needs_the_carrier_on_the_lattice(linear_law):
+    grid = SpectralGrid.make(400.0, 1024)  # omega(15) * 400 / pi is not whole
+    with pytest.raises(GridError):
+        solver.solve_travelling_wave(15.0, linear_law, 0.1, grid=grid)
