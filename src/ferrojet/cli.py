@@ -398,9 +398,12 @@ def cmd_solve(cfg: RunConfig) -> int:
         if branch != "gzcs":
             eta = _reconstruct_for_report(cfg, rep, eps)
             _field_csv(cfg.out / f"eta_{tag}_eps{eps_tag}.csv", eta, "z")
-        reports.append({**_report_payload(rep, cfg.gamma),
-                        "status": "converged" if rep.converged else "not_converged"})
-        failed = failed or not rep.converged
+        # a converged gzcs solve may have found the flat state, not the wave
+        flat = rep.diagnostics.get("amplitude_ratio", 1.0) < solver.FLAT_STATE_RATIO
+        status = ("not_converged" if not rep.converged
+                  else "flat_state" if flat else "converged")
+        reports.append({**_report_payload(rep, cfg.gamma), "status": status})
+        failed = failed or status != "converged"
     _write_json(cfg.out / f"solve_{tag}.json", {"reports": reports})
     return EXIT_NUMERICAL if failed else EXIT_OK
 

@@ -22,21 +22,21 @@ constant against these operators.
 Functions take nodal-value arrays shaped (..., N) and broadcast, so
 Jacobian actions can be batched.
 
-The kinetic part of the residual goes through nodal values: each K_j,
-product and symbol is one transform pair.  The pressure part is local, so
-``pressure_exact``, ``pressure_jacobian_fields`` and ``pressure_jvp`` take
-their field (eta, or the directions), its first and its second derivative
-on the padded grid from one rfft and one batched half-spectrum refine.
-The kinetic linearisation (``KineticLinearization``) is applied in the
-half spectrum instead: for a power-of-two N every product and the
-pointwise kinetic nonlinearity live on one padded grid of 2N points, so the
-fields that stay fixed for a Newton step are refined onto it once, and a
-direction costs one rfft, four levels of batched refine/project transforms
-and one inverse transform.  Every symbol is then a multiply on coefficients,
-and the Nyquist coefficient follows ``SpectralGrid.refine_rcoeffs`` and
-``project_rcoeffs`` (split on the way up, 2 Re on the way down).  The
-linearisation agrees with the derivative of ``kinetic_exact``'s pipeline to
-rounding, not bit for bit.
+The pressure part is local, so ``pressure_exact``,
+``pressure_jacobian_fields`` and ``pressure_jvp`` take their field (eta,
+or the directions), its first and its second derivative on the padded grid
+from one rfft and one batched half-spectrum refine.  A Newton iterate's
+kinetic part is one ``KineticLinearization``: it evaluates P = K(eta) xi
+once, by the solve's realisation of K, and holds the kinetic functional
+(``value``) and its derivative.  For a power-of-two N every product and
+the pointwise kinetic nonlinearity live on one padded grid of 2N points, so
+the iterate's fixed fields are refined onto it once, and a direction costs
+one rfft, four levels of batched refine/project transforms and one inverse
+transform.  Every symbol is a multiply on coefficients, and the Nyquist
+coefficient follows ``SpectralGrid.refine_rcoeffs`` and ``project_rcoeffs``
+(split on the way up, 2 Re on the way down).  Both agree with the
+nodal-value pipeline of ``kinetic_exact`` (each K_j, product and symbol one
+transform pair) to rounding; that pipeline stays as their reference.
 """
 
 from __future__ import annotations
@@ -321,30 +321,33 @@ def pressure_jvp(grid: SpectralGrid, coeff_fields, rho) -> np.ndarray:
 
 
 class KineticLinearization:
-    """eta-dependent context of the kinetic-functional derivative.
+    """Kinetic functional at eta (``value``) and the context of its derivative.
 
     ``kinetic_exact`` is project(G(P_f, eta_z,f)) on the padded grid, with
-    P = sum_{j <= order} K_j(eta) xi and xi = eta + eta^2/2, so its
+    P = K(eta) xi, xi = eta + eta^2/2 and K realised by ``dn_apply``, so its
     derivative in the direction rho is
 
         project(dG/dP dP_f + dG/deta_z rho_z,f),
         dP = K(eta) sigma + (dK/deta)[rho] xi,   sigma = rho + [eta rho],
 
-    where [.] is a dealiased product.  For a power-of-two N every product of
-    the expansion (two or three factors) and G itself live on one padded
-    grid of 2N points.  ``__init__`` refines the direction-independent fields
-    onto it once per Newton step: eta, eta^2, the dG fields and, per symbol,
-    the fields that rho_f multiplies in (dK/deta)[rho] xi.  ``apply`` works on
-    half spectra: one rfft of the direction, then ik, (ik)^2 and K0 are
-    multiplies on coefficients, every direction-dependent factor is refined
-    once, and the products of one dependency level are refined and projected
-    by one batched transform each (four levels at order 2), with the Nyquist
-    rule of ``SpectralGrid.refine_rcoeffs``/``project_rcoeffs``.  The map is
-    the derivative of the nodal-value pipeline of ``kinetic_exact``; the two
-    agree to rounding, not bit for bit.
+    where [.] is a dealiased product.  P is evaluated once, by ``dn_apply``;
+    K and dK/deta in dP are the expansion sum_{j <= order} K_j.  For a
+    power-of-two N every product of the expansion (two or three factors) and
+    G itself live on one padded grid of 2N points.  ``__init__`` refines the
+    direction-independent fields onto it once per Newton iterate: eta, eta^2,
+    the dG fields and, per symbol, the fields that rho_f multiplies in
+    (dK/deta)[rho] xi.  ``apply`` works on half spectra: one rfft of the
+    direction, then ik, (ik)^2 and K0 are multiplies on coefficients, every
+    direction-dependent factor is refined once, and the products of one
+    dependency level are refined and projected by one batched transform each
+    (four levels at order 2), with the Nyquist rule of
+    ``SpectralGrid.refine_rcoeffs``/``project_rcoeffs``.  ``value`` and the
+    map agree with ``kinetic_exact`` and the derivative of its nodal-value
+    pipeline to rounding, not bit for bit.
     """
 
-    def __init__(self, grid: SpectralGrid, eta, order: int = 2):
+    def __init__(self, grid: SpectralGrid, eta, order: int,
+                 dn_apply: Callable[[np.ndarray], np.ndarray]):
         fine = grid._padded(_REFINE)
         assert grid._padded(2).N == fine.N == 2 * grid.N
         self.grid, self.fine, self.order = grid, fine, order
@@ -356,10 +359,12 @@ class KineticLinearization:
         eta = np.asarray(eta)
         xi = eta + 0.5 * grid.product_values([eta, eta])
         eta_hat, xi_hat = grid.to_rcoeffs(eta), grid.to_rcoeffs(xi)
-        P_hat = grid.to_rcoeffs(dn_expansion(grid, eta, xi, order))
+        P_hat = grid.to_rcoeffs(dn_apply(xi))
         eta_f, ez_f, P_f = _refine_rows(grid, [eta_hat, D * eta_hat, P_hat])
         s2 = 1.0 + ez_f**2
         W = ez_f**2 / (2.0 * s2)
+        self.value = grid.to_rvalues(
+            self._project(-0.5 * P_f**2 + W * (1.0 - P_f) ** 2 + P_f))
         self.dG_dP = 1.0 - P_f - 2.0 * W * (1.0 - P_f)
         self.dG_dez = ez_f / s2**2 * (1.0 - P_f) ** 2
 

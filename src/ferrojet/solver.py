@@ -109,6 +109,8 @@ class ConjugateEvenBasis:
 GMRES_RTOL = 1e-12
 GMRES_RESTART = 60
 GMRES_MAX_ITER = 240
+MIN_DAMPING = 2.0**-10  # the smallest step fraction a damped Newton step tries
+FLAT_STATE_RATIO = 0.5  # a converged solve below this amplitude_ratio found eta = 0
 
 
 def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -182,9 +184,9 @@ class SolverProblem:
         ctx = self.prepare(v)
         return lambda W: self.jv_batch(v, W, ctx)
 
-    def assemble_jacobian(self, v: np.ndarray, chunk: int = 512) -> np.ndarray:
-        """Dense J(v), ``chunk`` basis vectors per batch (a diagnostic)."""
-        jac, eye = self.linearize(v), np.eye(self.dim)
+    def assemble_jacobian(self, v: np.ndarray) -> np.ndarray:
+        """Dense J(v), 512 basis vectors per batch (a diagnostic)."""
+        jac, eye, chunk = self.linearize(v), np.eye(self.dim), 512
         return np.hstack([jac(eye[lo:lo + chunk]).T
                           for lo in range(0, self.dim, chunk)])
 
@@ -231,8 +233,7 @@ def _newton_step(problem: SolverProblem, v: np.ndarray, r: np.ndarray,
 
 
 def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
-            max_iter: int, epsilon: float, branch: str,
-            min_step: float = 2.0**-10) -> SolveReport:
+            max_iter: int, epsilon: float, branch: str) -> SolveReport:
     v = np.array(v0, dtype=float)
     grid = problem.basis.grid
     precond = _flat_diagonal(problem)
@@ -262,7 +263,7 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
             else:
                 failure = "step damping hit the geometry guard floor"
             s *= 0.5
-            if s < min_step:
+            if s < MIN_DAMPING:
                 raise ConvergenceError(failure, history, linear_solves)
         v, r, rmax, rl2 = v_try, r_try, rmax_try, rl2_try
         history.append(rmax)
@@ -358,68 +359,63 @@ def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
 
 def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
                             grid: SpectralGrid, dn_order: int = 2,
-                            dn_oracle: Optional[dno.RadialGrid] = None,
-                            oracle_tol: float = 1e-12) -> SolverProblem:
+                            dn_oracle: Optional[dno.RadialGrid] = None
+                            ) -> SolverProblem:
     """Full truncated equation P(eta) - c^2 Q(eta) = 0 in the even subspace.
 
-    The Jacobian always uses the expansion-mode derivative; in oracle mode
-    the residual is BVP-backed and each step is a quasi-Newton step with the
-    expansion Jacobian at the iterate (the two operators differ at cubic
-    order).
+    Each iterate evaluates K(eta) xi once: ``prepare`` builds the residual
+    and the J.v context together, ``residual`` returns that evaluation's
+    residual, and the last evaluation is kept, so the Newton step at an
+    accepted trial point reuses it.  K is the expansion of order
+    ``dn_order``, or the BVP oracle on ``dn_oracle``.  In oracle mode each
+    step is a quasi-Newton step: dG/dP is taken at the oracle's P, and the
+    dK/deta part of the derivative is the expansion's (the two operators
+    differ at cubic order).
     """
     basis = EvenBasis(grid)
-
-    def eta_of(v):
-        return basis.to_values(v)
-
-    def residual(v):
-        eta = eta_of(v)
-        if dn_oracle is not None:
-            eta_field = SpectralField.from_values(grid, eta, parity="even")
-            dn_apply = dno.dn_oracle_apply(eta_field, dn_oracle, tol=oracle_tol)
-        else:
-            dn_apply = lambda xi: op.dn_expansion(grid, eta, xi, dn_order)
-        vals = op.wave_residual(grid, eta, c2, gamma, law, dn_apply)
-        return basis.to_coords(vals)
+    last = {}
 
     def prepare(v):
-        eta = eta_of(v)
-        return (
-            op.pressure_jacobian_fields(grid, eta, gamma, law),
-            op.KineticLinearization(grid, eta, dn_order),
-        )
+        if "v" in last and np.array_equal(last["v"], v):
+            return last["ctx"]
+        last.clear()  # free the previous context first: peak memory holds one
+        eta = basis.to_values(v)
+        if dn_oracle is not None:
+            dn_apply = dno.dn_oracle_apply(
+                SpectralField.from_values(grid, eta, parity="even"), dn_oracle)
+        else:
+            dn_apply = lambda xi: op.dn_expansion(grid, eta, xi, dn_order)
+        press = op.pressure_exact(grid, eta, gamma, law)
+        kin = op.KineticLinearization(grid, eta, dn_order, dn_apply)
+        ctx = (basis.to_coords(press - c2 * kin.value),
+               op.pressure_jacobian_fields(grid, eta, gamma, law), kin)
+        last.update(v=np.array(v), ctx=ctx)
+        return ctx
 
     def jv_batch(v, W, ctx):
-        press, kin = ctx
+        _, press, kin = ctx
         w = basis.to_values(W)
-        dvals = op.pressure_jvp(grid, press, w) - c2 * kin.apply(w)
-        return basis.to_coords(dvals)
+        return basis.to_coords(op.pressure_jvp(grid, press, w) - c2 * kin.apply(w))
 
     def geometry_ok(v):
-        return bool(np.min(1.0 + eta_of(v)) > 0.0)
+        return bool(np.min(1.0 + basis.to_values(v)) > 0.0)
 
-    return SolverProblem(
-        basis=basis,
-        residual=residual,
-        jv_batch=jv_batch,
-        geometry_ok=geometry_ok,
-        prepare=prepare,
-    )
+    return SolverProblem(basis=basis, residual=lambda v: prepare(v)[0],
+                         jv_batch=jv_batch, geometry_ok=geometry_ok, prepare=prepare)
 
 
 # -- public solvers -------------------------------------------------------------
 
 
 def solve_stationary_kdv(coeffs: WnlCoeffs, grid: Optional[SpectralGrid] = None,
-                         seed: Optional[np.ndarray] = None,
-                         seed_scale: float = 0.9, tol: float = 1e-11,
+                         seed: Optional[np.ndarray] = None, tol: float = 1e-11,
                          max_iter: int = 40) -> SolveReport:
-    """Newton solve of the stationary KdV equation from a scaled sech^2 seed."""
+    """Newton solve of the stationary KdV equation from ``seed`` or 0.9 zeta_KdV."""
     if grid is None:
         grid = default_scaled_grid()
     problem = kdv_problem(coeffs, grid)
     if seed is None:
-        seed = seed_scale * zeta_kdv(grid.z, coeffs)
+        seed = 0.9 * zeta_kdv(grid.z, coeffs)
     v0 = problem.basis.to_coords(np.asarray(seed, dtype=float))
     return _newton(problem, v0, tol, max_iter, epsilon=0.0, branch="kdv")
 
@@ -515,16 +511,15 @@ def reconstruct_eta(zeta: SpectralField, epsilon: float, regime: Regime,
 def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
                           dn_order: int = 2, dn_oracle: bool = False,
                           grid: Optional[SpectralGrid] = None,
-                          rgrid: Optional[dno.RadialGrid] = None,
-                          tol: float = 1e-10, max_iter: int = 40,
-                          min_box: float = 40.0,
-                          oracle_tol: float = 1e-12) -> SolveReport:
+                          tol: float = 1e-10, max_iter: int = 40) -> SolveReport:
     """Newton solve of the full truncated travelling-wave equation.
 
     Seeded by the explicit leading-order profile evaluated in closed form on
     the grid: eps^2 zeta_KdV(eps z) (strong regime) or
     eps zeta_NLS(eps z) cos(omega z) (weak regime, where omega must sit on
-    the grid's lattice or ``GridError`` is raised).  Reports the normalised
+    the grid's lattice or ``GridError`` is raised).  The default grid covers
+    at least the envelope solvers' box, eps z in [-DEFAULT_SCALED_L,
+    DEFAULT_SCALED_L).  Reports the normalised
     deviation ||eta - seed||_inf / eps^2 (strong) or / eps (weak) alongside
     the solve diagnostics.
     """
@@ -535,7 +530,7 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
         raise RegimeError("gamma = 9 admits no solitary-wave continuation")
     c2 = profile.c0_squared * (1.0 - epsilon**2)
     if grid is None:
-        grid = _auto_wave_grid(profile, epsilon, min_box)
+        grid = _auto_wave_grid(profile, epsilon, DEFAULT_SCALED_L)
 
     z = grid.z
     if profile.regime is Regime.STRONG:
@@ -547,12 +542,8 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
         seed = epsilon * zeta_nls(epsilon * z, coeffs) * np.cos(profile.omega * z)
         power = 1
 
-    radial = rgrid if rgrid is not None else (dno.RadialGrid.make() if dn_oracle
-                                              else None)
-    problem = travelling_wave_problem(
-        gamma, law, c2, grid, dn_order=dn_order,
-        dn_oracle=radial if dn_oracle else None, oracle_tol=oracle_tol,
-    )
+    radial = dno.RadialGrid.make() if dn_oracle else None
+    problem = travelling_wave_problem(gamma, law, c2, grid, dn_order, radial)
     v0 = problem.basis.to_coords(seed)
     rep = _newton(problem, v0, tol, max_iter, epsilon=epsilon, branch="gzcs")
     sol = rep.solution
@@ -561,7 +552,7 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
         normalized_deviation=float(np.max(np.abs(sol.values - seed)))
         / epsilon**power,
         seed_amplitude=seed_amplitude,
-        # well below 1: the solve fell to the flat state, not the wave
+        # below FLAT_STATE_RATIO: the solve fell to the flat state, not the wave
         amplitude_ratio=sol.max_abs() / seed_amplitude,
         even_defect=sol.shift_reflect_defect(),
         regime=profile.regime.value,

@@ -105,6 +105,27 @@ def test_solve_ladder_keeps_converged_rungs(tmp_path, capsys):
     assert err["epsilon"] == 0.5 and err["error"] == "ConvergenceError"
 
 
+def test_solve_flags_a_collapse_to_the_flat_state(tmp_path):
+    # the cold NLS seed at gamma = 15, eps = 0.2 falls to eta = 0
+    rc = main(["solve", "--branch", "gzcs", "--gamma", "15",
+               "--epsilon", "0.2", "--out", str(tmp_path)])
+    assert rc == 3
+    (report,) = read_json(tmp_path / "solve_gzcs.json")["reports"]
+    assert report["status"] == "flat_state" and report["converged"]
+    assert report["diagnostics"]["amplitude_ratio"] < solver.FLAT_STATE_RATIO
+    assert (tmp_path / "profile_gzcs_eps0p2.csv").exists()
+    assert (tmp_path / "spectrum_gzcs_eps0p2.csv").exists()
+
+
+def test_solve_keeps_a_strong_regime_wave_converged(tmp_path):
+    rc = main(["solve", "--branch", "gzcs", "--gamma", "5",
+               "--epsilon", "0.2", "--out", str(tmp_path)])
+    assert rc == 0
+    (report,) = read_json(tmp_path / "solve_gzcs.json")["reports"]
+    assert report["status"] == "converged"
+    assert report["diagnostics"]["amplitude_ratio"] > solver.FLAT_STATE_RATIO
+
+
 def test_solve_error_entry_keeps_newton_history(tmp_path):
     # a single eps is solved in-process
     rc = main(["solve", "--branch", "gzcs", "--gamma", "5",

@@ -194,15 +194,19 @@ def test_pressure_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rn
     assert np.max(np.abs(fd - jv)) <= 1e-5
 
 
+def _expansion(grid, eta, order):
+    return lambda xi: op.dn_expansion(grid, eta, xi, order)
+
+
 def test_kinetic_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng):
     eta = 0.05 * smooth_eta
-    kin = op.KineticLinearization(grid, eta, 2)
+    kin = op.KineticLinearization(grid, eta, 2, _expansion(grid, eta, 2))
     rho = rng.standard_normal(grid.N)
     rho /= np.max(np.abs(rho))
     h = 1e-6
 
     def q(e):
-        return op.kinetic_exact(grid, e, lambda v: op.dn_expansion(grid, e, v, 2))
+        return op.kinetic_exact(grid, e, _expansion(grid, e, 2))
 
     fd = (q(eta + h * rho) - q(eta - h * rho)) / (2 * h)
     jv = kin.apply(rho)
@@ -216,18 +220,25 @@ def test_kinetic_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng
 
 class _NodalKineticLinearization:
     """KineticLinearization as a nodal-value pipeline: every K_j, product and
-    symbol goes through values on the grid, as ``kinetic_exact`` does."""
+    symbol goes through values on the grid, as ``kinetic_exact`` does.
 
-    def __init__(self, grid, eta, order=2):
+    With ``slope_from_expansion`` dG/dP is taken at the expansion's P while
+    ``value`` keeps dn_apply's: the quasi-Newton of a solve whose Jacobian
+    never saw the oracle."""
+
+    def __init__(self, grid, eta, order, dn_apply, slope_from_expansion=False):
         self.grid, self.order = grid, order
         self.eta = np.asarray(eta)
         eta2 = grid.product_values([self.eta, self.eta])
         self.xi_comb = self.eta + 0.5 * eta2
-        P = op.dn_expansion(grid, self.eta, self.xi_comb, order)
         ezf = grid.refine_values(grid.deriv_values(self.eta), 3)
-        Pf = grid.refine_values(P, 3)
+        Pf = grid.refine_values(dn_apply(self.xi_comb), 3)
         s2 = 1.0 + ezf**2
         W = ezf**2 / (2.0 * s2)
+        self.value = grid.project_values(-0.5 * Pf**2 + W * (1.0 - Pf) ** 2 + Pf, 3)
+        if slope_from_expansion:
+            Pf = grid.refine_values(
+                op.dn_expansion(grid, self.eta, self.xi_comb, order), 3)
         self.dG_dP = 1.0 - Pf - 2.0 * W * (1.0 - Pf)
         self.dG_dez = ezf / s2**2 * (1.0 - Pf) ** 2
 
@@ -261,27 +272,67 @@ def test_kinetic_linearization_matches_nodal_pipeline(N, regime, order):
     R[1] += (-1.0) ** np.arange(N)
     R[2] = (-1.0) ** np.arange(N)  # a unit Nyquist coefficient alone
     assert abs(grid.to_rcoeffs(R[2])[-1]) == 1.0
-    kin = op.KineticLinearization(grid, eta, order)
-    ref = _NodalKineticLinearization(grid, eta, order).apply(R)
+    dn_apply = _expansion(grid, eta, order)
+    kin = op.KineticLinearization(grid, eta, order, dn_apply)
+    ref = _NodalKineticLinearization(grid, eta, order, dn_apply).apply(R)
     got = kin.apply(R)
     scale = np.max(np.abs(ref), axis=-1)
     assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-12 * scale)
+    value = op.kinetic_exact(grid, eta, dn_apply)
+    assert np.max(np.abs(kin.value - value)) <= 1e-12 * np.max(np.abs(value))
     single = kin.apply(R[0])
     assert single.shape == (N,)
     assert np.max(np.abs(single - ref[0])) <= 1e-12 * scale[0]
 
 
-def test_travelling_wave_solve_unchanged_by_half_spectrum(linear_law, monkeypatch):
-    def run():
-        rep = solver.solve_travelling_wave(5.0, linear_law, 0.2)
-        gmres = [s["iterations"] for s in rep.diagnostics["linear_solves"]]
-        return rep.iterations, gmres, rep.solution.values
+def test_travelling_wave_solve_unchanged_by_half_spectrum(linear_law):
+    # the oracle reference takes dG/dP at the expansion's P, as a solve
+    # whose Jacobian is the expansion's alone does
+    for eps, oracle in ((0.2, False), (0.1, True)):
+        def run():
+            rep = solver.solve_travelling_wave(5.0, linear_law, eps, dn_oracle=oracle)
+            gmres = [s["iterations"] for s in rep.diagnostics["linear_solves"]]
+            return rep.iterations, gmres, rep.solution.values
 
-    iters, gmres, sol = run()
-    monkeypatch.setattr(op, "KineticLinearization", _NodalKineticLinearization)
-    ref_iters, ref_gmres, ref_sol = run()
-    assert (iters, gmres) == (ref_iters, ref_gmres)
-    assert np.max(np.abs(sol - ref_sol)) <= 1e-12
+        def reference(*args):
+            return _NodalKineticLinearization(*args, slope_from_expansion=oracle)
+
+        iters, gmres, sol = run()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(op, "KineticLinearization", reference)
+            ref_iters, ref_gmres, ref_sol = run()
+        assert (iters, gmres) == (ref_iters, ref_gmres)
+        assert np.max(np.abs(sol - ref_sol)) <= 1e-12
+
+
+def test_each_newton_iterate_evaluates_the_surface_operator_once(linear_law,
+                                                                 monkeypatch):
+    dn_calls, residual_calls = [], []
+    dn_expansion, problem_factory = op.dn_expansion, solver.travelling_wave_problem
+
+    def counted_dn(grid, eta, xi, order):
+        dn_calls.append(np.array(eta))
+        return dn_expansion(grid, eta, xi, order)
+
+    def counted_problem(*args, **kwargs):
+        problem = problem_factory(*args, **kwargs)
+        evaluate = problem.residual
+
+        def residual(v):
+            residual_calls.append(v)
+            return evaluate(v)
+
+        problem.residual = residual
+        return problem
+
+    monkeypatch.setattr(op, "dn_expansion", counted_dn)
+    monkeypatch.setattr(solver, "travelling_wave_problem", counted_problem)
+    rep = solver.solve_travelling_wave(5.0, linear_law, 0.2)
+    assert rep.converged and rep.iterations >= 3
+    # the flat state (the preconditioner), then one per residual evaluation
+    assert len(dn_calls) == 1 + len(residual_calls)
+    assert not np.any(dn_calls[0])
+    assert all(not np.array_equal(a, b) for a, b in zip(dn_calls, dn_calls[1:]))
 
 
 def _refine_each(grid, f):
