@@ -20,12 +20,24 @@ system (I - T) x = S(0, 0, xi) with T x = S(F(eta, x), 0), solved by the
 restarted GMRES of ``solver.gmres``; each matvec is one application of S.
 With eta = 0 a single closed-form mode solve reproduces the multiplier f(k).
 
-Radial quadrature: Gauss-Legendre state nodes on (0,1); kernel integrals are
-assembled with per-output-node panels split at the diagonal kink, and panels
-graded dyadically toward the kink on the K-Bessel side (the kernels are
-analytic except for the log point at rt = 0).  Everything is built from
-scaled Bessel values, so large |k| never overflows; each Bessel function is
-evaluated once per kernel argument (``specfun._bessel01_scaled``).
+Radial quadrature: Gauss-Legendre state nodes r_1 < ... < r_nr on (0,1).
+The kernel is semi-separable (Greengard & Rokhlin, Comm. Pure Appl. Math. 44
+(1991) 419-452): G = -a(r_min) b(r_max) with a = I0(|k| .) and
+b = K0(|k| .) + K1(|k|)/I1(|k|) I0(|k| .), and H1, H2, H3 take a' or b' on
+the side they differentiate.  So row i of each kernel matrix is
+-b(r_i) P_i - a(r_i) S_i, where P_i integrates a (or a') times each
+Lagrange basis function and rt over (0, r_i), and S_i integrates b (or b')
+over (r_i, 1).  One composite rule serves every row and every mode: its
+breakpoints 0, r_1, ..., r_nr, 1 are exactly the kernel's kinks (and the
+log point of K0 at rt = 0 is an end), each panel has 16 Gauss points, and
+P_i, S_i are running sums over the panels.  The sums are kept scaled by
+e^{-|k| r_i} and e^{|k| r_i}, each step multiplying by e^{-|k| h}, and every
+factor comes from scaled Bessel values (``specfun._bessel01_scaled``), so
+large |k| never overflows.  Against the same rule with 32 points per panel
+the operator agrees to about 1e-14 through |k| = 256 (tested) and 1e-13 at
+|k| = 1024; above |k| ~ 2000 sixteen points no longer resolve
+e^{-|k| |r - rt|} across a panel (3e-8 at |k| = 2048, 3e-2 at 8192).  The
+solver's grids stay near |k| = 10.
 
 Per mode the four kernel matrices form one real block operator
 A = [[G, H2], [H1, H3]] acting on (i k F2_hat, -F1_hat) and giving
@@ -188,7 +200,9 @@ def _panels(r0: float, n_inner: int = 24, n_outer: int = 16):
 
     [0, r0] is one panel (integrand analytic there); [r0, 1] is graded
     dyadically away from r0 so each panel keeps the rt = 0 singularity at a
-    distance comparable to its length.
+    distance comparable to its length.  Only the kernel-identity integrals
+    below use it, on the whole kernel at one r; the solution operator has
+    its own shared rule.
     """
     xg_in, wg_in = _gauss_rule(n_inner)
     xg_out, wg_out = _gauss_rule(n_outer)
@@ -247,6 +261,11 @@ def closed_form_H3_integral(k: float, r: float) -> float:
 
 # -- solution operator ---------------------------------------------------------
 
+# Gauss points per panel of the shared radial rule, and modes per chunk of
+# the build (its transients stay a few MiB beside the operator itself)
+_RULE_POINTS = 16
+_BUILD_MODES = 32
+
 
 @dataclass
 class RadialSolution:
@@ -281,6 +300,18 @@ def _flat_profiles(x: np.ndarray, r: np.ndarray):
     return prof0, prof1, _besseli_scaled(0, x) / (x * i1x)
 
 
+def _factor_values(x: np.ndarray, ratio: np.ndarray, s: np.ndarray):
+    """Scaled kernel factors at |k| s: (e^-xs a, e^-xs a', e^xs b, e^xs b').
+
+    a = I0(x s), a' = x I1(x s), b = K0(x s) + ratio I0(x s) and
+    b' = x (ratio I1(x s) - K1(x s)) with ratio = K1(x)/I1(x); x and ratio
+    broadcast against s.  The wall term of b carries e^{2x(s-1)} <= 1.
+    """
+    i0, i1, k0, k1 = _bessel01_scaled(x * s)
+    wall = ratio * np.exp(2.0 * x * (s - 1.0))
+    return i0, x * i1, k0 + wall * i0, x * (wall * i1 - k1)
+
+
 class SolutionOperator:
     """Precomputed per-mode quadrature of the Green's-kernel representation."""
 
@@ -295,18 +326,56 @@ class SolutionOperator:
         nr = rgrid.nr
         nk = x.size
 
+        # the shared rule: Gauss panels between consecutive breakpoints
+        # 0, r_1, ..., r_nr, 1, with the weight, the measure rt and the
+        # interpolation from the state nodes folded into one (nint, p, nr) map
+        t = np.concatenate([[0.0], r, [1.0]])
+        h = np.diff(t)
+        xg, wg = _gauss_rule(_RULE_POINTS)
+        s = 0.5 * (xg + 1.0)
+        q = t[:-1, None] + h[:, None] * s
+        wq = 0.5 * h[:, None] * wg * q
+        B = rgrid.interp_to(q.ravel()).reshape(q.shape + (nr,)) * wq[..., None]
+        nint, p = q.shape
+
         # one block operator per mode: rows give (u, D0 u), columns act on
-        # (i k F2_hat, -F1_hat).  Each node's row blocks are written in place:
-        # assembling A from finished blocks would briefly hold it twice
+        # (i k F2_hat, -F1_hat).  Row i of each block is -b(r_i) P_i - a(r_i) S_i
+        # (primed factors where the kernel differentiates), with P_i the
+        # integral of [a, a'] l_j rt over (0, r_i) and S_i that of [b, b'] over
+        # (r_i, 1).  P_i and S_i are running sums over the panels, kept scaled
+        # by e^{-x r_i} and e^{x r_i}: each step multiplies by e^{-x h}.
+        _, i1_x, _, k1_x = _bessel01_scaled(x)
+        ratio = (k1_x / i1_x)[:, None]
+        # the node factors, negated: a row is then f_P P_i + f_S S_i
+        a, da, b, db = (-f for f in _factor_values(x[:, None], ratio, r))
         A = np.empty((nk, 2 * nr, 2 * nr))
-        for i, ri in enumerate(r):
-            q, wq = _panels(float(ri))
-            B = rgrid.interp_to(q)  # (nq, nr)
-            ker = greens_kernel(x[:, None], ri, q[None, :])
-            wr = wq * q  # quadrature weight times measure rt
-            for row, left, right in ((i, "G", "H2"), (nr + i, "H1", "H3")):
-                A[:, row, :nr] = (ker[left] * wr[None, :]) @ B
-                A[:, row, nr:] = (ker[right] * wr[None, :]) @ B
+        prefix = np.empty((nr, _BUILD_MODES, 2 * nr))
+        suffix = np.empty_like(prefix)
+        for c in range(0, nk, _BUILD_MODES):
+            modes = slice(c, c + _BUILD_MODES)
+            xc = x[modes, None]
+            nc = xc.shape[0]
+            F = np.stack(_factor_values(xc, ratio[modes], q[:, None, :]), axis=2)
+            # scaled toward the panel's right end (P) or its left end (S)
+            xh = h[:, None, None] * xc
+            F[:, :, :2] *= np.exp(-xh * (1.0 - s))[:, :, None]
+            F[:, :, 2:] *= np.exp(-xh * s)[:, :, None]
+            # J[m, :, 0]: panel m's integrals of [a, a'] l_j rt; J[m, :, 1]: of [b, b']
+            J = np.matmul(F.reshape(nint, 4 * nc, p), B).reshape(nint, nc, 2, 2 * nr)
+            decay = np.exp(-xh)
+            P, S = prefix[:, :nc], suffix[:, :nc]
+            P[0] = J[0, :, 0]
+            for i in range(1, nr):  # node i closes panel i
+                np.multiply(P[i - 1], decay[i], out=P[i])
+                P[i] += J[i, :, 0]
+            S[nr - 1] = J[nr, :, 1]
+            for i in range(nr - 2, -1, -1):  # node i opens panel i + 1
+                np.multiply(S[i + 1], decay[i + 1], out=S[i])
+                S[i] += J[i + 1, :, 1]
+            for rows, f_P, f_S in ((slice(0, nr), b, a), (slice(nr, None), db, da)):
+                out = A[modes, rows]
+                np.multiply(f_P[modes, :, None], P.transpose(1, 0, 2), out=out)
+                out += f_S[modes, :, None] * S.transpose(1, 0, 2)
         self.A = A
 
         # boundary (xi) kernels and trace rows at r = 1, closed form (the

@@ -25,7 +25,9 @@ Jacobian actions can be batched.
 The pressure part is local, so ``pressure_exact``,
 ``pressure_jacobian_fields`` and ``pressure_jvp`` take their field (eta,
 or the directions), its first and its second derivative on the padded grid
-from one rfft and one batched half-spectrum refine.  A Newton iterate's
+from one rfft and one batched half-spectrum refine;
+``pressure_jacobian_fields`` returns the pressure with its linearisation,
+so a Newton iterate refines its surface once.  A Newton iterate's
 kinetic part is one ``KineticLinearization``: it evaluates P = K(eta) xi
 once, by the solve's realisation of K, and holds the kinetic functional
 (``value``) and its derivative.  For a power-of-two N every product and
@@ -170,17 +172,22 @@ def _refined_surface(grid: SpectralGrid, eta):
     return w, ezf, ezzf
 
 
-def pressure_exact(grid: SpectralGrid, eta, gamma: float,
-                   law: MagnetizationLaw) -> np.ndarray:
-    """Fully nonlinear pressure functional; vanishes on the quiescent jet."""
-    w, ezf, ezzf = _refined_surface(grid, eta)
-    s = np.sqrt(1.0 + ezf**2)
-    out = (
+def _pressure_padded(w, ezf, ezzf, s, gamma: float,
+                     law: MagnetizationLaw) -> np.ndarray:
+    """The pressure functional on the padded grid; s = sqrt(1 + eta_z^2)."""
+    return (
         -gamma * (law.nu(1.0 / w) - law.nu(1.0))
         + 1.0 / (w * s)
         - ezzf / s**3
         - 1.0
     )
+
+
+def pressure_exact(grid: SpectralGrid, eta, gamma: float,
+                   law: MagnetizationLaw) -> np.ndarray:
+    """Fully nonlinear pressure functional; vanishes on the quiescent jet."""
+    w, ezf, ezzf = _refined_surface(grid, eta)
+    out = _pressure_padded(w, ezf, ezzf, np.sqrt(1.0 + ezf**2), gamma, law)
     return grid.project_values(out, _REFINE)
 
 
@@ -299,18 +306,20 @@ def wave_residual(grid: SpectralGrid, eta, c2: float, gamma: float,
 
 def pressure_jacobian_fields(grid: SpectralGrid, eta, gamma: float,
                              law: MagnetizationLaw):
-    """Refined-grid coefficient fields (A, B, C) of the pressure linearisation.
+    """The pressure functional at eta and the fields (A, B, C) of its linearisation.
 
-    d P[eta] rho = project( A rho + B rho_z + C rho_zz ) with all fields on
-    the refined grid.
+    Both come from one refined surface: the value is ``pressure_exact``'s,
+    bit for bit, and d P[eta] rho = project( A rho + B rho_z + C rho_zz )
+    with all fields on the refined grid.
     """
     w, ezf, ezzf = _refined_surface(grid, eta)
     s2 = 1.0 + ezf**2
     s = np.sqrt(s2)
+    value = grid.project_values(_pressure_padded(w, ezf, ezzf, s, gamma, law), _REFINE)
     A = gamma * law.nu_prime(1.0 / w) / w**2 - 1.0 / (w**2 * s)
     B = -ezf / (w * s2 * s) + 3.0 * ezzf * ezf / (s2**2 * s)
     C = -1.0 / (s2 * s)
-    return A, B, C
+    return value, (A, B, C)
 
 
 def pressure_jvp(grid: SpectralGrid, coeff_fields, rho) -> np.ndarray:

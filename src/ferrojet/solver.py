@@ -385,10 +385,9 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
                 SpectralField.from_values(grid, eta, parity="even"), dn_oracle)
         else:
             dn_apply = lambda xi: op.dn_expansion(grid, eta, xi, dn_order)
-        press = op.pressure_exact(grid, eta, gamma, law)
+        press, press_fields = op.pressure_jacobian_fields(grid, eta, gamma, law)
         kin = op.KineticLinearization(grid, eta, dn_order, dn_apply)
-        ctx = (basis.to_coords(press - c2 * kin.value),
-               op.pressure_jacobian_fields(grid, eta, gamma, law), kin)
+        ctx = (basis.to_coords(press - c2 * kin.value), press_fields, kin)
         last.update(v=np.array(v), ctx=ctx)
         return ctx
 

@@ -79,12 +79,21 @@ def _asym_coeffs(nu: int, n: int) -> np.ndarray:
 _ASYM_A = {nu: _asym_coeffs(nu, _ASYM_TERMS) for nu in (0, 1, 2)}
 
 
-def _converged(term: np.ndarray, total: np.ndarray) -> bool:
+def _probe(x: np.ndarray) -> tuple:
+    """Index of the largest argument, the element whose series stops last."""
+    return np.unravel_index(np.argmax(x), x.shape)
+
+
+def _converged(term: np.ndarray, total: np.ndarray, probe: tuple) -> bool:
     """Every element's newest term is below _SERIES_RTOL of its partial sum.
 
-    Both are nonnegative: pass |total| for a sum that can change sign.
+    Both are nonnegative: pass |total| for a sum that can change sign.  The
+    test over every element runs only once the probe element (``_probe``)
+    has passed, so each term costs a scalar comparison until the series is
+    nearly done, and the answer is the full test's.
     """
-    return bool(np.all(term <= _SERIES_RTOL * total))
+    return bool(term[probe] <= _SERIES_RTOL * total[probe]
+                and np.all(term <= _SERIES_RTOL * total))
 
 
 def _iv_series_scaled(x: np.ndarray, orders: tuple) -> list:
@@ -94,6 +103,7 @@ def _iv_series_scaled(x: np.ndarray, orders: tuple) -> list:
     first negligible term per element loses nothing.
     """
     t = 0.25 * x * x
+    probe = _probe(x)
     terms = [(0.5 * x) ** nu / math.factorial(nu) for nu in orders]
     totals = [term.copy() for term in terms]
     for m in range(1, _I_SERIES_TERMS):
@@ -101,7 +111,7 @@ def _iv_series_scaled(x: np.ndarray, orders: tuple) -> list:
             term *= t
             term *= 1.0 / (m * (m + nu))
             total += term
-        if all(_converged(term, total) for term, total in zip(terms, totals)):
+        if all(_converged(term, total, probe) for term, total in zip(terms, totals)):
             break
     e = np.exp(-x)
     return [total * e for total in totals]
@@ -148,6 +158,7 @@ def _kv_series_scaled(x: np.ndarray, i0: np.ndarray, i1: np.ndarray):
     # K0 = -(log(x/2) + gamma) I0 + sum_{m>=1} H_m t^m / (m!)^2
     # K1 = 1/x + log(x/2) I1 - (x/4) sum_m (H_m + H_{m+1} - 2 gamma) t^m / (m! (m+1)!)
     t = 0.25 * x * x
+    probe = _probe(x)
     term = np.ones_like(x)  # t^m / (m!)^2
     s0 = np.zeros_like(x)
     s1 = np.full_like(x, _K1_COEFFS[0])
@@ -158,7 +169,7 @@ def _kv_series_scaled(x: np.ndarray, i0: np.ndarray, i1: np.ndarray):
         d1 = term * _K1_COEFFS[m]
         s0 += d0
         s1 += d1
-        if _converged(d0, s0) and _converged(d1, np.abs(s1)):
+        if _converged(d0, s0, probe) and _converged(d1, np.abs(s1), probe):
             break
     e = np.exp(x)
     lg = np.log(0.5 * x)
@@ -219,10 +230,11 @@ def _lv_series(order: int, x: np.ndarray) -> np.ndarray:
     else:
         term = (0.5 * x) ** 2 / (0.375 * np.pi)
     total = term.copy()
+    probe = _probe(x)
     for m in range(1, _L_SERIES_TERMS):
         term = term * t / ((m + 0.5) * (m + order + 0.5))
         total += term
-        if _converged(term, total):
+        if _converged(term, total, probe):
             break
     return total
 

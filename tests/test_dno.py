@@ -1,6 +1,7 @@
 """Green's kernels, the solution operator, and the fixed-point surface solve."""
 
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -101,6 +102,89 @@ def test_operator_matrices_match_reference_kernel():
         for name, M in blocks.items():
             want = (ref[name] * (wq * q)[None, :]) @ B
             assert np.max(np.abs(M[:, i, :] - want)) <= 1e-12 * np.max(np.abs(M)), name
+
+
+def _composite_rule_blocks(x, rgrid, points):
+    """A of the modes x by the shared rule with ``points`` Gauss points per
+    panel, each row integrated through ``greens_kernel`` (no factorisation)."""
+    nr = rgrid.nr
+    t = np.concatenate([[0.0], rgrid.r, [1.0]])
+    h = np.diff(t)
+    xg, wg = np.polynomial.legendre.leggauss(points)
+    q = (t[:-1, None] + 0.5 * h[:, None] * (xg + 1.0)).ravel()
+    wr = (0.5 * h[:, None] * wg).ravel() * q
+    B = rgrid.interp_to(q)
+    out = np.empty((x.size, 2 * nr, 2 * nr))
+    for m, xm in enumerate(x):
+        ker = dno.greens_kernel(xm, rgrid.r[:, None], q[None, :])
+        out[m, :nr, :nr] = (ker["G"] * wr) @ B
+        out[m, :nr, nr:] = (ker["H2"] * wr) @ B
+        out[m, nr:, :nr] = (ker["H1"] * wr) @ B
+        out[m, nr:, nr:] = (ker["H3"] * wr) @ B
+    return out
+
+
+@pytest.mark.parametrize("L,N,modes", [
+    (8 * np.pi, 128, [0, 1, 7, 15, 31, 47, 63]),  # criterion 4: |k| = m/8 <= 8
+    (np.pi, 512, [0, 7, 31, 63, 127, 199, 255]),  # |k| = m <= 256
+])
+def test_operator_matches_the_shared_rule_with_32_points(L, N, modes):
+    # the semi-separable build against the same breakpoints with twice the
+    # points, each kernel evaluated whole; the 16-point panels resolve
+    # e^{-|k| |r - rt|} through |k| = 256 (they lose digits above |k| ~ 2000)
+    rgrid = dno.RadialGrid.make(64)
+    operator = dno.SolutionOperator(SpectralGrid.make(L, N), rgrid)
+    x = operator.kpos[1:]
+    assert x[modes[-1]] == pytest.approx(N / 2 * np.pi / L)
+    # (mode, row block, row, column block, column): each block of each mode
+    # to 1e-12 of its own largest entry
+    shape = (len(modes), 2, rgrid.nr, 2, rgrid.nr)
+    want = _composite_rule_blocks(x[modes], rgrid, 32).reshape(shape)
+    err = np.abs(operator.A[modes].reshape(shape) - want)
+    assert np.all(np.max(err, axis=(2, 4)) <= 1e-12 * np.max(np.abs(want), axis=(2, 4)))
+
+
+def _per_node_panel_operator(zgrid, rgrid):
+    """A by the former build: per radial node its own Gauss panels
+    (``dno._panels``), split at the node, and the whole kernel at each point."""
+    x = zgrid.kr[1:]
+    nr = rgrid.nr
+    A = np.empty((x.size, 2 * nr, 2 * nr))
+    for i, ri in enumerate(rgrid.r):
+        q, wq = dno._panels(float(ri))
+        B = rgrid.interp_to(q)
+        ker = dno.greens_kernel(x[:, None], ri, q[None, :])
+        wr = wq * q
+        for row, left, right in ((i, "G", "H2"), (nr + i, "H1", "H3")):
+            A[:, row, :nr] = (ker[left] * wr[None, :]) @ B
+            A[:, row, nr:] = (ker[right] * wr[None, :]) @ B
+    return A
+
+
+def test_shared_rule_agrees_with_per_node_panels_on_smooth_forcing(zgrid, rgrid,
+                                                                   forcing):
+    # the per-node panels under-integrate the degree-63 Lagrange basis, so
+    # their A differs entry by entry; on smooth forcing both rules converge.
+    # xi = 0: the boundary term and the trace do not go through A
+    F1, F2, _ = forcing
+    args = (zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2), np.zeros(zgrid.N // 2 + 1))
+    operator = dno.SolutionOperator(zgrid, rgrid)
+    got = operator.apply(*args)
+    operator.A = _per_node_panel_operator(zgrid, rgrid)
+    want = operator.apply(*args)
+    for name in ("u_hat", "d0u_hat"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+
+
+def test_benchmark_grid_build_raises_no_warning(rgrid):
+    # the bvp_oracle grid: every factor comes from scaled Bessel values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            operator = dno.SolutionOperator(SpectralGrid.make(400.0, 1024), rgrid)
+    assert operator.A.shape == (512, 128, 128)
+    assert np.all(np.isfinite(operator.A))
 
 
 def _four_einsum_sweep(operator, F1_hat, F2_hat, xi_hat):

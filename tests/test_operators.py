@@ -184,7 +184,7 @@ def test_extraction_matches_wnl_zeta_coeffs(linear_law):
 
 def test_pressure_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng):
     eta = 0.05 * smooth_eta
-    fields = op.pressure_jacobian_fields(grid, eta, 5.0, linear_law)
+    _, fields = op.pressure_jacobian_fields(grid, eta, 5.0, linear_law)
     rho = rng.standard_normal(grid.N)
     rho /= np.max(np.abs(rho))
     h = 1e-6
@@ -360,7 +360,8 @@ def test_pressure_routines_match_refine_per_field(linear_law, rng):
         -ezf / (w * s2 * s) + 3.0 * ezzf * ezf / (s2**2 * s),
         -1.0 / (s2 * s),
     )
-    fields = op.pressure_jacobian_fields(grid, eta, gamma, linear_law)
+    value, fields = op.pressure_jacobian_fields(grid, eta, gamma, linear_law)
+    assert np.array_equal(value, got_p)
     for got, ref in zip(fields, ref_fields):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 

@@ -122,6 +122,56 @@ def test_k_alone_is_the_joint_evaluators_k():
         assert np.array_equal(sf.besselk(order, x, scaled=True), joint[2 + order])
 
 
+def _every_element_stop(term, total, probe):
+    """The former stopping test: every element after every term."""
+    return bool(np.all(term <= sf._SERIES_RTOL * total))
+
+
+def _build_arguments():
+    """|k| rt at every point of the BVP build's radial rule on the benchmark
+    grid (L = 400, N = 1024, nr = 64), one array per chunk of modes as the
+    build passes them."""
+    from ferrojet import dno
+    from ferrojet.spectral import SpectralGrid
+
+    r = dno.RadialGrid.make(64).r
+    t = np.concatenate([[0.0], r, [1.0]])
+    s = 0.5 * (dno._gauss_rule(dno._RULE_POINTS)[0] + 1.0)
+    q = t[:-1, None] + np.diff(t)[:, None] * s
+    x = SpectralGrid.make(400.0, 1024).kr[1:]
+    chunks = [x[c:c + dno._BUILD_MODES, None] * q[:, None, :]
+              for c in range(0, x.size, dno._BUILD_MODES)]
+    return chunks + [x[:, None] * r]
+
+
+def test_series_stop_matches_the_every_element_test(monkeypatch):
+    # the probe only skips full tests that would fail, so every series stops
+    # at the same term and every value is bit for bit the former one
+    rng = np.random.default_rng(7)
+    sets = _build_arguments() + [
+        np.logspace(-6, np.log10(sf.SEAM_L), 4001),
+        rng.permutation(np.linspace(0.0, sf.SEAM_I, 777)),
+        rng.uniform(0.0, sf.SEAM_K, (13, 17)),
+        np.array([sf.SEAM_K]), np.array([0.0]), np.array(3.5),
+    ]
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        i_vals = sf._iv_series_scaled(x, (0, 1, 2))
+        l_vals = [sf._lv_series(n, np.atleast_1d(x)) for n in (0, 1)]
+        small = x[(x > 0.0) & (x <= sf.SEAM_K)]  # the K series' range, if any
+        if small.size == 0:
+            return i_vals + l_vals
+        k_vals = sf._kv_series_scaled(small, *sf._iv_series_scaled(small, (0, 1)))
+        return i_vals + l_vals + list(k_vals)
+
+    fast = [evaluate(x) for x in sets]
+    monkeypatch.setattr(sf, "_converged", _every_element_stop)
+    for x, got in zip(sets, fast):
+        for a, b in zip(got, evaluate(x)):
+            assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_i_family_two_branch_seam(order):
     seam = np.array([sf.SEAM_I])
