@@ -143,13 +143,9 @@ class RadialGrid:
 
     def antideriv_from_one(self) -> np.ndarray:
         """Matrix mapping nodal values of p to nodal values of int_1^r p."""
-        c_basis = np.polynomial.legendre.legfit(2 * self.r - 1, np.eye(self.nr),
-                                                self.nr - 1)
-        out = np.zeros((self.nr, self.nr))
-        for j in range(self.nr):
-            ci = np.polynomial.legendre.legint(c_basis[:, j], lbnd=1.0) * 0.5
-            out[:, j] = np.polynomial.legendre.legval(2 * self.r - 1, ci)
-        return out
+        leg, x = np.polynomial.legendre, 2 * self.r - 1
+        c_basis = leg.legfit(x, np.eye(self.nr), self.nr - 1)  # column j: basis j
+        return leg.legval(x, leg.legint(c_basis, lbnd=1.0, axis=0) * 0.5).T
 
 
 # -- Green's kernels -----------------------------------------------------------

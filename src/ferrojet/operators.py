@@ -19,26 +19,28 @@ three terms are implemented verbatim; a quadratic-plus-cubic mode
 extraction on carrier-wave data cross-validates every weakly nonlinear
 constant against these operators.
 
-Functions take nodal-value arrays shaped (..., N) and broadcast, so
-Jacobian actions can be batched.
+The reference functions take nodal-value arrays shaped (..., N) and
+broadcast: ``dn_expansion`` (each K_j, product and symbol one transform
+pair), ``pressure_exact``, ``kinetic_exact`` and ``wave_residual``.
 
-The pressure part is local, so ``pressure_exact``,
-``pressure_jacobian_fields`` and ``pressure_jvp`` take their field (eta,
-or the directions), its first and its second derivative on the padded grid
-from one rfft and one batched half-spectrum refine;
-``pressure_jacobian_fields`` returns the pressure with its linearisation,
-so a Newton iterate refines its surface once.  A Newton iterate's
-kinetic part is one ``KineticLinearization``: it evaluates P = K(eta) xi
-once, by the solve's realisation of K, and holds the kinetic functional
-(``value``) and its derivative.  For a power-of-two N every product and
-the pointwise kinetic nonlinearity live on one padded grid of 2N points, so
-the iterate's fixed fields are refined onto it once, and a direction costs
-one rfft, four levels of batched refine/project transforms and one inverse
-transform.  Every symbol is a multiply on coefficients, and the Nyquist
-coefficient follows ``SpectralGrid.refine_rcoeffs`` and ``project_rcoeffs``
-(split on the way up, 2 Re on the way down).  Both agree with the
-nodal-value pipeline of ``kinetic_exact`` (each K_j, product and symbol one
-transform pair) to rounding; that pipeline stays as their reference.
+The Newton path works in real half spectra on one padded grid of 2N points
+(power-of-two N), where every product of the expansion (two or three
+factors) and the pointwise nonlinearities live; every symbol is a multiply
+on coefficients, and the Nyquist coefficient follows
+``SpectralGrid.refine_rcoeffs`` and ``project_rcoeffs`` (split on the way
+up, 2 Re on the way down).  A Newton iterate is one
+``KineticLinearization``: it refines the surface jet [eta, eta_z, eta_zz]
+once, and the fields its derivative needs also give K(eta) xi (or the
+solve's own realisation of K evaluates it), so K(eta) xi and the kinetic
+functional cost seven FFT calls at order 2.  ``pressure_jacobian_fields``
+reads the same jet, so the residual P(eta) - c^2 Q(eta) is assembled on
+the padded grid and projected once: eight calls per iterate, where the
+nodal pipeline made 105 at N = 1024.  A Jacobian action takes the half
+spectra of a batch of directions, refines their jet once for both parts
+(``pressure_jvp`` and the kinetic derivative), and projects
+pressure - c^2 kinetic once: eight calls per batch at order 2, where the
+nodal-value composition made sixteen.  All of it agrees with the nodal
+reference pipeline to rounding.
 """
 
 from __future__ import annotations
@@ -149,27 +151,33 @@ def dn_expansion(grid: SpectralGrid, eta, xi, order: int) -> np.ndarray:
 # -- pressure functional (local) ---------------------------------------------
 
 
+def _half_symbols(grid: SpectralGrid):
+    """K0, d/dz and d^2/dz^2 as multipliers on half spectra."""
+    h = grid.N // 2 + 1
+    D = grid.ik[:h]
+    return dn0_symbol(grid)[:h], D, (D * D).real
+
+
 def _refine_rows(grid: SpectralGrid, rows):
     """Padded-grid values of each half spectrum in rows, by one transform."""
-    rcoeffs = grid.refine_rcoeffs(np.stack(rows, axis=-2), _REFINE)
-    return tuple(np.moveaxis(grid._padded(_REFINE).to_rvalues(rcoeffs), -2, 0))
+    values = grid.refine_to_rvalues(np.stack(rows, axis=-2), _REFINE)
+    return tuple(np.moveaxis(values, -2, 0))
 
 
-def _refined_jet(grid: SpectralGrid, values):
-    """Padded-grid values of f, f_z and f_zz for real f (batched, last axis):
-    one rfft, the derivatives as multiplies on the half spectrum, one refine."""
-    c = grid.to_rcoeffs(values)
-    D = grid.ik[: grid.N // 2 + 1]
-    return _refine_rows(grid, [c, D * c, D * D * c])
+def _refined_jet(grid: SpectralGrid, rcoeffs):
+    """Padded-grid values of f, f_z and f_zz from real f's half spectrum
+    (batched, last axis): the derivatives are multiplies, then one refine."""
+    _, D, D2 = _half_symbols(grid)
+    return _refine_rows(grid, [rcoeffs, D * rcoeffs, D2 * rcoeffs])
 
 
-def _refined_surface(grid: SpectralGrid, eta):
-    """1 + eta, eta_z and eta_zz on the padded grid, guarded against 1 + eta <= 0."""
-    ef, ezf, ezzf = _refined_jet(grid, eta)
-    w = 1.0 + ef
-    if np.min(w) <= 0.0:
-        raise GeometryError(f"free surface touches the rod: min(1 + eta) = {np.min(w)}")
-    return w, ezf, ezzf
+def _refined_surface(grid: SpectralGrid, eta_hat):
+    """eta, eta_z and eta_zz on the padded grid, guarded against 1 + eta <= 0."""
+    surface = _refined_jet(grid, eta_hat)
+    w_min = np.min(1.0 + surface[0])
+    if w_min <= 0.0:
+        raise GeometryError(f"free surface touches the rod: min(1 + eta) = {w_min}")
+    return surface
 
 
 def _pressure_padded(w, ezf, ezzf, s, gamma: float,
@@ -186,8 +194,8 @@ def _pressure_padded(w, ezf, ezzf, s, gamma: float,
 def pressure_exact(grid: SpectralGrid, eta, gamma: float,
                    law: MagnetizationLaw) -> np.ndarray:
     """Fully nonlinear pressure functional; vanishes on the quiescent jet."""
-    w, ezf, ezzf = _refined_surface(grid, eta)
-    out = _pressure_padded(w, ezf, ezzf, np.sqrt(1.0 + ezf**2), gamma, law)
+    ef, ezf, ezzf = _refined_surface(grid, grid.to_rcoeffs(eta))
+    out = _pressure_padded(1.0 + ef, ezf, ezzf, np.sqrt(1.0 + ezf**2), gamma, law)
     return grid.project_values(out, _REFINE)
 
 
@@ -304,78 +312,80 @@ def wave_residual(grid: SpectralGrid, eta, c2: float, gamma: float,
 # -- Jacobian actions ---------------------------------------------------------
 
 
-def pressure_jacobian_fields(grid: SpectralGrid, eta, gamma: float,
-                             law: MagnetizationLaw):
-    """The pressure functional at eta and the fields (A, B, C) of its linearisation.
+def pressure_jacobian_fields(surface, gamma: float, law: MagnetizationLaw):
+    """The pressure functional and the fields (A, B, C) of its linearisation,
+    all on the padded grid, from the refined surface (eta, eta_z, eta_zz).
 
-    Both come from one refined surface: the value is ``pressure_exact``'s,
-    bit for bit, and d P[eta] rho = project( A rho + B rho_z + C rho_zz )
-    with all fields on the refined grid.
+    Projected, the value is ``pressure_exact``'s bit for bit for the same
+    surface, and d P[eta] rho = project( A rho + B rho_z + C rho_zz ).
     """
-    w, ezf, ezzf = _refined_surface(grid, eta)
+    ef, ezf, ezzf = surface
+    w = 1.0 + ef
     s2 = 1.0 + ezf**2
     s = np.sqrt(s2)
-    value = grid.project_values(_pressure_padded(w, ezf, ezzf, s, gamma, law), _REFINE)
+    value = _pressure_padded(w, ezf, ezzf, s, gamma, law)
     A = gamma * law.nu_prime(1.0 / w) / w**2 - 1.0 / (w**2 * s)
     B = -ezf / (w * s2 * s) + 3.0 * ezzf * ezf / (s2**2 * s)
     C = -1.0 / (s2 * s)
     return value, (A, B, C)
 
 
-def pressure_jvp(grid: SpectralGrid, coeff_fields, rho) -> np.ndarray:
-    """Apply the pressure linearisation to directions rho (batched)."""
+def pressure_jvp(coeff_fields, jet) -> np.ndarray:
+    """A rho + B rho_z + C rho_zz on the padded grid from the directions'
+    refined jet (rho, rho_z, rho_zz), batched; project it for d P[eta] rho."""
     A, B, C = coeff_fields
-    rf, rzf, rzzf = _refined_jet(grid, rho)
-    return grid.project_values(A * rf + B * rzf + C * rzzf, _REFINE)
+    rf, rzf, rzzf = jet
+    return A * rf + B * rzf + C * rzzf
 
 
 class KineticLinearization:
-    """Kinetic functional at eta (``value``) and the context of its derivative.
+    """Kinetic functional at eta and the context of its derivative, in half spectra.
 
     ``kinetic_exact`` is project(G(P_f, eta_z,f)) on the padded grid, with
-    P = K(eta) xi, xi = eta + eta^2/2 and K realised by ``dn_apply``, so its
-    derivative in the direction rho is
+    P = K(eta) xi and xi = eta + eta^2/2, so its derivative in the direction
+    rho is
 
         project(dG/dP dP_f + dG/deta_z rho_z,f),
         dP = K(eta) sigma + (dK/deta)[rho] xi,   sigma = rho + [eta rho],
 
-    where [.] is a dealiased product.  P is evaluated once, by ``dn_apply``;
-    K and dK/deta in dP are the expansion sum_{j <= order} K_j.  For a
-    power-of-two N every product of the expansion (two or three factors) and
-    G itself live on one padded grid of 2N points.  ``__init__`` refines the
-    direction-independent fields onto it once per Newton iterate: eta, eta^2,
-    the dG fields and, per symbol, the fields that rho_f multiplies in
-    (dK/deta)[rho] xi.  ``apply`` works on half spectra: one rfft of the
-    direction, then ik, (ik)^2 and K0 are multiplies on coefficients, every
-    direction-dependent factor is refined once, and the products of one
-    dependency level are refined and projected by one batched transform each
-    (four levels at order 2), with the Nyquist rule of
-    ``SpectralGrid.refine_rcoeffs``/``project_rcoeffs``.  ``value`` and the
-    map agree with ``kinetic_exact`` and the derivative of its nodal-value
-    pipeline to rounding, not bit for bit.
+    where [.] is a dealiased product and K, dK/deta are the expansion
+    sum_{j <= order} K_j.  For a power-of-two N every product of the
+    expansion (two or three factors) and G itself live on one padded grid of
+    2N points.  Every field is a half spectrum or padded-grid values: a
+    symbol is a multiply on coefficients, and each refine or projection of
+    one dependency level is one batched transform, with the Nyquist rule of
+    ``SpectralGrid.refine_rcoeffs``/``project_rcoeffs``.
+
+    ``__init__`` takes eta's half spectrum and refines [eta, eta_z, eta_zz]
+    once (``surface``, which the pressure part reads too).  xi comes from the
+    refined eta.  The fields that (dK/deta)[rho] xi needs -- D xi, K0 xi and
+    D^2 xi refined, [eta K0 xi] and its K0 refined -- also give P: one batched
+    projection of the K1 and K2 level rows and one of the nested
+    [eta K0[eta K0 xi]].  With the surface and P's refine that is seven
+    transforms at order 2; ``dn_apply`` (nodal values to nodal values), when
+    given, evaluates P instead, as the BVP oracle does.  ``P`` is its half
+    spectrum and ``value_f`` is G on the padded grid.
+
+    ``apply`` maps the half spectra of directions (rows) to half spectra: one
+    refine of the jet [rho, rho_z, rho_zz], three levels of a batched
+    projection and refine, and one projection of the result -- eight
+    transforms at order 2 for any number of rows.  With ``pressure_fields``
+    it returns the travelling-wave derivative, the pressure part from the
+    same jet minus c2 times the kinetic part.  P, G and the map agree with
+    ``dn_expansion``, ``kinetic_exact`` and the derivative of their
+    nodal-value pipeline to rounding, not bit for bit.
     """
 
     def __init__(self, grid: SpectralGrid, eta, order: int,
-                 dn_apply: Callable[[np.ndarray], np.ndarray]):
-        fine = grid._padded(_REFINE)
-        assert grid._padded(2).N == fine.N == 2 * grid.N
-        self.grid, self.fine, self.order = grid, fine, order
-        h = grid.N // 2 + 1
-        S, D = dn0_symbol(grid)[:h], grid.ik[:h]
-        D2 = (D * D).real
-        self.symbols = S, D, D2
+                 dn_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None):
+        assert grid._padded(2).N == grid._padded(_REFINE).N == 2 * grid.N
+        self.grid, self.order = grid, order
+        S, D, D2 = self.symbols = _half_symbols(grid)
 
-        eta = np.asarray(eta)
-        xi = eta + 0.5 * grid.product_values([eta, eta])
-        eta_hat, xi_hat = grid.to_rcoeffs(eta), grid.to_rcoeffs(xi)
-        P_hat = grid.to_rcoeffs(dn_apply(xi))
-        eta_f, ez_f, P_f = _refine_rows(grid, [eta_hat, D * eta_hat, P_hat])
-        s2 = 1.0 + ez_f**2
-        W = ez_f**2 / (2.0 * s2)
-        self.value = grid.to_rvalues(
-            self._project(-0.5 * P_f**2 + W * (1.0 - P_f) ** 2 + P_f))
-        self.dG_dP = 1.0 - P_f - 2.0 * W * (1.0 - P_f)
-        self.dG_dez = ez_f / s2**2 * (1.0 - P_f) ** 2
+        eta_hat = np.asarray(eta)
+        self.surface = eta_f, ez_f, _ = _refined_surface(grid, eta_hat)
+        self.eta2_f = eta_f * eta_f
+        xi_hat = eta_hat + 0.5 * self.project(self.eta2_f)
 
         # the rows rho_f multiplies at the first level: eta (for sigma), then
         # g_D, g_S and, at order 2, g_D2 and K0 xi (S = K0, D = ik, D2 = (ik)^2):
@@ -385,52 +395,83 @@ class KineticLinearization:
         if order >= 1:
             xz_f, k0x_f, xzz_f = _refine_rows(
                 grid, [D * xi_hat, S * xi_hat, D2 * xi_hat])
+            q = self.project(self._levels(xz_f, k0x_f, xzz_f))
             rows += [-xz_f, -k0x_f]
         if order == 2:
-            (k0_eta_k0x_f,) = _refine_rows(grid, [S * self._project(eta_f * k0x_f)])
+            (k0_eta_k0x_f,) = _refine_rows(grid, [S * q[3]])
             rows[1] = rows[1] + eta_f * xz_f
             rows[2] = rows[2] + eta_f * xzz_f + k0_eta_k0x_f - eta_f * k0x_f
             rows += [eta_f * k0x_f, k0x_f]
-            self.eta2_f = eta_f * eta_f
         self.rho_rows = np.stack(rows)
 
-    def _project(self, fine_values: np.ndarray) -> np.ndarray:
-        """Half spectra on the grid of padded-grid values (last axis), one transform."""
-        return self.grid.project_rcoeffs(self.fine.to_rcoeffs(fine_values), _REFINE)
+        if dn_apply is not None:
+            P = grid.to_rcoeffs(dn_apply(grid.to_rvalues(xi_hat)))
+        else:
+            P = S * xi_hat
+            if order >= 1:
+                P = P + D * q[0] + S * q[1]
+            if order == 2:
+                P = P + D2 * q[2] + S * self.project(eta_f * k0_eta_k0x_f)
+        self.P = P
+        (P_f,) = _refine_rows(grid, [P])
+        s2 = 1.0 + ez_f**2
+        W = ez_f**2 / (2.0 * s2)
+        self.value_f = -0.5 * P_f**2 + W * (1.0 - P_f) ** 2 + P_f
+        self.dG_dP = 1.0 - P_f - 2.0 * W * (1.0 - P_f)
+        self.dG_dez = ez_f / s2**2 * (1.0 - P_f) ** 2
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
+    def project(self, fine_values: np.ndarray) -> np.ndarray:
+        """Half spectra on the grid of padded-grid values (last axis), one transform."""
+        return self.grid.project_rvalues(fine_values, _REFINE)
+
+    def _levels(self, s_z, k0s, s_zz, nested=None):
+        """Padded-grid rows (stacked on axis -2) whose projections q give the
+        levels of K(eta) s from s_z, K0 s and s_zz: K1(eta) s = D q0 + S q1 at
+        order 1, and (K1 + K2)(eta) s = D q0 + S (q1 + [eta S q3]) + D2 q2 at
+        order 2.  ``nested``, when given, adds eta ``nested`` to row 1."""
+        eta_f = self.surface[0]
+        if self.order == 1:
+            return np.stack([-eta_f * s_z, -eta_f * k0s], axis=-2)
+        ee_f = self.eta2_f
+        row1 = 0.5 * ee_f * (s_zz - k0s) - eta_f * k0s
+        if nested is not None:
+            row1 += eta_f * nested
+        return np.stack([(0.5 * ee_f - eta_f) * s_z, row1,
+                         0.5 * ee_f * k0s, eta_f * k0s], axis=-2)
+
+    def apply(self, rows, pressure_fields=None, c2: float = 1.0) -> np.ndarray:
+        """Half spectra of the kinetic derivative in the directions whose half
+        spectra are ``rows``; with ``pressure_fields`` (from
+        ``pressure_jacobian_fields``), of the pressure derivative minus c2
+        times the kinetic one."""
         grid, order = self.grid, self.order
         S, D, D2 = self.symbols
-        r = grid.to_rcoeffs(rho)
-        rho_f, rz_f = _refine_rows(grid, [r, D * r])
-        c = self._project(rho_f[..., None, :] * self.rho_rows)
+        eta_f = self.surface[0]
+        r = np.asarray(rows)
+        jet = _refined_jet(grid, r)
+        c = self.project(jet[0][..., None, :] * self.rho_rows)
+        # the jet's share of the result; only out_f is kept past this point
+        weight = 1.0 if pressure_fields is None else -c2  # of the kinetic part
+        out_f = weight * self.dG_dez * jet[1]
+        if pressure_fields is not None:
+            out_f += pressure_jvp(pressure_fields, jet)
+        del jet
         sigma = r + c[..., 0, :]
         dP = S * sigma  # K0 sigma
-        eta_f = self.rho_rows[0]
-        if order == 1:
-            # (dK1/deta)[rho] xi + K1(eta) sigma
-            ds_f, ks_f = _refine_rows(grid, [D * sigma, S * sigma])
-            q = self._project(np.stack([eta_f * ds_f, eta_f * ks_f], axis=-2))
-            dP += D * (c[..., 1, :] - q[..., 0, :]) + S * (c[..., 2, :] - q[..., 1, :])
-        elif order == 2:
-            # (dK1/deta + dK2/deta)[rho] xi + (K1 + K2)(eta) sigma
-            ee_f = self.eta2_f
-            ds_f, ks_f, dds_f, n_f = _refine_rows(
-                grid, [D * sigma, S * sigma, D2 * sigma, S * c[..., 4, :]])
-            q = self._project(np.stack([
-                (0.5 * ee_f - eta_f) * ds_f,
-                eta_f * (n_f - ks_f) + 0.5 * ee_f * (dds_f - ks_f),
-                0.5 * ee_f * ks_f,
-                eta_f * ks_f,
-            ], axis=-2))
+        if order >= 1:
+            # (dK/deta)[rho] xi + (K1 + K2)(eta) sigma
+            fields = [D * sigma, S * sigma, D2 * sigma]
+            if order == 2:
+                fields.append(S * c[..., 4, :])  # its refine gives [eta S[rho K0 xi]]
+            q = self.project(self._levels(*_refine_rows(grid, fields)))
+            dP += D * (c[..., 1, :] + q[..., 0, :]) + S * (c[..., 2, :] + q[..., 1, :])
+        if order == 2:
             (m_f,) = _refine_rows(grid, [S * q[..., 3, :]])
-            nested = self._project(eta_f * m_f)  # [eta K0[eta K0 sigma]]
-            dP += (D * (c[..., 1, :] + q[..., 0, :])
-                   + S * (c[..., 2, :] + q[..., 1, :] + nested)
-                   + D2 * (c[..., 3, :] + q[..., 2, :]))
+            dP += D2 * (c[..., 3, :] + q[..., 2, :])
+            dP += S * self.project(eta_f * m_f)  # [eta K0[eta K0 sigma]]
         (dP_f,) = _refine_rows(grid, [dP])
-        out = self._project(self.dG_dP * dP_f + self.dG_dez * rz_f)
-        return grid.to_rvalues(out)
+        out_f += weight * self.dG_dP * dP_f
+        return self.project(out_f)
 
 
 # -- coefficient extraction oracle --------------------------------------------

@@ -370,7 +370,9 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
     ``dn_order``, or the BVP oracle on ``dn_oracle``.  In oracle mode each
     step is a quasi-Newton step: dG/dP is taken at the oracle's P, and the
     dK/deta part of the derivative is the expansion's (the two operators
-    differ at cubic order).
+    differ at cubic order).  The coordinates are eta's half spectrum, so the
+    residual and J.v run from coordinates to coordinates on the padded grid
+    of ``op.KineticLinearization``, each projected once.
     """
     basis = EvenBasis(grid)
     last = {}
@@ -379,22 +381,19 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
         if "v" in last and np.array_equal(last["v"], v):
             return last["ctx"]
         last.clear()  # free the previous context first: peak memory holds one
-        eta = basis.to_values(v)
+        dn_apply = None
         if dn_oracle is not None:
-            dn_apply = dno.dn_oracle_apply(
-                SpectralField.from_values(grid, eta, parity="even"), dn_oracle)
-        else:
-            dn_apply = lambda xi: op.dn_expansion(grid, eta, xi, dn_order)
-        press, press_fields = op.pressure_jacobian_fields(grid, eta, gamma, law)
-        kin = op.KineticLinearization(grid, eta, dn_order, dn_apply)
-        ctx = (basis.to_coords(press - c2 * kin.value), press_fields, kin)
+            eta = SpectralField.from_values(grid, basis.to_values(v), parity="even")
+            dn_apply = dno.dn_oracle_apply(eta, dn_oracle)
+        kin = op.KineticLinearization(grid, v, dn_order, dn_apply)
+        press, press_fields = op.pressure_jacobian_fields(kin.surface, gamma, law)
+        ctx = (kin.project(press - c2 * kin.value_f).real, press_fields, kin)
         last.update(v=np.array(v), ctx=ctx)
         return ctx
 
     def jv_batch(v, W, ctx):
         _, press, kin = ctx
-        w = basis.to_values(W)
-        return basis.to_coords(op.pressure_jvp(grid, press, w) - c2 * kin.apply(w))
+        return kin.apply(W, press, c2).real
 
     def geometry_ok(v):
         return bool(np.min(1.0 + basis.to_values(v)) > 0.0)

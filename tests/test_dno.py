@@ -30,6 +30,23 @@ def test_radial_grid_weights(rgrid):
     assert abs(np.sum(rgrid.w) - 1.0) <= 1e-13
 
 
+@pytest.mark.parametrize("nr", [8, 64])
+def test_antiderivative_matrix_equals_the_column_loop(nr):
+    # one legint/legval on the whole coefficient matrix, against integrating
+    # and evaluating one Lagrange basis function at a time
+    g = dno.RadialGrid.make(nr)
+    leg, x = np.polynomial.legendre, 2 * g.r - 1
+    c_basis = leg.legfit(x, np.eye(nr), nr - 1)
+    loop = np.zeros((nr, nr))
+    for j in range(nr):
+        loop[:, j] = leg.legval(x, leg.legint(c_basis[:, j], lbnd=1.0) * 0.5)
+    got = g.antideriv_from_one()
+    assert np.array_equal(got, loop)
+    # int_1^r 1 dr = r - 1 and int_1^r 2 r dr = r^2 - 1
+    assert np.max(np.abs(got @ np.ones(nr) - (g.r - 1.0))) <= 1e-13
+    assert np.max(np.abs(got @ (2.0 * g.r) - (g.r**2 - 1.0))) <= 1e-13
+
+
 def test_kernel_symmetry_and_signs():
     ker = dno.greens_kernel(2.0, 0.3, 0.7)
     ker_swapped = dno.greens_kernel(2.0, 0.7, 0.3)

@@ -182,15 +182,21 @@ def test_extraction_matches_wnl_zeta_coeffs(linear_law):
                                  rel=1e-12)
 
 
+def _refine_each(grid, f):
+    """f, f_z and f_zz refined one field at a time through nodal values."""
+    return tuple(grid.refine_values(v, 3) for v in
+                 (f, grid.deriv_values(f), grid.deriv_values(f, 2)))
+
+
 def test_pressure_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng):
     eta = 0.05 * smooth_eta
-    _, fields = op.pressure_jacobian_fields(grid, eta, 5.0, linear_law)
+    _, fields = op.pressure_jacobian_fields(_refine_each(grid, eta), 5.0, linear_law)
     rho = rng.standard_normal(grid.N)
     rho /= np.max(np.abs(rho))
     h = 1e-6
     fd = (op.pressure_exact(grid, eta + h * rho, 5.0, linear_law)
           - op.pressure_exact(grid, eta - h * rho, 5.0, linear_law)) / (2 * h)
-    jv = op.pressure_jvp(grid, fields, rho)
+    jv = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, rho)), 3)
     assert np.max(np.abs(fd - jv)) <= 1e-5
 
 
@@ -200,7 +206,7 @@ def _expansion(grid, eta, order):
 
 def test_kinetic_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng):
     eta = 0.05 * smooth_eta
-    kin = op.KineticLinearization(grid, eta, 2, _expansion(grid, eta, 2))
+    kin = op.KineticLinearization(grid, grid.to_rcoeffs(eta), 2)
     rho = rng.standard_normal(grid.N)
     rho /= np.max(np.abs(rho))
     h = 1e-6
@@ -209,10 +215,10 @@ def test_kinetic_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng
         return op.kinetic_exact(grid, e, _expansion(grid, e, 2))
 
     fd = (q(eta + h * rho) - q(eta - h * rho)) / (2 * h)
-    jv = kin.apply(rho)
+    jv = grid.to_rvalues(kin.apply(grid.to_rcoeffs(rho)))
     assert np.max(np.abs(fd - jv)) <= 1e-5
     # batched application agrees with one-at-a-time
-    R = rng.standard_normal((3, grid.N))
+    R = grid.to_rcoeffs(rng.standard_normal((3, grid.N)))
     batch = kin.apply(R)
     for i in range(3):
         assert np.max(np.abs(batch[i] - kin.apply(R[i]))) <= 1e-13
@@ -220,30 +226,40 @@ def test_kinetic_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng
 
 class _NodalKineticLinearization:
     """KineticLinearization as a nodal-value pipeline: every K_j, product and
-    symbol goes through values on the grid, as ``kinetic_exact`` does.
+    symbol goes through values on the grid, as ``kinetic_exact`` does.  It
+    serves the same calls -- half spectra in and out, ``surface``,
+    ``value_f``, ``project`` -- so a solve can run on it.
 
     With ``slope_from_expansion`` dG/dP is taken at the expansion's P while
-    ``value`` keeps dn_apply's: the quasi-Newton of a solve whose Jacobian
+    ``value_f`` keeps dn_apply's: the quasi-Newton of a solve whose Jacobian
     never saw the oracle."""
 
-    def __init__(self, grid, eta, order, dn_apply, slope_from_expansion=False):
+    def __init__(self, grid, eta_hat, order, dn_apply=None,
+                 slope_from_expansion=False):
         self.grid, self.order = grid, order
-        self.eta = np.asarray(eta)
+        self.eta = grid.to_rvalues(eta_hat)
+        if dn_apply is None:
+            dn_apply = _expansion(grid, self.eta, order)
         eta2 = grid.product_values([self.eta, self.eta])
         self.xi_comb = self.eta + 0.5 * eta2
-        ezf = grid.refine_values(grid.deriv_values(self.eta), 3)
+        self.surface = _refine_each(grid, self.eta)
+        ezf = self.surface[1]
         Pf = grid.refine_values(dn_apply(self.xi_comb), 3)
         s2 = 1.0 + ezf**2
         W = ezf**2 / (2.0 * s2)
-        self.value = grid.project_values(-0.5 * Pf**2 + W * (1.0 - Pf) ** 2 + Pf, 3)
+        self.value_f = -0.5 * Pf**2 + W * (1.0 - Pf) ** 2 + Pf
         if slope_from_expansion:
             Pf = grid.refine_values(
                 op.dn_expansion(grid, self.eta, self.xi_comb, order), 3)
         self.dG_dP = 1.0 - Pf - 2.0 * W * (1.0 - Pf)
         self.dG_dez = ezf / s2**2 * (1.0 - Pf) ** 2
 
-    def apply(self, rho):
+    def project(self, fine_values):
+        return self.grid.to_rcoeffs(self.grid.project_values(fine_values, 3))
+
+    def apply(self, rows, pressure_fields=None, c2=1.0):
         grid, eta, xi = self.grid, self.eta, self.xi_comb
+        rho = grid.to_rvalues(rows)
         dP = np.zeros(np.broadcast_shapes(np.shape(rho), np.shape(xi)))
         if self.order >= 1:
             dP = dP + op.dn1_apply(grid, rho, xi)
@@ -253,7 +269,11 @@ class _NodalKineticLinearization:
                                   self.order)
         dPf = grid.refine_values(dP, 3)
         rzf = grid.refine_values(grid.deriv_values(rho), 3)
-        return grid.project_values(self.dG_dP * dPf + self.dG_dez * rzf, 3)
+        out = grid.project_values(self.dG_dP * dPf + self.dG_dez * rzf, 3)
+        if pressure_fields is not None:
+            press = op.pressure_jvp(pressure_fields, _refine_each(grid, rho))
+            out = grid.project_values(press, 3) - c2 * out
+        return grid.to_rcoeffs(out)
 
 
 def _regime_eta(grid, regime):
@@ -272,17 +292,97 @@ def test_kinetic_linearization_matches_nodal_pipeline(N, regime, order):
     R[1] += (-1.0) ** np.arange(N)
     R[2] = (-1.0) ** np.arange(N)  # a unit Nyquist coefficient alone
     assert abs(grid.to_rcoeffs(R[2])[-1]) == 1.0
-    dn_apply = _expansion(grid, eta, order)
-    kin = op.KineticLinearization(grid, eta, order, dn_apply)
-    ref = _NodalKineticLinearization(grid, eta, order, dn_apply).apply(R)
-    got = kin.apply(R)
+    eta_hat = grid.to_rcoeffs(eta)
+    kin = op.KineticLinearization(grid, eta_hat, order)
+    ref = _NodalKineticLinearization(grid, eta_hat, order).apply(grid.to_rcoeffs(R))
+    ref = grid.to_rvalues(ref)
+    got = grid.to_rvalues(kin.apply(grid.to_rcoeffs(R)))
     scale = np.max(np.abs(ref), axis=-1)
     assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-12 * scale)
-    value = op.kinetic_exact(grid, eta, dn_apply)
-    assert np.max(np.abs(kin.value - value)) <= 1e-12 * np.max(np.abs(value))
-    single = kin.apply(R[0])
+    value = op.kinetic_exact(grid, eta, _expansion(grid, eta, order))
+    got_value = grid.to_rvalues(kin.project(kin.value_f))
+    assert np.max(np.abs(got_value - value)) <= 1e-12 * np.max(np.abs(value))
+    single = grid.to_rvalues(kin.apply(grid.to_rcoeffs(R[0])))
     assert single.shape == (N,)
     assert np.max(np.abs(single - ref[0])) <= 1e-12 * scale[0]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+@pytest.mark.parametrize("N", [512, 1024, 2048])
+def test_half_spectrum_surface_operator_matches_dn_expansion(N, regime, order):
+    grid = SpectralGrid.make(200.0, N)
+    eta = _regime_eta(grid, regime)
+    xi = eta + 0.5 * grid.product_values([eta, eta])
+    ref = op.dn_expansion(grid, eta, xi, order)
+    got = grid.to_rvalues(op.KineticLinearization(grid, grid.to_rcoeffs(eta), order).P)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # dn_apply, when given, evaluates P from xi's nodal values
+    seen = []
+
+    def dn_apply(values):
+        seen.append(values)
+        return 0.5 * values
+
+    kin = op.KineticLinearization(grid, grid.to_rcoeffs(eta), order, dn_apply)
+    assert len(seen) == 1 and np.max(np.abs(seen[0] - xi)) <= 1e-15 * np.max(np.abs(xi))
+    assert np.max(np.abs(grid.to_rvalues(kin.P) - 0.5 * seen[0])) <= 1e-15
+
+
+def _wave_problem(regime, linear_law, N=512):
+    """A travelling-wave problem of each regime (c^2 = 1.9), its gamma and an
+    even state on its grid."""
+    gamma = 5.0 if regime == "strong" else 15.0
+    grid = SpectralGrid.make(200.0, N)
+    problem = solver.travelling_wave_problem(gamma, linear_law, 1.9, grid)
+    return problem, gamma, problem.basis.to_coords(_regime_eta(grid, regime))
+
+
+@pytest.mark.parametrize("regime", ["strong", "weak"])
+def test_coordinate_jv_matches_nodal_composition(regime, linear_law):
+    problem, gamma, v = _wave_problem(regime, linear_law)
+    basis, c2 = problem.basis, 1.9
+    grid = basis.grid
+    W = np.random.default_rng(7).standard_normal((3, problem.dim))
+    W[2] = 0.0
+    W[2, -1] = 1.0  # the Nyquist cosine alone
+    jac = problem.linearize(v)
+    got = jac(W)
+    # the nodal composition to_coords(pressure - c^2 kinetic)
+    eta, w = basis.to_values(v), basis.to_values(W)
+    _, fields = op.pressure_jacobian_fields(_refine_each(grid, eta), gamma, linear_law)
+    press = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, w)), 3)
+    kinetic = grid.to_rvalues(
+        _NodalKineticLinearization(grid, v, 2).apply(grid.to_rcoeffs(w)))
+    ref = basis.to_coords(press - c2 * kinetic)
+    scale = np.max(np.abs(ref), axis=-1)
+    assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-12 * scale)
+    for i in range(3):
+        assert np.max(np.abs(jac(W[i:i + 1])[0] - got[i])) <= 1e-14 * scale[i]
+    # and the residual is the nodal wave_residual's
+    res = basis.to_coords(op.wave_residual(grid, eta, c2, gamma, linear_law,
+                                           _expansion(grid, eta, 2)))
+    assert np.max(np.abs(problem.residual(v) - res)) <= 1e-12 * np.max(np.abs(res))
+
+
+def test_travelling_wave_fft_calls_per_direction_and_iterate(linear_law, monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    problem, _, v = _wave_problem("weak", linear_law, N=1024)
+    calls.clear()
+    ctx = problem.prepare(v)  # the residual and the J.v context, order 2
+    assert len(calls) == 8
+    for rows in (1, 3):  # one batch of directions, any number of rows
+        calls.clear()
+        problem.jv_batch(v, np.ones((rows, problem.dim)), ctx)
+        assert len(calls) == 8
 
 
 def test_travelling_wave_solve_unchanged_by_half_spectrum(linear_law):
@@ -307,12 +407,13 @@ def test_travelling_wave_solve_unchanged_by_half_spectrum(linear_law):
 
 def test_each_newton_iterate_evaluates_the_surface_operator_once(linear_law,
                                                                  monkeypatch):
+    # K(eta) xi is evaluated when a KineticLinearization is built
     dn_calls, residual_calls = [], []
-    dn_expansion, problem_factory = op.dn_expansion, solver.travelling_wave_problem
+    build, problem_factory = op.KineticLinearization.__init__, solver.travelling_wave_problem
 
-    def counted_dn(grid, eta, xi, order):
+    def counted_build(self, grid, eta, *args, **kwargs):
         dn_calls.append(np.array(eta))
-        return dn_expansion(grid, eta, xi, order)
+        build(self, grid, eta, *args, **kwargs)
 
     def counted_problem(*args, **kwargs):
         problem = problem_factory(*args, **kwargs)
@@ -325,7 +426,7 @@ def test_each_newton_iterate_evaluates_the_surface_operator_once(linear_law,
         problem.residual = residual
         return problem
 
-    monkeypatch.setattr(op, "dn_expansion", counted_dn)
+    monkeypatch.setattr(op.KineticLinearization, "__init__", counted_build)
     monkeypatch.setattr(solver, "travelling_wave_problem", counted_problem)
     rep = solver.solve_travelling_wave(5.0, linear_law, 0.2)
     assert rep.converged and rep.iterations >= 3
@@ -333,12 +434,6 @@ def test_each_newton_iterate_evaluates_the_surface_operator_once(linear_law,
     assert len(dn_calls) == 1 + len(residual_calls)
     assert not np.any(dn_calls[0])
     assert all(not np.array_equal(a, b) for a, b in zip(dn_calls, dn_calls[1:]))
-
-
-def _refine_each(grid, f):
-    """f, f_z and f_zz refined one field at a time through nodal values."""
-    return tuple(grid.refine_values(v, 3) for v in
-                 (f, grid.deriv_values(f), grid.deriv_values(f, 2)))
 
 
 def test_pressure_routines_match_refine_per_field(linear_law, rng):
@@ -360,8 +455,11 @@ def test_pressure_routines_match_refine_per_field(linear_law, rng):
         -ezf / (w * s2 * s) + 3.0 * ezzf * ezf / (s2**2 * s),
         -1.0 / (s2 * s),
     )
-    value, fields = op.pressure_jacobian_fields(grid, eta, gamma, linear_law)
-    assert np.array_equal(value, got_p)
+    surface = op.KineticLinearization(grid, grid.to_rcoeffs(eta), 0).surface
+    for got, ref in zip(surface, (ef, ezf, ezzf)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    value, fields = op.pressure_jacobian_fields(surface, gamma, linear_law)
+    assert np.array_equal(grid.project_values(value, 3), got_p)
     for got, ref in zip(fields, ref_fields):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -372,9 +470,9 @@ def test_pressure_routines_match_refine_per_field(linear_law, rng):
     for rho in R:
         rf, rzf, rzzf = _refine_each(grid, rho)
         ref_rows.append(grid.project_values(A * rf + B * rzf + C * rzzf, 3))
-    got = op.pressure_jvp(grid, fields, R)
+    got = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, R)), 3)
     assert got.shape == R.shape
     for g, ref in zip(got, ref_rows):
         assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
-    single = op.pressure_jvp(grid, fields, R[0])
+    single = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, R[0])), 3)
     assert np.max(np.abs(single - ref_rows[0])) <= 1e-12 * np.max(np.abs(ref_rows[0]))
