@@ -160,8 +160,8 @@ def _half_symbols(grid: SpectralGrid):
 
 def _refine_rows(grid: SpectralGrid, rows):
     """Padded-grid values of each half spectrum in rows, by one transform."""
-    values = grid.refine_to_rvalues(np.stack(rows, axis=-2), _REFINE)
-    return tuple(np.moveaxis(values, -2, 0))
+    rcoeffs = grid.refine_rcoeffs(np.stack(rows, axis=-2), _REFINE)
+    return tuple(np.moveaxis(grid._padded(_REFINE).to_rvalues(rcoeffs), -2, 0))
 
 
 def _refined_jet(grid: SpectralGrid, rcoeffs):
@@ -369,17 +369,18 @@ class KineticLinearization:
     ``apply`` maps the half spectra of directions (rows) to half spectra: one
     refine of the jet [rho, rho_z, rho_zz], three levels of a batched
     projection and refine, and one projection of the result -- eight
-    transforms at order 2 for any number of rows.  With ``pressure_fields``
-    it returns the travelling-wave derivative, the pressure part from the
-    same jet minus c2 times the kinetic part.  P, G and the map agree with
+    transforms at order 2 for any number of rows.  It returns the
+    travelling-wave derivative: the pressure part from the same jet minus c2
+    times the kinetic part.  P, G and the map agree with
     ``dn_expansion``, ``kinetic_exact`` and the derivative of their
     nodal-value pipeline to rounding, not bit for bit.
     """
 
     def __init__(self, grid: SpectralGrid, eta, order: int,
                  dn_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        assert grid._padded(2).N == grid._padded(_REFINE).N == 2 * grid.N
-        self.grid, self.order = grid, order
+        fine = grid._padded(_REFINE)
+        assert grid._padded(2).N == fine.N == 2 * grid.N
+        self.grid, self.fine, self.order = grid, fine, order
         S, D, D2 = self.symbols = _half_symbols(grid)
 
         eta_hat = np.asarray(eta)
@@ -422,7 +423,7 @@ class KineticLinearization:
 
     def project(self, fine_values: np.ndarray) -> np.ndarray:
         """Half spectra on the grid of padded-grid values (last axis), one transform."""
-        return self.grid.project_rvalues(fine_values, _REFINE)
+        return self.grid.project_rcoeffs(self.fine.to_rcoeffs(fine_values), _REFINE)
 
     def _levels(self, s_z, k0s, s_zz, nested=None):
         """Padded-grid rows (stacked on axis -2) whose projections q give the
@@ -439,11 +440,10 @@ class KineticLinearization:
         return np.stack([(0.5 * ee_f - eta_f) * s_z, row1,
                          0.5 * ee_f * k0s, eta_f * k0s], axis=-2)
 
-    def apply(self, rows, pressure_fields=None, c2: float = 1.0) -> np.ndarray:
-        """Half spectra of the kinetic derivative in the directions whose half
-        spectra are ``rows``; with ``pressure_fields`` (from
-        ``pressure_jacobian_fields``), of the pressure derivative minus c2
-        times the kinetic one."""
+    def apply(self, rows, pressure_fields, c2: float) -> np.ndarray:
+        """Half spectra of the pressure derivative (``pressure_fields`` from
+        ``pressure_jacobian_fields``) minus c2 times the kinetic derivative,
+        in the directions whose half spectra are ``rows``."""
         grid, order = self.grid, self.order
         S, D, D2 = self.symbols
         eta_f = self.surface[0]
@@ -451,10 +451,7 @@ class KineticLinearization:
         jet = _refined_jet(grid, r)
         c = self.project(jet[0][..., None, :] * self.rho_rows)
         # the jet's share of the result; only out_f is kept past this point
-        weight = 1.0 if pressure_fields is None else -c2  # of the kinetic part
-        out_f = weight * self.dG_dez * jet[1]
-        if pressure_fields is not None:
-            out_f += pressure_jvp(pressure_fields, jet)
+        out_f = -c2 * self.dG_dez * jet[1] + pressure_jvp(pressure_fields, jet)
         del jet
         sigma = r + c[..., 0, :]
         dP = S * sigma  # K0 sigma
@@ -470,7 +467,7 @@ class KineticLinearization:
             dP += D2 * (c[..., 3, :] + q[..., 2, :])
             dP += S * self.project(eta_f * m_f)  # [eta K0[eta K0 sigma]]
         (dP_f,) = _refine_rows(grid, [dP])
-        out_f += weight * self.dG_dP * dP_f
+        out_f -= c2 * self.dG_dP * dP_f
         return self.project(out_f)
 
 

@@ -221,30 +221,6 @@ class SpectralGrid:
         out[..., n // 2] = (2.0 if padded.N > n else 1.0) * out[..., n // 2].real
         return out
 
-    def refine_to_rvalues(self, rcoeffs: np.ndarray, nfactors: int = 2) -> np.ndarray:
-        """Padded-grid values of real fields from their half spectra (last axis).
-
-        ``padded.to_rvalues(refine_rcoeffs(rcoeffs))`` with the transform's
-        scale applied to the N/2 + 1 coefficients given, not to the padded ones.
-        """
-        padded = self._padded(nfactors)
-        h = self.N // 2 + 1
-        self._check_length(rcoeffs, h)
-        scaled = self.refine_rcoeffs(rcoeffs * (self.phase[:h] * padded.N), nfactors)
-        return np.fft.irfft(scaled, n=padded.N, axis=-1)
-
-    def project_rvalues(self, fine_values: np.ndarray, nfactors: int = 2) -> np.ndarray:
-        """Half spectra of real padded-grid values (last axis).
-
-        ``project_rcoeffs(padded.to_rcoeffs(fine_values))`` with the
-        unresolved tail dropped before the transform's scale is applied.
-        """
-        padded = self._padded(nfactors)
-        h = self.N // 2 + 1
-        padded._check_length(fine_values, padded.N)
-        fine = np.fft.rfft(fine_values, n=padded.N, axis=-1)[..., :h]
-        return self.project_rcoeffs(fine * (self.phase[:h] / padded.N), nfactors)
-
     def refine_values(self, values: np.ndarray, nfactors: int = 2) -> np.ndarray:
         """Values resampled on the padded grid for pointwise nonlinearities."""
         padded = self._padded(nfactors)

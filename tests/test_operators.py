@@ -204,6 +204,11 @@ def _expansion(grid, eta, order):
     return lambda xi: op.dn_expansion(grid, eta, xi, order)
 
 
+def _kinetic_jv(kin, rows):
+    """The kinetic derivative alone: no pressure part, minus -1 times the kinetic."""
+    return kin.apply(rows, (0.0, 0.0, 0.0), -1.0)
+
+
 def test_kinetic_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng):
     eta = 0.05 * smooth_eta
     kin = op.KineticLinearization(grid, grid.to_rcoeffs(eta), 2)
@@ -215,13 +220,13 @@ def test_kinetic_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng
         return op.kinetic_exact(grid, e, _expansion(grid, e, 2))
 
     fd = (q(eta + h * rho) - q(eta - h * rho)) / (2 * h)
-    jv = grid.to_rvalues(kin.apply(grid.to_rcoeffs(rho)))
+    jv = grid.to_rvalues(_kinetic_jv(kin, grid.to_rcoeffs(rho)))
     assert np.max(np.abs(fd - jv)) <= 1e-5
     # batched application agrees with one-at-a-time
     R = grid.to_rcoeffs(rng.standard_normal((3, grid.N)))
-    batch = kin.apply(R)
+    batch = _kinetic_jv(kin, R)
     for i in range(3):
-        assert np.max(np.abs(batch[i] - kin.apply(R[i]))) <= 1e-13
+        assert np.max(np.abs(batch[i] - _kinetic_jv(kin, R[i]))) <= 1e-13
 
 
 class _NodalKineticLinearization:
@@ -257,7 +262,7 @@ class _NodalKineticLinearization:
     def project(self, fine_values):
         return self.grid.to_rcoeffs(self.grid.project_values(fine_values, 3))
 
-    def apply(self, rows, pressure_fields=None, c2=1.0):
+    def apply(self, rows, pressure_fields, c2):
         grid, eta, xi = self.grid, self.eta, self.xi_comb
         rho = grid.to_rvalues(rows)
         dP = np.zeros(np.broadcast_shapes(np.shape(rho), np.shape(xi)))
@@ -270,10 +275,8 @@ class _NodalKineticLinearization:
         dPf = grid.refine_values(dP, 3)
         rzf = grid.refine_values(grid.deriv_values(rho), 3)
         out = grid.project_values(self.dG_dP * dPf + self.dG_dez * rzf, 3)
-        if pressure_fields is not None:
-            press = op.pressure_jvp(pressure_fields, _refine_each(grid, rho))
-            out = grid.project_values(press, 3) - c2 * out
-        return grid.to_rcoeffs(out)
+        press = op.pressure_jvp(pressure_fields, _refine_each(grid, rho))
+        return grid.to_rcoeffs(grid.project_values(press, 3) - c2 * out)
 
 
 def _regime_eta(grid, regime):
@@ -294,15 +297,16 @@ def test_kinetic_linearization_matches_nodal_pipeline(N, regime, order):
     assert abs(grid.to_rcoeffs(R[2])[-1]) == 1.0
     eta_hat = grid.to_rcoeffs(eta)
     kin = op.KineticLinearization(grid, eta_hat, order)
-    ref = _NodalKineticLinearization(grid, eta_hat, order).apply(grid.to_rcoeffs(R))
+    ref = _kinetic_jv(_NodalKineticLinearization(grid, eta_hat, order),
+                      grid.to_rcoeffs(R))
     ref = grid.to_rvalues(ref)
-    got = grid.to_rvalues(kin.apply(grid.to_rcoeffs(R)))
+    got = grid.to_rvalues(_kinetic_jv(kin, grid.to_rcoeffs(R)))
     scale = np.max(np.abs(ref), axis=-1)
     assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-12 * scale)
     value = op.kinetic_exact(grid, eta, _expansion(grid, eta, order))
     got_value = grid.to_rvalues(kin.project(kin.value_f))
     assert np.max(np.abs(got_value - value)) <= 1e-12 * np.max(np.abs(value))
-    single = grid.to_rvalues(kin.apply(grid.to_rcoeffs(R[0])))
+    single = grid.to_rvalues(_kinetic_jv(kin, grid.to_rcoeffs(R[0])))
     assert single.shape == (N,)
     assert np.max(np.abs(single - ref[0])) <= 1e-12 * scale[0]
 
@@ -353,7 +357,7 @@ def test_coordinate_jv_matches_nodal_composition(regime, linear_law):
     _, fields = op.pressure_jacobian_fields(_refine_each(grid, eta), gamma, linear_law)
     press = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, w)), 3)
     kinetic = grid.to_rvalues(
-        _NodalKineticLinearization(grid, v, 2).apply(grid.to_rcoeffs(w)))
+        _kinetic_jv(_NodalKineticLinearization(grid, v, 2), grid.to_rcoeffs(w)))
     ref = basis.to_coords(press - c2 * kinetic)
     scale = np.max(np.abs(ref), axis=-1)
     assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-12 * scale)

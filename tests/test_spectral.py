@@ -199,10 +199,6 @@ def test_half_spectrum_refine_and_project_match_the_value_routes(grid, rows):
     assert np.array_equal(
         grid.to_rvalues(grid.project_rcoeffs(fine.to_rcoeffs(pointwise), 3)),
         grid.project_values(pointwise, 3))
-    # the one-call routes scale only the N/2 + 1 coefficients that matter
-    assert np.array_equal(grid.refine_to_rvalues(rc, 3), grid.refine_values(rows, 3))
-    assert np.array_equal(grid.project_rvalues(pointwise, 3),
-                          grid.project_rcoeffs(fine.to_rcoeffs(pointwise), 3))
     # the round trip keeps a half spectrum whose c_0 and c_N/2 are real
     back = grid.project_rcoeffs(grid.refine_rcoeffs(rc, 3), 3)
     assert np.array_equal(back.imag[:, [0, -1]], np.zeros((4, 2)))
@@ -230,10 +226,3 @@ def test_to_rvalues_rejects_wrong_length(grid):
         grid.to_rvalues(np.ones(5, dtype=complex))
     with pytest.raises(GridError):
         grid.to_rvalues(np.ones(grid.N, dtype=complex))  # a full spectrum
-
-
-def test_padded_half_spectrum_routes_reject_wrong_length(grid):
-    with pytest.raises(GridError):
-        grid.refine_to_rvalues(np.ones(grid.N, dtype=complex), 3)  # a full spectrum
-    with pytest.raises(GridError):
-        grid.project_rvalues(np.ones(grid.N), 3)  # values on the coarse grid
