@@ -16,9 +16,12 @@ and the surface operator of the travelling-wave problem is
     K(eta) xi = -u_z|_{r=1},  u = S(F1(eta,u), F2(eta,u), xi).
 
 The forcing is linear in x = (u_z, D0 u), so this fixed point is the affine
-system (I - T) x = S(0, 0, xi) with T x = S(F(eta, x), 0), solved by the
-restarted GMRES of ``solver.gmres``; each matvec is one application of S.
-With eta = 0 a single closed-form mode solve reproduces the multiplier f(k).
+system (I - T) x = S(0, 0, xi) with T x = S(F(eta, x), 0, 0), solved by the
+restarted GMRES of ``solver.gmres``; each matvec is one sweep
+(``SolutionOperator.apply``), and the right-hand side is the closed-form
+flat response (``SolutionOperator.flat``), which with eta = 0 reproduces the
+multiplier f(k).  eta, xi and K(eta) xi are half spectra in the layout of
+``SpectralGrid.kr``; only the GMRES unknown x is nodal.
 
 Radial quadrature: Gauss-Legendre state nodes r_1 < ... < r_nr on (0,1).
 The kernel is semi-separable (Greengard & Rokhlin, Comm. Pure Appl. Math. 44
@@ -48,14 +51,13 @@ data viewed as (re, im) column pairs.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, GeometryError
-from .spectral import SpectralField, SpectralGrid
+from .spectral import SpectralGrid
 from .specfun import (
     _bessel01_scaled,
     _besseli_scaled,
@@ -67,7 +69,6 @@ from .specfun import (
 
 __all__ = [
     "RadialGrid",
-    "RadialSolution",
     "greens_kernel",
     "integral_abs_G",
     "integral_abs_H1",
@@ -75,9 +76,8 @@ __all__ = [
     "closed_form_H1_integral",
     "closed_form_H3_integral",
     "SolutionOperator",
-    "solve_flat",
-    "apply_solution_operator",
     "solve_flattened_bvp",
+    "dn_oracle_apply",
 ]
 
 
@@ -140,12 +140,6 @@ class RadialGrid:
                     D[i, j] = (bw[j] / bw[i]) / (x[i] - x[j])
         D[np.diag_indices(n)] = -np.sum(D, axis=1)
         return D
-
-    def antideriv_from_one(self) -> np.ndarray:
-        """Matrix mapping nodal values of p to nodal values of int_1^r p."""
-        leg, x = np.polynomial.legendre, 2 * self.r - 1
-        c_basis = leg.legfit(x, np.eye(self.nr), self.nr - 1)  # column j: basis j
-        return leg.legval(x, leg.legint(c_basis, lbnd=1.0, axis=0) * 0.5).T
 
 
 # -- Green's kernels -----------------------------------------------------------
@@ -263,26 +257,6 @@ _RULE_POINTS = 16
 _BUILD_MODES = 32
 
 
-@dataclass
-class RadialSolution:
-    """Per-mode radial profiles and surface traces (rfft layout, m = 0..N/2)."""
-
-    rgrid: RadialGrid
-    zgrid: SpectralGrid
-    k: np.ndarray
-    u_hat: np.ndarray
-    uz_hat: np.ndarray
-    d0u_hat: np.ndarray
-    trace_u: np.ndarray
-    trace_uz: np.ndarray
-    trace_d0u: np.ndarray
-
-    def surface_velocity_field(self) -> SpectralField:
-        """K-output: -u_z at the surface as a spectral field."""
-        return SpectralField.from_values(self.zgrid,
-                                         self.zgrid.to_rvalues(-self.trace_uz))
-
-
 def _flat_profiles(x: np.ndarray, r: np.ndarray):
     """I0(xr)/(x I1(x)) and I1(xr)/I1(x) on (x, r), and I0(x)/(x I1(x)).
 
@@ -312,9 +286,8 @@ class SolutionOperator:
     """Precomputed per-mode quadrature of the Green's-kernel representation."""
 
     def __init__(self, zgrid: SpectralGrid, rgrid: RadialGrid):
-        # zgrid caches this operator, so hold it weakly: a strong reference
-        # would keep both alive until the cyclic collector runs
-        self._zgrid = weakref.ref(zgrid)
+        # zgrid caches this operator, so the operator keeps no reference to
+        # it: that would keep both alive until the cyclic collector runs
         self.rgrid = rgrid
         self.kpos = zgrid.kr
         x = self.kpos[1:]
@@ -382,56 +355,39 @@ class SolutionOperator:
         self.G11 = -prof0_wall
         self.trace_row = self.b_xi * np.tile(rgrid.w * r, 2)[None, :]
 
-        self._antideriv = rgrid.antideriv_from_one()
+    def apply(self, F1_hat: np.ndarray, F2_hat: np.ndarray):
+        """One sweep S(F1, F2, 0): the displayed integral formula, all modes at once.
 
-    @property
-    def zgrid(self) -> SpectralGrid:
-        return self._zgrid()
-
-    def apply(self, F1_hat: np.ndarray, F2_hat: np.ndarray,
-              xi_hat: np.ndarray) -> RadialSolution:
-        """Quadrature of the displayed integral formula, all modes at once.
-
-        F1_hat, F2_hat: (nr, nk) mode coefficients; xi_hat: (nk,).
+        F1_hat, F2_hat: (nr, nk) half spectra.  Returns the half spectra of
+        (u, D0 u), stacked as (2, nr, nk), and of the trace u(1), (nk,).
         """
         nr, nk = F1_hat.shape
-        ik = 1j * self.kpos
+        ik = 1j * self.kpos[1:]
         g = np.empty((nk - 1, 2 * nr), dtype=complex)
-        g[:, :nr] = (F2_hat[:, 1:] * ik[None, 1:]).T
+        g[:, :nr] = (F2_hat[:, 1:] * ik[None, :]).T
         g[:, nr:] = -F1_hat[:, 1:].T
         # complex data as (re, im) column pairs: one real batched matmul
         g_re = g.view(float).reshape(nk - 1, 2 * nr, 2)
-        ikxi = ik[1:] * xi_hat[1:]
         out = np.matmul(self.A, g_re).view(complex)[..., 0]
-        out -= ikxi[:, None] * self.b_xi
-        tr_u = (self.trace_row[:, None, :] @ g_re).view(complex)[:, 0, 0]
-        tr_u -= ikxi * self.G11
-
-        u_hat = np.zeros((nr, nk), dtype=complex)
-        uz_hat = np.zeros((nr, nk), dtype=complex)
-        d0u_hat = np.zeros((nr, nk), dtype=complex)
-        u_hat[:, 1:] = out[:, :nr].T
-        uz_hat[:, 1:] = u_hat[:, 1:] * ik[None, 1:]
-        d0u_hat[:, 1:] = out[:, nr:].T + F1_hat[:, 1:]
-        # k = 0: r D0 u = r F1 by regularity; u fixed by u(1) = 0
-        d0u_hat[:, 0] = F1_hat[:, 0]
-        u_hat[:, 0] = self._antideriv @ F1_hat[:, 0]
-
+        profiles = np.zeros((2, nr, nk), dtype=complex)
+        profiles[:, :, 1:] = out.T.reshape(2, nr, nk - 1)
+        profiles[1, :, 1:] += F1_hat[:, 1:]
+        # k = 0: r D0 u = r F1 by regularity; u there is never read
+        profiles[1, :, 0] = F1_hat[:, 0]
         trace_u = np.zeros(nk, dtype=complex)
-        trace_u[1:] = tr_u
-        trace_uz = trace_u * ik
-        trace_d0u = self.rgrid.boundary_row @ d0u_hat
-        return RadialSolution(
-            rgrid=self.rgrid,
-            zgrid=self.zgrid,
-            k=self.kpos,
-            u_hat=u_hat,
-            uz_hat=uz_hat,
-            d0u_hat=d0u_hat,
-            trace_u=trace_u,
-            trace_uz=trace_uz,
-            trace_d0u=trace_d0u,
-        )
+        trace_u[1:] = (self.trace_row[:, None, :] @ g_re).view(complex)[:, 0, 0]
+        return profiles, trace_u
+
+    def flat(self, xi_hat: np.ndarray):
+        """S(0, 0, xi), the eta = 0 response in closed form, from the (nk,)
+        half spectrum xi_hat: the same outputs as ``apply``."""
+        nr, nk = self.rgrid.nr, self.kpos.size
+        ikxi = 1j * self.kpos[1:] * xi_hat[1:]
+        profiles = np.zeros((2, nr, nk), dtype=complex)
+        profiles[:, :, 1:] = (-ikxi[:, None] * self.b_xi).T.reshape(2, nr, nk - 1)
+        trace_u = np.zeros(nk, dtype=complex)
+        trace_u[1:] = -ikxi * self.G11
+        return profiles, trace_u
 
 
 def _operator_for(zgrid: SpectralGrid, rgrid: RadialGrid) -> SolutionOperator:
@@ -439,43 +395,6 @@ def _operator_for(zgrid: SpectralGrid, rgrid: RadialGrid) -> SolutionOperator:
     if key not in zgrid._cache:
         zgrid._cache[key] = SolutionOperator(zgrid, rgrid)
     return zgrid._cache[key]
-
-
-def solve_flat(xi: SpectralField, rgrid: RadialGrid) -> RadialSolution:
-    """Closed-form per-mode solution of the eta = 0 problem."""
-    zgrid = xi.grid
-    xi_hat = zgrid.to_rcoeffs(np.asarray(xi.values, dtype=float))
-    kpos = zgrid.kr
-    prof0, prof1, prof0_wall = _flat_profiles(kpos[1:], rgrid.r)
-
-    nr, nk = rgrid.nr, kpos.size
-    ik = 1j * kpos
-    u_hat = np.zeros((nr, nk), dtype=complex)
-    d0u_hat = np.zeros((nr, nk), dtype=complex)
-    u_hat[:, 1:] = prof0.T * (ik[1:] * xi_hat[1:])[None, :]
-    d0u_hat[:, 1:] = prof1.T * (ik[1:] * xi_hat[1:])[None, :]
-    uz_hat = u_hat * ik[None, :]
-
-    trace_u = np.zeros(nk, dtype=complex)
-    trace_u[1:] = ik[1:] * xi_hat[1:] * prof0_wall
-    trace_uz = trace_u * ik
-    trace_d0u = ik * xi_hat  # D0 u = xi_z at r = 1, exactly
-    return RadialSolution(
-        rgrid=rgrid, zgrid=zgrid, k=kpos,
-        u_hat=u_hat, uz_hat=uz_hat, d0u_hat=d0u_hat,
-        trace_u=trace_u, trace_uz=trace_uz, trace_d0u=trace_d0u,
-    )
-
-
-def apply_solution_operator(zgrid: SpectralGrid, rgrid: RadialGrid,
-                            F1: np.ndarray, F2: np.ndarray,
-                            xi: SpectralField) -> RadialSolution:
-    """S(F1, F2, xi) for physical-space forcing fields F1, F2 of shape (nr, N)."""
-    operator = _operator_for(zgrid, rgrid)
-    return operator.apply(
-        zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2),
-        zgrid.to_rcoeffs(np.asarray(xi.values, dtype=float)),
-    )
 
 
 def _forcing_terms(rgrid, eta_v, eta_z, uz, d0u):
@@ -486,48 +405,47 @@ def _forcing_terms(rgrid, eta_v, eta_z, uz, d0u):
     return F1, F2
 
 
-def solve_flattened_bvp(eta: SpectralField, xi: SpectralField,
-                        rgrid: Optional[RadialGrid] = None,
+def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
+                        xi_hat: np.ndarray, rgrid: Optional[RadialGrid] = None,
                         tol: float = 1e-12, max_iter: int = 60):
-    """GMRES solve of u = S(F1(eta,u), F2(eta,u), xi); returns (solution, K field).
+    """GMRES solve of u = S(F1(eta,u), F2(eta,u), xi); returns (x, K(eta) xi).
 
-    The unknown is x = (u_z, D0 u) on the (nr, N) grid and the system is
-    x - S(F(eta, x), 0) = S(0, 0, xi), whose right-hand side is the closed
-    form ``solve_flat``.  Each matvec is one sweep (``SolutionOperator.apply``).
-    A relative residual above tol after max_iter sweeps, or a Krylov
+    eta_hat, xi_hat and K(eta) xi are half spectra on zgrid.  The unknown is
+    x = (u_z, D0 u), nodal values of shape (2, nr, N), and the system is
+    x - S(F(eta, x), 0, 0) = S(0, 0, xi), whose right-hand side is the
+    closed form ``SolutionOperator.flat``.  Each matvec is one sweep
+    (``SolutionOperator.apply``), and one more sweep gives the trace.  A
+    relative residual above tol after max_iter sweeps, or a Krylov
     breakdown, raises ConvergenceError with the sweep count and residual.
     """
     from .solver import gmres  # solver imports this module
 
     if rgrid is None:
         rgrid = RadialGrid.make()
-    zgrid = eta.grid
-    if xi.grid is not zgrid:
-        raise GeometryError("eta and xi must share the longitudinal grid")
-    eta_v = np.asarray(eta.values, dtype=float)
+    ik = 1j * zgrid.kr
+    eta_v, eta_z = zgrid.to_rvalues(np.stack([eta_hat, ik * eta_hat]))
     if np.min(1.0 + eta_v) <= 0.0:
         raise GeometryError("flattening breaks down: min(1 + eta) <= 0")
-    eta_z = zgrid.deriv_values(eta_v)
     operator = _operator_for(zgrid, rgrid)
-    xi_hat = zgrid.to_rcoeffs(np.asarray(xi.values, dtype=float))
+    shape = (2, rgrid.nr, zgrid.N)
     sweeps = 0
 
-    def state(sol: RadialSolution) -> np.ndarray:
-        return np.concatenate([zgrid.to_rvalues(sol.uz_hat).ravel(),
-                               zgrid.to_rvalues(sol.d0u_hat).ravel()])
+    def state(profiles: np.ndarray) -> np.ndarray:
+        profiles[0] *= ik  # (u, D0 u) -> (u_z, D0 u)
+        return zgrid.to_rvalues(profiles).ravel()
 
-    def forcing(x: np.ndarray):
-        uz, d0u = x.reshape(2, rgrid.nr, zgrid.N)
-        F1, F2 = _forcing_terms(rgrid, eta_v, eta_z, uz, d0u)
-        return zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2)
+    def forcing(x: np.ndarray) -> np.ndarray:
+        return zgrid.to_rcoeffs(np.stack(
+            _forcing_terms(rgrid, eta_v, eta_z, *x.reshape(shape))))
 
     def matvec(x: np.ndarray) -> np.ndarray:
         nonlocal sweeps
         sweeps += 1
-        return x - state(operator.apply(*forcing(x), np.zeros_like(xi_hat)))
+        return x - state(operator.apply(*forcing(x))[0])
 
+    flat_profiles, flat_trace = operator.flat(xi_hat)
     try:
-        x, _, rel = gmres(matvec, state(solve_flat(xi, rgrid)), rtol=tol,
+        x, _, rel = gmres(matvec, state(flat_profiles), rtol=tol,
                           restart=max_iter, max_iter=max_iter)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
@@ -538,35 +456,36 @@ def solve_flattened_bvp(eta: SpectralField, xi: SpectralField,
             f"BVP solve: relative residual {rel:.3e} > tol {tol:g} after "
             f"{sweeps} sweeps; eta may be too large"
         )
-    sol = operator.apply(*forcing(x), xi_hat)
-    return sol, sol.surface_velocity_field()
+    _, trace_u = operator.apply(*forcing(x))
+    return x.reshape(shape), -(ik * (trace_u + flat_trace))
 
 
-def dn_oracle_apply(eta: SpectralField, rgrid: Optional[RadialGrid] = None,
+def dn_oracle_apply(zgrid: SpectralGrid, eta_hat: np.ndarray,
+                    rgrid: Optional[RadialGrid] = None,
                     tol: float = 1e-12) -> Callable[[np.ndarray], np.ndarray]:
-    """K(eta) as a callable on nodal values, backed by the BVP solve.
+    """K(eta) as a callable on half spectra, backed by the BVP solve.
 
     The periodic Neumann problem cannot see k = 0: the box mean of xi
     vanishes under d/dz, and the trace derivative carries no mean.  On the
     line the operator is smooth there (f(0) = 2), so both lost pieces come
     from the second-order expansion, in one batched call on the mean-free
-    part xi' and the constant mean xibar: the box mean of K(eta) xi' and the
-    whole of K(eta) xibar.  Every other mode of the output is the BVP's own,
-    so it stays an independent check of the expansion.
+    part xi' and the constant mean xibar = c_0: coefficient 0 of
+    K(eta) xi' and the whole of K(eta) xibar.  Every other coefficient of
+    the output is the BVP's own, so it stays an independent check of the
+    expansion.
     """
     from .operators import dn_expansion
 
-    grid = eta.grid
-    eta_values = np.asarray(eta.values, dtype=float)
+    eta_values = zgrid.to_rvalues(eta_hat)
 
-    def apply(xi_values: np.ndarray) -> np.ndarray:
-        xi_arr = np.asarray(xi_values, dtype=float)
-        xibar = float(np.mean(xi_arr))
-        xi_prime = xi_arr - xibar
-        _, out = solve_flattened_bvp(eta, SpectralField.from_values(grid, xi_prime),
-                                     rgrid=rgrid, tol=tol)
-        lost = dn_expansion(grid, eta_values,
-                            np.stack([xi_prime, np.full(grid.N, xibar)]), 2)
-        return np.asarray(out.values, dtype=float) + np.mean(lost[0]) + lost[1]
+    def apply(xi_hat: np.ndarray) -> np.ndarray:
+        xibar = float(xi_hat[0].real)
+        _, out = solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid=rgrid, tol=tol)
+        lost = zgrid.to_rcoeffs(dn_expansion(
+            zgrid, eta_values,
+            np.stack([zgrid.to_rvalues(xi_hat) - xibar, np.full(zgrid.N, xibar)]), 2))
+        out += lost[1]
+        out[0] += lost[0, 0]
+        return out
 
     return apply

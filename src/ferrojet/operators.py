@@ -362,7 +362,7 @@ class KineticLinearization:
     D^2 xi refined, [eta K0 xi] and its K0 refined -- also give P: one batched
     projection of the K1 and K2 level rows and one of the nested
     [eta K0[eta K0 xi]].  With the surface and P's refine that is seven
-    transforms at order 2; ``dn_apply`` (nodal values to nodal values), when
+    transforms at order 2; ``dn_apply`` (half spectrum to half spectrum), when
     given, evaluates P instead, as the BVP oracle does.  ``P`` is its half
     spectrum and ``value_f`` is G on the padded grid.
 
@@ -406,7 +406,7 @@ class KineticLinearization:
         self.rho_rows = np.stack(rows)
 
         if dn_apply is not None:
-            P = grid.to_rcoeffs(dn_apply(grid.to_rvalues(xi_hat)))
+            P = dn_apply(xi_hat)
         else:
             P = S * xi_hat
             if order >= 1:

@@ -383,8 +383,7 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
         last.clear()  # free the previous context first: peak memory holds one
         dn_apply = None
         if dn_oracle is not None:
-            eta = SpectralField.from_values(grid, basis.to_values(v), parity="even")
-            dn_apply = dno.dn_oracle_apply(eta, dn_oracle)
+            dn_apply = dno.dn_oracle_apply(grid, v, dn_oracle)
         kin = op.KineticLinearization(grid, v, dn_order, dn_apply)
         press, press_fields = op.pressure_jacobian_fields(kin.surface, gamma, law)
         ctx = (kin.project(press - c2 * kin.value_f).real, press_fields, kin)

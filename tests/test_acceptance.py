@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from ferrojet import checks, dno, solver
+from ferrojet import checks, solver
 from ferrojet import operators as op
 from ferrojet.dispersion import make_profile
 from ferrojet.spectral import SpectralField, SpectralGrid
@@ -61,33 +61,13 @@ def test_criterion_3_greens_kernel_identities():
 
 
 def test_criterion_4_dno_consistency():
+    # checks.dno_suite: the flat multiplier to 1e-10, and the order-1 and
+    # order-2 truncation slopes in [1.8, 2.2] and [2.7, 3.3]
     t0 = time.time()
-    grid = SpectralGrid.make(8 * np.pi, 128)
-    rgrid = dno.RadialGrid.make(64)
-
-    from ferrojet.specfun import f_ratio
-
-    k0 = 2.0
-    xi0 = SpectralField.from_function(grid, lambda z: np.cos(k0 * z))
-    flat = dno.solve_flat(xi0, rgrid).surface_velocity_field()
-    flat_err = float(np.max(np.abs(flat.values - f_ratio(k0) * np.cos(k0 * grid.z))))
-
-    amps = (1e-3, 3e-3, 1e-2)
-    xi = SpectralField.from_function(grid, np.sin)
-    errs1, errs2 = [], []
-    for a in amps:
-        eta = SpectralField.from_values(grid, a * np.cos(grid.z), parity="even")
-        _, K = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-14)
-        errs1.append(np.max(np.abs(
-            K.values - op.dn_expansion(grid, eta.values, xi.values, 1))))
-        errs2.append(np.max(np.abs(
-            K.values - op.dn_expansion(grid, eta.values, xi.values, 2))))
-    la = np.log(amps)
-    s1 = float(np.polyfit(la, np.log(errs1), 1)[0])
-    s2 = float(np.polyfit(la, np.log(errs2), 1)[0])
-    ok = flat_err <= 1e-10 and 1.8 <= s1 <= 2.2 and 2.7 <= s2 <= 3.3
-    _criterion(4, "DNO consistency: flat multiplier + truncation slopes", ok,
-               f"flat={flat_err:.1e}, slopes {s1:.3f}/{s2:.3f}",
+    rows = checks.dno_suite()
+    assert [(r.tol, r.target) for r in rows] == [(1e-10, 0.0), (0.2, 2.0), (0.3, 3.0)]
+    _criterion(4, "DNO consistency: flat multiplier + truncation slopes",
+               all(r.passed for r in rows), _suite_detail(rows),
                time.time() - t0, 180.0)
 
 

@@ -30,23 +30,6 @@ def test_radial_grid_weights(rgrid):
     assert abs(np.sum(rgrid.w) - 1.0) <= 1e-13
 
 
-@pytest.mark.parametrize("nr", [8, 64])
-def test_antiderivative_matrix_equals_the_column_loop(nr):
-    # one legint/legval on the whole coefficient matrix, against integrating
-    # and evaluating one Lagrange basis function at a time
-    g = dno.RadialGrid.make(nr)
-    leg, x = np.polynomial.legendre, 2 * g.r - 1
-    c_basis = leg.legfit(x, np.eye(nr), nr - 1)
-    loop = np.zeros((nr, nr))
-    for j in range(nr):
-        loop[:, j] = leg.legval(x, leg.legint(c_basis[:, j], lbnd=1.0) * 0.5)
-    got = g.antideriv_from_one()
-    assert np.array_equal(got, loop)
-    # int_1^r 1 dr = r - 1 and int_1^r 2 r dr = r^2 - 1
-    assert np.max(np.abs(got @ np.ones(nr) - (g.r - 1.0))) <= 1e-13
-    assert np.max(np.abs(got @ (2.0 * g.r) - (g.r**2 - 1.0))) <= 1e-13
-
-
 def test_kernel_symmetry_and_signs():
     ker = dno.greens_kernel(2.0, 0.3, 0.7)
     ker_swapped = dno.greens_kernel(2.0, 0.7, 0.3)
@@ -183,14 +166,12 @@ def test_shared_rule_agrees_with_per_node_panels_on_smooth_forcing(zgrid, rgrid,
     # the per-node panels under-integrate the degree-63 Lagrange basis, so
     # their A differs entry by entry; on smooth forcing both rules converge.
     # xi = 0: the boundary term and the trace do not go through A
-    F1, F2, _ = forcing
-    args = (zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2), np.zeros(zgrid.N // 2 + 1))
+    F1_hat, F2_hat, _ = forcing
     operator = dno.SolutionOperator(zgrid, rgrid)
-    got = operator.apply(*args)
+    got, _ = operator.apply(F1_hat, F2_hat)
     operator.A = _per_node_panel_operator(zgrid, rgrid)
-    want = operator.apply(*args)
-    for name in ("u_hat", "d0u_hat"):
-        a, b = getattr(got, name), getattr(want, name)
+    want, _ = operator.apply(F1_hat, F2_hat)
+    for name, a, b in zip(("u", "D0 u"), got, want):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 
 
@@ -226,15 +207,22 @@ def _four_einsum_sweep(operator, F1_hat, F2_hat, xi_hat):
     return u, d0u, tr_u
 
 
-def test_block_sweep_matches_four_einsum_sweep(zgrid, rgrid, forcing):
-    F1, F2, xi = forcing
+def _solution(zgrid, rgrid, F1_hat, F2_hat, xi_hat):
+    """S(F1, F2, xi) = S(F1, F2, 0) + S(0, 0, xi): the half spectra of
+    (u, D0 u), (2, nr, nk), and of the trace u(1)."""
     operator = dno._operator_for(zgrid, rgrid)
-    F1_hat, F2_hat = zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2)
-    xi_hat = zgrid.to_rcoeffs(xi.values)
+    profiles, trace_u = operator.apply(F1_hat, F2_hat)
+    flat_profiles, flat_trace = operator.flat(xi_hat)
+    return profiles + flat_profiles, trace_u + flat_trace
+
+
+def test_block_sweep_matches_four_einsum_sweep(zgrid, rgrid, forcing):
+    F1_hat, F2_hat, xi_hat = forcing
+    operator = dno._operator_for(zgrid, rgrid)
     assert np.max(np.abs(xi_hat[1:])) > 0.1
-    sol = operator.apply(F1_hat, F2_hat, xi_hat)
+    (u, d0u), trace_u = _solution(zgrid, rgrid, F1_hat, F2_hat, xi_hat)
     want = _four_einsum_sweep(operator, F1_hat, F2_hat, xi_hat)
-    got = (sol.u_hat[:, 1:], sol.d0u_hat[:, 1:], sol.trace_u[1:])
+    got = (u[:, 1:], d0u[:, 1:], trace_u[1:])
     for name, a, b in zip(("u", "D0 u", "trace u"), got, want):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
@@ -259,15 +247,19 @@ def test_h1_bounds_regression(rgrid):
             assert dno.integral_H3(k, r) <= 1.6
 
 
-def test_flat_solve_reproduces_multiplier(zgrid, rgrid):
+def test_flat_solve_neumann_trace(zgrid, rgrid):
+    # D0 u = xi_z at the surface, from the flat profiles at the state nodes
+    # (the multiplier f(k) itself is criterion 4's, in checks.dno_suite)
     k0 = 2.0
-    xi = SpectralField.from_function(zgrid, lambda z: np.cos(k0 * z))
-    sol = dno.solve_flat(xi, rgrid)
-    out = sol.surface_velocity_field()
-    assert np.max(np.abs(out.values - f_ratio(k0) * np.cos(k0 * zgrid.z))) <= 1e-10
-    # Neumann trace D0 u = xi_z at the surface
-    d0u = zgrid.to_rvalues(sol.trace_d0u[None, :])[0]
+    xi_hat = zgrid.to_rcoeffs(np.cos(k0 * zgrid.z))
+    profiles, _ = dno._operator_for(zgrid, rgrid).flat(xi_hat)
+    d0u = zgrid.to_rvalues(rgrid.boundary_row @ profiles[1])
     assert np.max(np.abs(d0u - (-k0) * np.sin(k0 * zgrid.z))) <= 1e-10
+
+
+def _surface_operator(zgrid, trace_u):
+    """K(eta) xi = -u_z(1), half spectrum, from the trace of u."""
+    return -(1j * zgrid.kr * trace_u)
 
 
 def _unmirrored_field(zgrid, rc):
@@ -281,11 +273,12 @@ def _unmirrored_field(zgrid, rc):
 
 
 def test_surface_velocity_matches_unmirrored_coefficients(zgrid, rgrid, forcing):
-    F1, F2, xi = forcing
-    for sol in (dno.solve_flat(xi, rgrid),
-                dno.apply_solution_operator(zgrid, rgrid, F1, F2, xi)):
-        out = sol.surface_velocity_field()
-        ref = _unmirrored_field(zgrid, -sol.trace_uz)
+    F1_hat, F2_hat, xi_hat = forcing
+    zero = np.zeros_like(F1_hat)
+    for args in ((zero, zero, xi_hat), forcing):
+        K_hat = _surface_operator(zgrid, _solution(zgrid, rgrid, *args)[1])
+        out = SpectralField.from_values(zgrid, zgrid.to_rvalues(K_hat))
+        ref = _unmirrored_field(zgrid, K_hat)
         assert np.isrealobj(out.values) and np.isrealobj(ref.values)
         scale = np.max(np.abs(ref.values))
         assert np.max(np.abs(out.values - ref.values)) <= 1e-12 * scale
@@ -294,135 +287,137 @@ def test_surface_velocity_matches_unmirrored_coefficients(zgrid, rgrid, forcing)
 
 def test_flat_solve_interior_harmonicity(zgrid, rgrid):
     k0 = 2.0
-    xi = SpectralField.from_function(zgrid, lambda z: np.cos(k0 * z))
-    sol = dno.solve_flat(xi, rgrid)
+    xi_hat = zgrid.to_rcoeffs(np.cos(k0 * zgrid.z))
+    profiles, _ = dno._operator_for(zgrid, rgrid).flat(xi_hat)
     D = rgrid.diff_matrix()
     mi = int(round(k0 * zgrid.L / np.pi))
-    u = sol.u_hat[:, mi]
-    d0u = sol.d0u_hat[:, mi]
+    u, d0u = profiles[:, :, mi]
     res = D @ d0u + d0u / rgrid.r - k0**2 * u
     assert np.max(np.abs(res)) <= 1e-6 * np.max(np.abs(u))
 
 
 @pytest.fixture(scope="module")
 def forcing(zgrid, rgrid):
+    """Half spectra of smooth forcing F1, F2, (nr, nk) each, and of xi."""
     env = np.exp(-((zgrid.z / 6.0) ** 2))
     F1 = (np.sin(np.pi * rgrid.r) * rgrid.r)[:, None] * (env * np.cos(0.75 * zgrid.z))[None, :]
     F2 = (rgrid.r**2)[:, None] * (env * np.sin(0.5 * zgrid.z))[None, :]
-    xi = SpectralField.from_function(zgrid, lambda z: np.sin(z))
-    return F1, F2, xi
+    return zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2), zgrid.to_rcoeffs(np.sin(zgrid.z))
 
 
 def test_solution_operator_reduces_to_flat(zgrid, rgrid, forcing):
-    _, _, xi = forcing
-    zero = np.zeros((rgrid.nr, zgrid.N))
-    sol_s = dno.apply_solution_operator(zgrid, rgrid, zero, zero, xi)
-    sol_f = dno.solve_flat(xi, rgrid)
-    assert np.max(np.abs(sol_s.u_hat - sol_f.u_hat)) <= 1e-10
-    assert np.max(np.abs(sol_s.trace_uz - sol_f.trace_uz)) <= 1e-10
+    # the flat response is the closed form i k xi_hat (I0(|k| r), |k| I1(|k| r))
+    # / (|k| I1(|k|)), every Bessel value from the public functions; no
+    # forcing, no response
+    _, _, xi_hat = forcing
+    operator = dno._operator_for(zgrid, rgrid)
+    profiles, trace_u = operator.flat(xi_hat)
+    x = zgrid.kr[1:]
+    xr = x[None, :] * rgrid.r[:, None]
+    ikxi = 1j * x * xi_hat[1:]
+    want_u = besseli(0, xr) / (x * besseli(1, x)) * ikxi
+    want_d0u = besseli(1, xr) / besseli(1, x) * ikxi
+    assert np.max(np.abs(profiles[0, :, 1:] - want_u)) <= 1e-13 * np.max(np.abs(want_u))
+    assert np.max(np.abs(profiles[1, :, 1:] - want_d0u)) <= 1e-13 * np.max(np.abs(want_d0u))
+    want_trace = besseli(0, x) / (x * besseli(1, x)) * ikxi
+    assert np.max(np.abs(trace_u[1:] - want_trace)) <= 1e-13 * np.max(np.abs(want_trace))
+    assert not np.any(profiles[:, :, 0]) and trace_u[0] == 0.0
+    zero = np.zeros((rgrid.nr, zgrid.N // 2 + 1))
+    assert not any(np.any(out) for out in operator.apply(zero, zero))
 
 
 def test_solution_operator_linearity(zgrid, rgrid, forcing):
-    F1, F2, xi = forcing
-    sol = dno.apply_solution_operator(zgrid, rgrid, F1, F2, xi)
-    xi2 = SpectralField.from_values(zgrid, 2.0 * xi.values)
-    sol2 = dno.apply_solution_operator(zgrid, rgrid, 2 * F1, 2 * F2, xi2)
-    assert np.max(np.abs(sol2.u_hat - 2.0 * sol.u_hat)) <= 1e-12 * max(
-        1.0, np.max(np.abs(sol.u_hat))
-    )
+    F1_hat, F2_hat, xi_hat = forcing
+    u = _solution(zgrid, rgrid, F1_hat, F2_hat, xi_hat)[0][0]
+    u2 = _solution(zgrid, rgrid, 2 * F1_hat, 2 * F2_hat, 2 * xi_hat)[0][0]
+    assert np.max(np.abs(u2 - 2.0 * u)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
 
 
 def test_solution_operator_defining_identity(zgrid, rgrid, forcing):
     # D1 D0 u + u_zz = D1 F1 + dz F2 in the discrete residual
-    F1, F2, xi = forcing
-    sol = dno.apply_solution_operator(zgrid, rgrid, F1, F2, xi)
+    F1h, F2h, xi_hat = forcing
+    (u, d0u), _ = _solution(zgrid, rgrid, F1h, F2h, xi_hat)
     D = rgrid.diff_matrix()
-    F1h = zgrid.to_rcoeffs(F1)
-    F2h = zgrid.to_rcoeffs(F2)
-    k = sol.k
-    res = (D @ sol.d0u_hat) + sol.d0u_hat / rgrid.r[:, None] \
-        - (k**2)[None, :] * sol.u_hat \
+    k = zgrid.kr
+    res = (D @ d0u) + d0u / rgrid.r[:, None] - (k**2)[None, :] * u \
         - (D @ F1h) - F1h / rgrid.r[:, None] - (1j * k)[None, :] * F2h
-    assert np.max(np.abs(res)) <= 1e-6 * max(1.0, np.max(np.abs(sol.u_hat)))
+    assert np.max(np.abs(res)) <= 1e-6 * max(1.0, np.max(np.abs(u)))
 
 
 def test_solution_operator_boundary_condition(zgrid, rgrid, forcing):
-    F1, F2, xi = forcing
-    sol = dno.apply_solution_operator(zgrid, rgrid, F1, F2, xi)
-    F1h = zgrid.to_rcoeffs(F1)
-    bc = sol.trace_d0u - rgrid.boundary_row @ F1h - 1j * sol.k * zgrid.to_rcoeffs(
-        xi.values
-    )
+    F1h, F2h, xi_hat = forcing
+    (_, d0u), _ = _solution(zgrid, rgrid, F1h, F2h, xi_hat)
+    bc = rgrid.boundary_row @ (d0u - F1h) - 1j * zgrid.kr * xi_hat
     assert np.max(np.abs(bc)) <= 1e-8
 
 
 def test_bvp_at_zero_eta(zgrid, rgrid):
-    xi = SpectralField.from_function(zgrid, np.sin)
-    eta = SpectralField.from_values(zgrid, np.zeros(zgrid.N))
-    sol, K = dno.solve_flattened_bvp(eta, xi, rgrid)
-    assert np.max(np.abs(K.values - f_ratio(1.0) * np.sin(zgrid.z))) <= 1e-10
+    xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
+    _, K = dno.solve_flattened_bvp(zgrid, np.zeros_like(xi_hat), xi_hat, rgrid)
+    assert np.max(np.abs(zgrid.to_rvalues(K) - f_ratio(1.0) * np.sin(zgrid.z))) <= 1e-10
 
 
 def test_bvp_geometry_error(zgrid, rgrid):
-    eta = SpectralField.from_values(zgrid, -1.2 * np.exp(-zgrid.z**2))
-    xi = SpectralField.from_function(zgrid, np.sin)
+    eta_hat = zgrid.to_rcoeffs(-1.2 * np.exp(-zgrid.z**2))
+    xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
     with pytest.raises(GeometryError):
-        dno.solve_flattened_bvp(eta, xi, rgrid)
+        dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid)
 
 
-def _bc_residual(zgrid, rgrid, eta, xi, sol):
-    eta_z = zgrid.deriv_values(eta.values)
-    uz = zgrid.to_rvalues(sol.uz_hat)
-    d0u = zgrid.to_rvalues(sol.d0u_hat)
-    F1, _ = dno._forcing_terms(rgrid, eta.values, eta_z, uz, d0u)
-    bc_lhs = zgrid.to_rvalues(sol.trace_d0u[None, :])[0]
-    bc_rhs = rgrid.boundary_row @ F1 + zgrid.deriv_values(xi.values)
-    return np.max(np.abs(bc_lhs - bc_rhs))
+def _bc_residual(zgrid, rgrid, eta_hat, xi_hat, x):
+    """max |D0 u - F1 - xi_z| at r = 1 for the nodal solution x = (u_z, D0 u)."""
+    eta = zgrid.to_rvalues(eta_hat)
+    eta_z = zgrid.to_rvalues(1j * zgrid.kr * eta_hat)
+    F1, _ = dno._forcing_terms(rgrid, eta, eta_z, *x)
+    bc_rhs = rgrid.boundary_row @ F1 + zgrid.to_rvalues(1j * zgrid.kr * xi_hat)
+    return np.max(np.abs(rgrid.boundary_row @ x[1] - bc_rhs))
 
 
 def test_bvp_converges_where_picard_diverged(zgrid, rgrid):
     # far outside the contraction regime (Picard updates grow by ~2.4x per
     # sweep here) the Krylov solve still converges
-    eta = SpectralField.from_values(zgrid, 0.9 * np.cos(zgrid.z), parity="even")
-    xi = SpectralField.from_function(zgrid, np.sin)
-    sol, _ = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-12)
-    assert _bc_residual(zgrid, rgrid, eta, xi, sol) <= 1e-10
+    eta_hat = zgrid.to_rcoeffs(0.9 * np.cos(zgrid.z))
+    xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
+    x, _ = dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid, tol=1e-12)
+    assert _bc_residual(zgrid, rgrid, eta_hat, xi_hat, x) <= 1e-10
 
 
 def test_bvp_iteration_cap_error(zgrid, rgrid):
-    eta = SpectralField.from_values(zgrid, 0.2 * np.cos(zgrid.z), parity="even")
-    xi = SpectralField.from_function(zgrid, np.sin)
+    eta_hat = zgrid.to_rcoeffs(0.2 * np.cos(zgrid.z))
+    xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
     with pytest.raises(ConvergenceError, match=r"residual .* after \d+ sweeps"):
-        dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-12, max_iter=3)
+        dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid, tol=1e-12, max_iter=3)
 
 
 def test_bvp_boundary_condition_post(zgrid, rgrid):
     a = 1e-2
-    eta = SpectralField.from_values(zgrid, a * np.cos(zgrid.z), parity="even")
-    xi = SpectralField.from_function(zgrid, np.sin)
+    eta_hat = zgrid.to_rcoeffs(a * np.cos(zgrid.z))
+    xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
     tol = 1e-12
-    sol, K = dno.solve_flattened_bvp(eta, xi, rgrid, tol=tol)
-    assert _bc_residual(zgrid, rgrid, eta, xi, sol) <= 10.0 * tol + 1e-10
+    x, _ = dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid, tol=tol)
+    assert _bc_residual(zgrid, rgrid, eta_hat, xi_hat, x) <= 10.0 * tol + 1e-10
 
 
 def test_bvp_contraction_factor(zgrid, rgrid):
     # the Picard iteration u <- S(F(eta, u), xi) from the flat state is the
     # reference path: it contracts at ||eta|| = 0.05, and its limit is the
     # Krylov solution
-    eta = SpectralField.from_values(zgrid, 0.05 * np.cos(zgrid.z), parity="even")
-    xi = SpectralField.from_function(zgrid, np.sin)
-    eta_z = zgrid.deriv_values(eta.values)
-    sol_f = dno.solve_flat(xi, rgrid)
-    uz = zgrid.to_rvalues(sol_f.uz_hat)
-    d0u = zgrid.to_rvalues(sol_f.d0u_hat)
-    operator = dno._operator_for(zgrid, rgrid)
+    eta = 0.05 * np.cos(zgrid.z)
+    eta_hat = zgrid.to_rcoeffs(eta)
+    xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
+    eta_z = zgrid.deriv_values(eta)
+    ik = 1j * zgrid.kr
+
+    def nodal(profiles):
+        return zgrid.to_rvalues(profiles * np.stack([ik, np.ones_like(ik)])[:, None, :])
+
+    uz, d0u = nodal(dno._operator_for(zgrid, rgrid).flat(xi_hat)[0])
     ratios, last = [], None
     for _ in range(60):
-        F1, F2 = dno._forcing_terms(rgrid, eta.values, eta_z, uz, d0u)
-        s = operator.apply(zgrid.to_rcoeffs(F1), zgrid.to_rcoeffs(F2),
-                           zgrid.to_rcoeffs(xi.values))
-        uz_new = zgrid.to_rvalues(s.uz_hat)
-        d0u_new = zgrid.to_rvalues(s.d0u_hat)
+        F1, F2 = dno._forcing_terms(rgrid, eta, eta_z, uz, d0u)
+        profiles, trace_u = _solution(zgrid, rgrid, zgrid.to_rcoeffs(F1),
+                                      zgrid.to_rcoeffs(F2), xi_hat)
+        uz_new, d0u_new = nodal(profiles)
         diff = max(np.max(np.abs(uz_new - uz)), np.max(np.abs(d0u_new - d0u)))
         if last is not None:
             ratios.append(diff / last)
@@ -433,10 +428,40 @@ def test_bvp_contraction_factor(zgrid, rgrid):
     assert max(ratios[1:6]) < 1.0  # contraction for ||eta|| <= 0.05
     assert diff < 1e-14
 
-    sol, K = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-13)
-    assert np.max(np.abs(zgrid.to_rvalues(sol.uz_hat) - uz)) <= 1e-12
-    assert np.max(np.abs(zgrid.to_rvalues(sol.d0u_hat) - d0u)) <= 1e-12
-    assert np.max(np.abs(K.values - s.surface_velocity_field().values)) <= 1e-12
+    x, K = dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid, tol=1e-13)
+    assert np.max(np.abs(x[0] - uz)) <= 1e-12
+    assert np.max(np.abs(x[1] - d0u)) <= 1e-12
+    K_picard = _surface_operator(zgrid, trace_u)
+    assert np.max(np.abs(zgrid.to_rvalues(K) - zgrid.to_rvalues(K_picard))) <= 1e-12
+
+
+def test_bvp_solve_makes_two_transforms_per_sweep(zgrid, rgrid, monkeypatch):
+    # a sweep transforms the stacked forcing forward and the stacked state
+    # back; the flat right-hand side and the final trace cost no sweep, so
+    # with eta's one transform a solve of s sweeps makes 2 s + 1
+    ffts, sweeps = [], []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, **kwargs):
+            ffts.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    sweep = dno.SolutionOperator.apply
+
+    def counted_sweep(*args):
+        sweeps.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(dno.SolutionOperator, "apply", counted_sweep)
+    eta_hat = zgrid.to_rcoeffs(0.01 * np.cos(zgrid.z))
+    xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
+    dno._operator_for(zgrid, rgrid)
+    ffts.clear()
+    dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid)
+    assert len(sweeps) > 2
+    assert len(ffts) == 2 * len(sweeps) + 1
 
 
 def test_operator_is_freed_with_its_grid(rgrid):
@@ -452,28 +477,21 @@ def test_operator_is_freed_with_its_grid(rgrid):
         gc.enable()
 
 
-@pytest.mark.parametrize("order,window", [(1, (1.8, 2.2)), (2, (2.7, 3.3))])
-def test_expansion_truncation_slopes(zgrid, rgrid, order, window):
-    amps = (1e-3, 3e-3, 1e-2)
-    xi = SpectralField.from_function(zgrid, np.sin)
-    errs = []
-    for a in amps:
-        eta = SpectralField.from_values(zgrid, a * np.cos(zgrid.z), parity="even")
-        _, K = dno.solve_flattened_bvp(eta, xi, rgrid, tol=1e-14)
-        trunc = op.dn_expansion(zgrid, eta.values, xi.values, order)
-        errs.append(np.max(np.abs(K.values - trunc)))
-    slope = np.polyfit(np.log(amps), np.log(errs), 1)[0]
-    assert window[0] <= slope <= window[1]
-
-
 def test_mode_map_self_adjointness(zgrid, rgrid):
     # the per-mode map xi_hat -> -u_z(1) is the real even multiplier f(k)
+    operator = dno._operator_for(zgrid, rgrid)
     for k0 in (1.0, 2.5):
-        xi = SpectralField.from_function(zgrid, lambda z: np.cos(k0 * z))
-        out = dno.solve_flat(xi, rgrid).surface_velocity_field()
-        ratio = out.coeffs[zgrid.mode_index(k0)] / (0.5)
+        xi_hat = zgrid.to_rcoeffs(np.cos(k0 * zgrid.z))
+        K_hat = _surface_operator(zgrid, operator.flat(xi_hat)[1])
+        m = zgrid.mode_index(k0)
+        ratio = K_hat[m] / xi_hat[m]
         assert abs(ratio.imag) <= 1e-13
         assert abs(ratio.real - f_ratio(k0)) <= 1e-12
+
+
+def _nodal(grid, apply_hat):
+    """A half-spectrum map as a map on nodal values."""
+    return lambda values: grid.to_rvalues(apply_hat(grid.to_rcoeffs(values)))
 
 
 def test_kinetic_expansion_vs_oracle_slope(rgrid):
@@ -484,9 +502,8 @@ def test_kinetic_expansion_vs_oracle_slope(rgrid):
     diffs = []
     for a in amps:
         etav = a * np.cos(grid.z) / np.cosh(grid.z / 5.0)
-        eta = SpectralField.from_values(grid, etav)
-        q_or = op.kinetic_exact(grid, etav, dno.dn_oracle_apply(eta, rgrid,
-                                                                tol=1e-14))
+        oracle = dno.dn_oracle_apply(grid, grid.to_rcoeffs(etav), rgrid, tol=1e-14)
+        q_or = op.kinetic_exact(grid, etav, _nodal(grid, oracle))
         q_ex = op.kinetic_exact(
             grid, etav, lambda v: op.dn_expansion(grid, etav, v, 2)
         )
@@ -496,28 +513,26 @@ def test_kinetic_expansion_vs_oracle_slope(rgrid):
 
 
 def test_kinetic_oracle_vanishes_on_quiescent_jet(zgrid, rgrid):
-    eta = SpectralField.from_values(zgrid, np.zeros(zgrid.N))
-    out = op.kinetic_exact(zgrid, eta.values,
-                           dno.dn_oracle_apply(eta, rgrid, tol=1e-14))
+    eta = np.zeros(zgrid.N)
+    oracle = dno.dn_oracle_apply(zgrid, zgrid.to_rcoeffs(eta), rgrid, tol=1e-14)
+    out = op.kinetic_exact(zgrid, eta, _nodal(zgrid, oracle))
     assert np.max(np.abs(out)) <= 1e-13
 
 
 def test_trace_consistent_with_end_node_interpolation(zgrid, rgrid, forcing):
-    F1, F2, xi = forcing
-    sol = dno.apply_solution_operator(zgrid, rgrid, F1, F2, xi)
-    interp = rgrid.boundary_row @ sol.u_hat
-    assert np.max(np.abs(interp - sol.trace_u)) <= 1e-8 * max(
-        1.0, np.max(np.abs(sol.trace_u))
+    (u, _), trace_u = _solution(zgrid, rgrid, *forcing)
+    interp = rgrid.boundary_row @ u
+    assert np.max(np.abs(interp - trace_u)) <= 1e-8 * max(
+        1.0, np.max(np.abs(trace_u))
     )
 
 
 def test_oracle_matches_expansion_through_second_order(zgrid, rgrid):
     a = 5e-3
     etav = a * np.cos(zgrid.z)
-    eta = SpectralField.from_values(zgrid, etav, parity="even")
-    apply_k = dno.dn_oracle_apply(eta, rgrid, tol=1e-14)
+    apply_k = dno.dn_oracle_apply(zgrid, zgrid.to_rcoeffs(etav), rgrid, tol=1e-14)
     xi = np.sin(zgrid.z) + 0.3 * np.cos(2 * zgrid.z)
-    diff = apply_k(xi) - op.dn_expansion(zgrid, etav, xi, 2)
+    diff = _nodal(zgrid, apply_k)(xi) - op.dn_expansion(zgrid, etav, xi, 2)
     assert np.max(np.abs(diff)) <= 50.0 * a**3
 
 
@@ -536,14 +551,55 @@ def _old_mean_response(grid, eta, xi):
 
 def test_oracle_k0_completion_matches_closed_form_mean(zgrid, rgrid):
     etav = 0.1 * np.cos(zgrid.z) + 0.05 * np.cos(2 * zgrid.z)
-    eta = SpectralField.from_values(zgrid, etav, parity="even")
+    eta_hat = zgrid.to_rcoeffs(etav)
     xi = 0.4 + np.sin(zgrid.z) + 0.3 * np.cos(3 * zgrid.z)  # nonzero mean
-    got = dno.dn_oracle_apply(eta, rgrid, tol=1e-14)(xi)
+    got = _nodal(zgrid, dno.dn_oracle_apply(zgrid, eta_hat, rgrid, tol=1e-14))(xi)
 
     xibar = np.mean(xi)
     xi_prime = xi - xibar
-    _, out = dno.solve_flattened_bvp(eta, SpectralField.from_values(zgrid, xi_prime),
+    _, out = dno.solve_flattened_bvp(zgrid, eta_hat, zgrid.to_rcoeffs(xi_prime),
                                      rgrid=rgrid, tol=1e-14)
-    ref = (out.values + _old_mean_response(zgrid, etav, xi_prime)
+    ref = (zgrid.to_rvalues(out) + _old_mean_response(zgrid, etav, xi_prime)
            + op.dn_expansion(zgrid, etav, np.full(zgrid.N, xibar), 2))
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _box_grid_probe(L):
+    """The centred first and second differences in the amplitude a = 1e-3 of
+    the oracle's K(a eta) xi, beside K1(eta) xi and K2(eta) xi.  eta and xi
+    are localised and their products have nonzero means; N is the power of
+    two at or above 12.8 L, nr = 64 and tol = 1e-14."""
+    grid = SpectralGrid.make(L, 1 << int(np.ceil(np.log2(12.8 * L))))
+    rgrid = dno.RadialGrid.make(64)
+    eta, xi = 1.0 / np.cosh(grid.z / 2.0), np.exp(-((grid.z / 3.0) ** 2))
+    a = 1e-3
+
+    def K(s):
+        oracle = dno.dn_oracle_apply(grid, grid.to_rcoeffs(s * eta), rgrid, tol=1e-14)
+        return grid.to_rvalues(oracle(grid.to_rcoeffs(xi)))
+
+    kp, km, k0 = K(a), K(-a), K(0.0)
+    return {1: ((kp - km) / (2 * a), op.dn1_apply(grid, eta, xi)),
+            2: ((kp + km - 2.0 * k0) / (2 * a * a), op.dn2_apply(grid, eta, eta, xi))}
+
+
+@pytest.fixture(scope="module")
+def box_probes():
+    return {L: _box_grid_probe(L) for L in (20.0, 80.0)}
+
+
+@pytest.mark.parametrize("L", [20.0, 80.0])
+def test_oracle_first_order_term_matches_dn1(box_probes, L):
+    # the first difference is K1 plus O(a^2) K3
+    diff, K1 = box_probes[L][1]
+    assert np.max(np.abs(diff - K1)) <= 1e-5 * np.max(np.abs(K1))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: the periodic Neumann problem drops the mean of an "
+    "intermediate product, so the oracle's second-order term misses K2 by "
+    "O(1/L) (8.7e-2 of max|K2| at L = 20, 3.0e-2 at L = 80)"))
+@pytest.mark.parametrize("L", [20.0, 80.0])
+def test_oracle_second_order_term_matches_dn2(box_probes, L):
+    diff, K2 = box_probes[L][2]
+    assert np.max(np.abs(diff - K2)) <= 1e-3 * np.max(np.abs(K2))

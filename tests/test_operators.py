@@ -236,20 +236,23 @@ class _NodalKineticLinearization:
     ``value_f``, ``project`` -- so a solve can run on it.
 
     With ``slope_from_expansion`` dG/dP is taken at the expansion's P while
-    ``value_f`` keeps dn_apply's: the quasi-Newton of a solve whose Jacobian
-    never saw the oracle."""
+    ``value_f`` keeps dn_apply's (half spectrum to half spectrum, as the
+    oracle's): the quasi-Newton of a solve whose Jacobian never saw the
+    oracle."""
 
     def __init__(self, grid, eta_hat, order, dn_apply=None,
                  slope_from_expansion=False):
         self.grid, self.order = grid, order
         self.eta = grid.to_rvalues(eta_hat)
-        if dn_apply is None:
-            dn_apply = _expansion(grid, self.eta, order)
         eta2 = grid.product_values([self.eta, self.eta])
         self.xi_comb = self.eta + 0.5 * eta2
         self.surface = _refine_each(grid, self.eta)
         ezf = self.surface[1]
-        Pf = grid.refine_values(dn_apply(self.xi_comb), 3)
+        if dn_apply is None:
+            P = op.dn_expansion(grid, self.eta, self.xi_comb, order)
+        else:
+            P = grid.to_rvalues(dn_apply(grid.to_rcoeffs(self.xi_comb)))
+        Pf = grid.refine_values(P, 3)
         s2 = 1.0 + ezf**2
         W = ezf**2 / (2.0 * s2)
         self.value_f = -0.5 * Pf**2 + W * (1.0 - Pf) ** 2 + Pf
@@ -321,16 +324,17 @@ def test_half_spectrum_surface_operator_matches_dn_expansion(N, regime, order):
     ref = op.dn_expansion(grid, eta, xi, order)
     got = grid.to_rvalues(op.KineticLinearization(grid, grid.to_rcoeffs(eta), order).P)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # dn_apply, when given, evaluates P from xi's nodal values
+    # dn_apply, when given, evaluates P from xi's half spectrum
     seen = []
 
-    def dn_apply(values):
-        seen.append(values)
-        return 0.5 * values
+    def dn_apply(xi_hat):
+        seen.append(xi_hat)
+        return 0.5 * xi_hat
 
     kin = op.KineticLinearization(grid, grid.to_rcoeffs(eta), order, dn_apply)
-    assert len(seen) == 1 and np.max(np.abs(seen[0] - xi)) <= 1e-15 * np.max(np.abs(xi))
-    assert np.max(np.abs(grid.to_rvalues(kin.P) - 0.5 * seen[0])) <= 1e-15
+    assert len(seen) == 1
+    assert np.max(np.abs(grid.to_rvalues(seen[0]) - xi)) <= 1e-15 * np.max(np.abs(xi))
+    assert np.array_equal(kin.P, 0.5 * seen[0])
 
 
 def _wave_problem(regime, linear_law, N=512):
