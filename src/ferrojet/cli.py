@@ -336,19 +336,6 @@ def _attempt(cfg: RunConfig, branch: str, eps: float):
         return exc
 
 
-def _solve_task(payload):
-    cfg_dict, branch, eps = payload
-    cfg = RunConfig(**cfg_dict)
-    cfg.out = Path(cfg.out)
-    return _attempt(cfg, branch, eps)
-
-
-def _cfg_dict(cfg: RunConfig) -> dict:
-    d = dict(cfg.__dict__)
-    d["out"] = str(d["out"])
-    return d
-
-
 def _reconstruct_for_report(cfg, rep, eps):
     # the target box is the envelope's own, eps z in [-L, L): a wider one
     # would show the periodic envelope's next copy as a second wave
@@ -370,7 +357,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         workers = min(os.cpu_count() or 1, len(eps_list))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                eps: pool.submit(_solve_task, (_cfg_dict(cfg), branch, eps))
+                eps: pool.submit(_attempt, cfg, branch, eps)
                 for eps in eps_list
             }
             results = {eps: fut.result() for eps, fut in futures.items()}

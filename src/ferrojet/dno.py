@@ -20,8 +20,10 @@ system (I - T) x = S(0, 0, xi) with T x = S(F(eta, x), 0, 0), solved by the
 restarted GMRES of ``solver.gmres``; each matvec is one sweep
 (``SolutionOperator.apply``), and the right-hand side is the closed-form
 flat response (``SolutionOperator.flat``), which with eta = 0 reproduces the
-multiplier f(k).  eta, xi and K(eta) xi are half spectra in the layout of
-``SpectralGrid.kr``; only the GMRES unknown x is nodal.
+multiplier f(k).  The trace u(1) comes once, from the converged forcing
+through the trace rows (``SolutionOperator.trace``), with no sweep.  eta, xi
+and K(eta) xi are half spectra in the layout of ``SpectralGrid.kr``, as in
+the Newton solvers; only the GMRES unknown x is nodal.
 
 Radial quadrature: Gauss-Legendre state nodes r_1 < ... < r_nr on (0,1).
 The kernel is semi-separable (Greengard & Rokhlin, Comm. Pure Appl. Math. 44
@@ -353,34 +355,37 @@ class SolutionOperator:
         prof0, prof1, prof0_wall = _flat_profiles(x, r)
         self.b_xi = -np.concatenate([prof0, prof1], axis=1)
         self.G11 = -prof0_wall
-        self.trace_row = self.b_xi * np.tile(rgrid.w * r, 2)[None, :]
+        self.trace_row = (self.b_xi * np.tile(rgrid.w * r, 2))[:, None, :]
 
-    def apply(self, F1_hat: np.ndarray, F2_hat: np.ndarray):
+    def _columns(self, F1_hat: np.ndarray, F2_hat: np.ndarray) -> np.ndarray:
+        """(i k F2_hat, -F1_hat) per mode 1.., as (re, im) column pairs."""
+        g = np.concatenate([F2_hat[:, 1:] * (1j * self.kpos[1:]), -F1_hat[:, 1:]])
+        return np.ascontiguousarray(g.T).view(float).reshape(g.shape[::-1] + (2,))
+
+    def apply(self, F1_hat: np.ndarray, F2_hat: np.ndarray) -> np.ndarray:
         """One sweep S(F1, F2, 0): the displayed integral formula, all modes at once.
 
         F1_hat, F2_hat: (nr, nk) half spectra.  Returns the half spectra of
-        (u, D0 u), stacked as (2, nr, nk), and of the trace u(1), (nk,).
+        (u, D0 u), stacked as (2, nr, nk): one real batched matmul.
         """
         nr, nk = F1_hat.shape
-        ik = 1j * self.kpos[1:]
-        g = np.empty((nk - 1, 2 * nr), dtype=complex)
-        g[:, :nr] = (F2_hat[:, 1:] * ik[None, :]).T
-        g[:, nr:] = -F1_hat[:, 1:].T
-        # complex data as (re, im) column pairs: one real batched matmul
-        g_re = g.view(float).reshape(nk - 1, 2 * nr, 2)
-        out = np.matmul(self.A, g_re).view(complex)[..., 0]
+        out = np.matmul(self.A, self._columns(F1_hat, F2_hat)).view(complex)[..., 0]
         profiles = np.zeros((2, nr, nk), dtype=complex)
         profiles[:, :, 1:] = out.T.reshape(2, nr, nk - 1)
         profiles[1, :, 1:] += F1_hat[:, 1:]
         # k = 0: r D0 u = r F1 by regularity; u there is never read
         profiles[1, :, 0] = F1_hat[:, 0]
-        trace_u = np.zeros(nk, dtype=complex)
-        trace_u[1:] = (self.trace_row[:, None, :] @ g_re).view(complex)[:, 0, 0]
-        return profiles, trace_u
+        return profiles
+
+    def trace(self, F1_hat: np.ndarray, F2_hat: np.ndarray) -> np.ndarray:
+        """The half spectrum of the trace u(1) of S(F1, F2, 0), (nk,), by the
+        trace rows alone: no sweep."""
+        rows = self.trace_row @ self._columns(F1_hat, F2_hat)
+        return np.pad(rows.view(complex)[:, 0, 0], (1, 0))
 
     def flat(self, xi_hat: np.ndarray):
         """S(0, 0, xi), the eta = 0 response in closed form, from the (nk,)
-        half spectrum xi_hat: the same outputs as ``apply``."""
+        half spectrum xi_hat: the outputs of ``apply`` and ``trace``."""
         nr, nk = self.rgrid.nr, self.kpos.size
         ikxi = 1j * self.kpos[1:] * xi_hat[1:]
         profiles = np.zeros((2, nr, nk), dtype=complex)
@@ -391,7 +396,7 @@ class SolutionOperator:
 
 
 def _operator_for(zgrid: SpectralGrid, rgrid: RadialGrid) -> SolutionOperator:
-    key = ("dno_operator", id(rgrid))
+    key = ("dno_operator", rgrid.nr)  # a RadialGrid is fully determined by nr
     if key not in zgrid._cache:
         zgrid._cache[key] = SolutionOperator(zgrid, rgrid)
     return zgrid._cache[key]
@@ -414,7 +419,8 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
     x = (u_z, D0 u), nodal values of shape (2, nr, N), and the system is
     x - S(F(eta, x), 0, 0) = S(0, 0, xi), whose right-hand side is the
     closed form ``SolutionOperator.flat``.  Each matvec is one sweep
-    (``SolutionOperator.apply``), and one more sweep gives the trace.  A
+    (``SolutionOperator.apply``); the trace comes from the converged forcing
+    through ``SolutionOperator.trace``, one transform and no sweep.  A
     relative residual above tol after max_iter sweeps, or a Krylov
     breakdown, raises ConvergenceError with the sweep count and residual.
     """
@@ -441,7 +447,7 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
     def matvec(x: np.ndarray) -> np.ndarray:
         nonlocal sweeps
         sweeps += 1
-        return x - state(operator.apply(*forcing(x))[0])
+        return x - state(operator.apply(*forcing(x)))
 
     flat_profiles, flat_trace = operator.flat(xi_hat)
     try:
@@ -456,7 +462,7 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
             f"BVP solve: relative residual {rel:.3e} > tol {tol:g} after "
             f"{sweeps} sweeps; eta may be too large"
         )
-    _, trace_u = operator.apply(*forcing(x))
+    trace_u = operator.trace(*forcing(x))
     return x.reshape(shape), -(ik * (trace_u + flat_trace))
 
 

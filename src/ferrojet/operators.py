@@ -26,19 +26,18 @@ pair), ``pressure_exact``, ``kinetic_exact`` and ``wave_residual``.
 The Newton path works in real half spectra on one padded grid of 2N points
 (power-of-two N), where every product of the expansion (two or three
 factors) and the pointwise nonlinearities live; every symbol is a multiply
-on coefficients, and the Nyquist coefficient follows
-``SpectralGrid.refine_rcoeffs`` and ``project_rcoeffs`` (split on the way
-up, 2 Re on the way down).  A Newton iterate is one
-``KineticLinearization``: it refines the surface jet [eta, eta_z, eta_zz]
-once, and the fields its derivative needs also give K(eta) xi (or the
-solve's own realisation of K evaluates it), so K(eta) xi and the kinetic
-functional cost seven FFT calls at order 2.  ``pressure_jacobian_fields``
-reads the same jet, so the residual P(eta) - c^2 Q(eta) is assembled on
-the padded grid and projected once: eight calls per iterate, where the
-nodal pipeline made 105 at N = 1024.  A Jacobian action takes the half
-spectra of a batch of directions, refines their jet once for both parts
-(``pressure_jvp`` and the kinetic derivative), and projects
-pressure - c^2 kinetic once: eight calls per batch at order 2, where the
+on coefficients, and every refine or projection is one batched transform
+(``SpectralGrid.refine_to_values``/``project_to_coeffs``).  Like every
+Newton problem, the travelling-wave problem prepares its state once per
+iterate and works from coordinates to coordinates: one
+``KineticLinearization`` refines the surface jet [eta, eta_z, eta_zz] once,
+and the fields its derivative needs also give K(eta) xi (or the solve's own
+realisation of K evaluates it).  ``pressure_jacobian_fields`` reads the same
+jet, so the residual P(eta) - c^2 Q(eta) is assembled on the padded grid and
+projected once: eight FFT calls per iterate at order 2, where the nodal
+pipeline made 105 at N = 1024.  A Jacobian action refines the directions'
+jet once for both parts (``pressure_jvp`` and the kinetic derivative) and
+projects pressure - c^2 kinetic once: eight calls per batch, where the
 nodal-value composition made sixteen.  All of it agrees with the nodal
 reference pipeline to rounding.
 """
@@ -160,8 +159,8 @@ def _half_symbols(grid: SpectralGrid):
 
 def _refine_rows(grid: SpectralGrid, rows):
     """Padded-grid values of each half spectrum in rows, by one transform."""
-    rcoeffs = grid.refine_rcoeffs(np.stack(rows, axis=-2), _REFINE)
-    return tuple(np.moveaxis(grid._padded(_REFINE).to_rvalues(rcoeffs), -2, 0))
+    fine = grid.refine_to_values(np.stack(rows, axis=-2), _REFINE)
+    return tuple(np.moveaxis(fine, -2, 0))
 
 
 def _refined_jet(grid: SpectralGrid, rcoeffs):
@@ -353,8 +352,8 @@ class KineticLinearization:
     expansion (two or three factors) and G itself live on one padded grid of
     2N points.  Every field is a half spectrum or padded-grid values: a
     symbol is a multiply on coefficients, and each refine or projection of
-    one dependency level is one batched transform, with the Nyquist rule of
-    ``SpectralGrid.refine_rcoeffs``/``project_rcoeffs``.
+    one dependency level is one batched transform
+    (``SpectralGrid.refine_to_values``/``project_to_coeffs``).
 
     ``__init__`` takes eta's half spectrum and refines [eta, eta_z, eta_zz]
     once (``surface``, which the pressure part reads too).  xi comes from the
@@ -378,9 +377,7 @@ class KineticLinearization:
 
     def __init__(self, grid: SpectralGrid, eta, order: int,
                  dn_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        fine = grid._padded(_REFINE)
-        assert grid._padded(2).N == fine.N == 2 * grid.N
-        self.grid, self.fine, self.order = grid, fine, order
+        self.grid, self.order = grid, order
         S, D, D2 = self.symbols = _half_symbols(grid)
 
         eta_hat = np.asarray(eta)
@@ -423,7 +420,7 @@ class KineticLinearization:
 
     def project(self, fine_values: np.ndarray) -> np.ndarray:
         """Half spectra on the grid of padded-grid values (last axis), one transform."""
-        return self.grid.project_rcoeffs(self.fine.to_rcoeffs(fine_values), _REFINE)
+        return self.grid.project_to_coeffs(fine_values, _REFINE)
 
     def _levels(self, s_z, k0s, s_zz, nested=None):
         """Padded-grid rows (stacked on axis -2) whose projections q give the

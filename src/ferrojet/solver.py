@@ -9,11 +9,13 @@ isolated:
   * conjugate-even complex fields -- real transform coefficients, length N
     (full-dispersion NLS, zeta(-Z) = conj zeta(Z)).
 
-Each Newton step is matrix-free: restarted GMRES applies the analytic
-derivative (J.v, its state-dependent part prepared once per step), right-
-preconditioned by the exact diagonal of the Jacobian at the flat state.  A
-GMRES solve that misses ``GMRES_RTOL`` raises ``ConvergenceError`` with the
-residual history and the linear-solve records, the failed step's included.
+Every problem prepares its state once per Newton iterate, and its residual
+and Jacobian action (J.v) read that context from coordinates to coordinates
+(``SolverProblem``).  Each step is matrix-free: restarted GMRES applies J.v,
+right-preconditioned by the exact diagonal of the Jacobian at the flat
+state.  A GMRES solve that misses ``GMRES_RTOL`` raises ``ConvergenceError``
+with the residual history and the linear-solve records, the failed step's
+included.
 The dense Jacobian (``assemble_jacobian``) serves diagnostics only; a
 finite-difference cross-check of the derivative is part of the acceptance
 suite.  Damped steps (halving on residual growth, plus a geometry guard for
@@ -162,27 +164,39 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 class SolverProblem:
     """Residual map in subspace coordinates plus its Jacobian action.
 
-    ``prepare`` (optional) builds a state-dependent linearisation context
-    once per Newton step; ``jv_batch`` receives it as third argument when
-    set.  Its rows are directions, so one call applies J to a batch.
+    ``prepare(v)`` builds the context of the state v once per iterate (the
+    state refined onto the padded grid, or the travelling-wave
+    linearisation); ``residual(ctx)`` and ``jv_batch(ctx, W)`` read it, the
+    rows of W being directions, so one call applies J to a batch.
+    ``context`` keeps the last context, so the Newton step at an accepted
+    trial point reuses the one its residual built.
     """
 
     basis: object
-    residual: Callable[[np.ndarray], np.ndarray]
-    jv_batch: Callable[..., np.ndarray]
+    prepare: Callable[[np.ndarray], object]
+    residual: Callable[[object], np.ndarray]
+    jv_batch: Callable[[object, np.ndarray], np.ndarray]
     geometry_ok: Optional[Callable[[np.ndarray], bool]] = None
-    prepare: Optional[Callable[[np.ndarray], object]] = None
+    _last: tuple = field(default=(), init=False, repr=False)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
+    def context(self, v: np.ndarray):
+        """``prepare(v)``, run once for consecutive calls at the same v."""
+        if not (self._last and np.array_equal(self._last[0], v)):
+            self._last = ()  # free the previous context first: memory holds one
+            self._last = (np.array(v), self.prepare(v))
+        return self._last[1]
+
+    def residual_at(self, v: np.ndarray) -> np.ndarray:
+        return self.residual(self.context(v))
+
     def linearize(self, v: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """W -> J(v) W on rows of W, with ``prepare`` run once."""
-        if self.prepare is None:
-            return lambda W: self.jv_batch(v, W)
-        ctx = self.prepare(v)
-        return lambda W: self.jv_batch(v, W, ctx)
+        """W -> J(v) W on rows of W."""
+        ctx = self.context(v)
+        return lambda W: self.jv_batch(ctx, W)
 
     def assemble_jacobian(self, v: np.ndarray) -> np.ndarray:
         """Dense J(v), 512 basis vectors per batch (a diagnostic)."""
@@ -206,11 +220,9 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _res_norms(grid: SpectralGrid, basis, r: np.ndarray):
-    vals = basis.to_values(r)
-    return float(np.max(np.abs(vals))), float(
-        np.sqrt(np.sum(np.abs(vals) ** 2) * grid.dz)
-    )
+def _res_norms(basis, r: np.ndarray):
+    vals = np.abs(basis.to_values(r))
+    return float(np.max(vals)), float(np.sqrt(np.sum(vals**2) * basis.grid.dz))
 
 
 def _flat_diagonal(problem: SolverProblem) -> np.ndarray:
@@ -235,10 +247,9 @@ def _newton_step(problem: SolverProblem, v: np.ndarray, r: np.ndarray,
 def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
             max_iter: int, epsilon: float, branch: str) -> SolveReport:
     v = np.array(v0, dtype=float)
-    grid = problem.basis.grid
     precond = _flat_diagonal(problem)
-    r = problem.residual(v)
-    rmax, rl2 = _res_norms(grid, problem.basis, r)
+    r = problem.residual_at(v)
+    rmax, rl2 = _res_norms(problem.basis, r)
     history, linear_solves = [rmax], []
     its = 0
     for its in range(1, max_iter + 1):
@@ -255,8 +266,8 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
         while True:
             v_try = v - s * step
             if problem.geometry_ok is None or problem.geometry_ok(v_try):
-                r_try = problem.residual(v_try)
-                rmax_try, rl2_try = _res_norms(grid, problem.basis, r_try)
+                r_try = problem.residual_at(v_try)
+                rmax_try, rl2_try = _res_norms(problem.basis, r_try)
                 if rmax_try < rmax or rmax_try <= tol:
                     break
                 failure = f"Newton stagnation: residual stuck at {rmax:.3e}"
@@ -285,22 +296,23 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
 
 def _quadratic_even_problem(grid: SpectralGrid, sym: np.ndarray,
                             quad) -> SolverProblem:
-    """Even-subspace problem sym * v + quad * coords(u^2); quad may be per mode."""
-    basis = EvenBasis(grid)
+    """Even-subspace problem sym * v + quad * coords(u^2), quad per mode or not;
+    v is u's half spectrum, and its context is (v, u on the padded grid)."""
 
-    def residual(v):
-        u = basis.to_values(v)
-        u2 = grid.product_values([u, u])
-        return sym * v + quad * basis.to_coords(u2)
+    def quadratic(fine):
+        return quad * grid.project_to_coeffs(fine).real
 
-    def jv_batch(v, W):
-        u = basis.to_values(v)
-        w = basis.to_values(W)
-        return sym[None, :] * W + 2.0 * quad * basis.to_coords(
-            grid.product_values([u, w])
-        )
+    def residual(ctx):
+        v, u_f = ctx
+        return sym * v + quadratic(u_f * u_f)
 
-    return SolverProblem(basis=basis, residual=residual, jv_batch=jv_batch)
+    def jv_batch(ctx, W):
+        _, u_f = ctx
+        return sym * W + 2.0 * quadratic(u_f * grid.refine_to_values(W))
+
+    return SolverProblem(basis=EvenBasis(grid),
+                         prepare=lambda v: (v, grid.refine_to_values(v)),
+                         residual=residual, jv_batch=jv_batch)
 
 
 def kdv_problem(coeffs: WnlCoeffs, grid: SpectralGrid) -> SolverProblem:
@@ -331,30 +343,28 @@ def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
     if profile.regime is not Regime.WEAK:
         raise RegimeError("full-dispersion NLS needs the weak regime")
     coeffs = nls_coeffs(gamma, law, profile)
-    if delta is None:
-        delta = profile.omega / 6.0
-    basis = ConjugateEvenBasis(grid)
-    k = grid.k
-    sym = profile.g(profile.omega + epsilon * k) / epsilon**2 + coeffs.a2
-    chi0 = CutoffSpec(delta, profile.omega).chi0(epsilon * k)
-    a3 = coeffs.a3
+    delta = profile.omega / 6.0 if delta is None else delta
+    sym = profile.g(profile.omega + epsilon * grid.k) / epsilon**2 + coeffs.a2
+    chi0 = CutoffSpec(delta, profile.omega).chi0(epsilon * grid.k)
 
-    def cubic(z):
-        return grid.product_values([z, np.conj(z), z])
+    def cubic(fine):
+        return coeffs.a3 * chi0 * grid.project_to_coeffs(fine, 3).real
 
-    def residual(v):
-        z = basis.to_values(v)
-        return sym * v - a3 * chi0 * basis.to_coords(cubic(z))
+    def prepare(v):  # v is z's real full spectrum; z, |z|^2, z^2 padded
+        z_f = grid.refine_to_values(v, 3)
+        return v, z_f, (z_f * z_f.conj()).real, z_f * z_f
 
-    def jv_batch(v, W):
-        z = basis.to_values(v)
-        w = basis.to_values(W)
-        dcube = 2.0 * grid.product_values([z, np.conj(z), w]) + grid.product_values(
-            [z, z, np.conj(w)]
-        )
-        return sym[None, :] * W - a3 * chi0[None, :] * basis.to_coords(dcube)
+    def residual(ctx):
+        v, z_f, abs2_f, _ = ctx
+        return sym * v - cubic(abs2_f * z_f)
 
-    return SolverProblem(basis=basis, residual=residual, jv_batch=jv_batch)
+    def jv_batch(ctx, W):
+        _, _, abs2_f, z2_f = ctx
+        w_f = grid.refine_to_values(W, 3)
+        return sym * W - cubic(2.0 * abs2_f * w_f + z2_f * w_f.conj())
+
+    return SolverProblem(basis=ConjugateEvenBasis(grid), prepare=prepare,
+                         residual=residual, jv_batch=jv_batch)
 
 
 def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
@@ -363,42 +373,32 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
                             ) -> SolverProblem:
     """Full truncated equation P(eta) - c^2 Q(eta) = 0 in the even subspace.
 
-    Each iterate evaluates K(eta) xi once: ``prepare`` builds the residual
-    and the J.v context together, ``residual`` returns that evaluation's
-    residual, and the last evaluation is kept, so the Newton step at an
-    accepted trial point reuses it.  K is the expansion of order
-    ``dn_order``, or the BVP oracle on ``dn_oracle``.  In oracle mode each
-    step is a quasi-Newton step: dG/dP is taken at the oracle's P, and the
-    dK/deta part of the derivative is the expansion's (the two operators
-    differ at cubic order).  The coordinates are eta's half spectrum, so the
-    residual and J.v run from coordinates to coordinates on the padded grid
-    of ``op.KineticLinearization``, each projected once.
+    ``prepare`` evaluates K(eta) xi once and builds the residual with the
+    J.v context, on the padded grid of ``op.KineticLinearization``.  K is the
+    expansion of order ``dn_order``, or the BVP oracle on ``dn_oracle``.  In
+    oracle mode each step is a quasi-Newton step: dG/dP is taken at the
+    oracle's P, and the dK/deta part of the derivative is the expansion's
+    (the two operators differ at cubic order).
     """
     basis = EvenBasis(grid)
-    last = {}
 
     def prepare(v):
-        if "v" in last and np.array_equal(last["v"], v):
-            return last["ctx"]
-        last.clear()  # free the previous context first: peak memory holds one
         dn_apply = None
         if dn_oracle is not None:
             dn_apply = dno.dn_oracle_apply(grid, v, dn_oracle)
         kin = op.KineticLinearization(grid, v, dn_order, dn_apply)
         press, press_fields = op.pressure_jacobian_fields(kin.surface, gamma, law)
-        ctx = (kin.project(press - c2 * kin.value_f).real, press_fields, kin)
-        last.update(v=np.array(v), ctx=ctx)
-        return ctx
+        return kin.project(press - c2 * kin.value_f).real, press_fields, kin
 
-    def jv_batch(v, W, ctx):
+    def jv_batch(ctx, W):
         _, press, kin = ctx
         return kin.apply(W, press, c2).real
 
     def geometry_ok(v):
         return bool(np.min(1.0 + basis.to_values(v)) > 0.0)
 
-    return SolverProblem(basis=basis, residual=lambda v: prepare(v)[0],
-                         jv_batch=jv_batch, geometry_ok=geometry_ok, prepare=prepare)
+    return SolverProblem(basis=basis, prepare=prepare, residual=lambda ctx: ctx[0],
+                         jv_batch=jv_batch, geometry_ok=geometry_ok)
 
 
 # -- public solvers -------------------------------------------------------------
@@ -616,9 +616,8 @@ def check_jacobian(problem: SolverProblem, v: np.ndarray, n_dirs: int = 5,
         w /= np.linalg.norm(w)
         jw = problem.linearize(v)(w[None, :])[0]
         step = h * scale
-        fd = (problem.residual(v + step * w) - problem.residual(v - step * w)) / (
-            2.0 * step
-        )
+        fd = (problem.residual_at(v + step * w)
+              - problem.residual_at(v - step * w)) / (2.0 * step)
         err = np.linalg.norm(fd - jw) / max(np.linalg.norm(jw), 1e-300)
         worst = max(worst, float(err))
     return worst

@@ -21,9 +21,10 @@ Products of band-limited fields are computed exactly by zero-padding: a
 product of p factors is evaluated on a grid of M >= (p+1) N / 2 points and
 truncated back, so the retained N coefficients carry no aliasing error.
 The Nyquist coefficient is split evenly between +N/2 and -N/2 on the way
-up and the two are summed on the way down, in both layouts; for real
-fields ``refine_rcoeffs``/``project_rcoeffs`` hold that rule, so a caller
-can chain products in the half spectrum without nodal values in between.
+up and the two are summed on the way down, in both layouts.
+``refine_to_values`` and ``project_to_coeffs`` go from coefficients (either
+layout) to padded-grid values and back, one transform each, so the Newton
+problems and the surface operators work from coordinates to coordinates.
 Every transform raises ``GridError`` when the last axis is not N long
 (N/2 + 1 for a half spectrum).
 
@@ -48,10 +49,6 @@ __all__ = [
 ]
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 @dataclass(eq=False)
 class SpectralGrid:
     """Equispaced periodic grid on [-L, L) with N (power of two) nodes."""
@@ -66,8 +63,8 @@ class SpectralGrid:
     def __post_init__(self):
         if self.L <= 0:
             raise ParameterError("grid half-length must be positive")
-        if not _is_pow2(self.N):
-            raise ParameterError(f"grid size must be a power of two, got {self.N}")
+        if self.N < 4 or self.N & (self.N - 1):
+            raise ParameterError(f"grid size must be a power of two >= 4, got {self.N}")
         n = self.N
         self.z = -self.L + 2.0 * self.L * np.arange(n) / n
         m = np.fft.fftfreq(n, d=1.0 / n)  # integer mode numbers, FFT order
@@ -221,23 +218,34 @@ class SpectralGrid:
         out[..., n // 2] = (2.0 if padded.N > n else 1.0) * out[..., n // 2].real
         return out
 
+    def refine_to_values(self, coeffs: np.ndarray, nfactors: int = 2) -> np.ndarray:
+        """Padded-grid values from coefficients (last axis), one transform: a
+        half spectrum (N/2 + 1 long; N >= 4 tells it from N) gives real
+        values, a full spectrum (N) complex ones."""
+        padded = self._padded(nfactors)
+        if np.shape(coeffs)[-1] == self.N // 2 + 1:
+            return padded.to_rvalues(self.refine_rcoeffs(coeffs, nfactors))
+        self._check_length(coeffs, self.N)
+        return padded.to_values(self.pad_coeffs(coeffs, padded))
+
+    def project_to_coeffs(self, fine_values: np.ndarray, nfactors: int = 2) -> np.ndarray:
+        """Coefficients back from padded-grid values (last axis), one transform,
+        dropping the unresolved tail: the half spectrum of real values, the
+        full spectrum of complex ones."""
+        padded = self._padded(nfactors)
+        if np.isrealobj(fine_values):
+            return self.project_rcoeffs(padded.to_rcoeffs(fine_values), nfactors)
+        return self.truncate_coeffs(padded.to_coeffs(fine_values), padded)
+
     def refine_values(self, values: np.ndarray, nfactors: int = 2) -> np.ndarray:
         """Values resampled on the padded grid for pointwise nonlinearities."""
-        padded = self._padded(nfactors)
-        if not np.isrealobj(values):
-            return padded.to_values(self.pad_coeffs(self.to_coeffs(values), padded))
-        return padded.to_rvalues(self.refine_rcoeffs(self.to_rcoeffs(values), nfactors))
+        to_coeffs = self.to_rcoeffs if np.isrealobj(values) else self.to_coeffs
+        return self.refine_to_values(to_coeffs(values), nfactors)
 
     def project_values(self, fine_values: np.ndarray, nfactors: int = 2) -> np.ndarray:
         """Back from the padded grid, dropping the unresolved tail."""
-        padded = self._padded(nfactors)
-        if not np.isrealobj(fine_values):
-            return self.to_values(
-                self.truncate_coeffs(padded.to_coeffs(fine_values), padded)
-            )
-        return self.to_rvalues(
-            self.project_rcoeffs(padded.to_rcoeffs(fine_values), nfactors)
-        )
+        to_values = self.to_rvalues if np.isrealobj(fine_values) else self.to_values
+        return to_values(self.project_to_coeffs(fine_values, nfactors))
 
     def product_values(self, factors: Sequence[np.ndarray]) -> np.ndarray:
         """Exact (dealiased) pointwise product of band-limited fields."""

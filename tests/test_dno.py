@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from ferrojet import dno
+from ferrojet import dno, solver
 from ferrojet import operators as op
 from ferrojet.errors import ConvergenceError, DomainError, GeometryError
 from ferrojet.spectral import SpectralField, SpectralGrid
@@ -211,9 +211,9 @@ def _solution(zgrid, rgrid, F1_hat, F2_hat, xi_hat):
     """S(F1, F2, xi) = S(F1, F2, 0) + S(0, 0, xi): the half spectra of
     (u, D0 u), (2, nr, nk), and of the trace u(1)."""
     operator = dno._operator_for(zgrid, rgrid)
-    profiles, trace_u = operator.apply(F1_hat, F2_hat)
     flat_profiles, flat_trace = operator.flat(xi_hat)
-    return profiles + flat_profiles, trace_u + flat_trace
+    return (operator.apply(F1_hat, F2_hat) + flat_profiles,
+            operator.trace(F1_hat, F2_hat) + flat_trace)
 
 
 def test_block_sweep_matches_four_einsum_sweep(zgrid, rgrid, forcing):
@@ -323,7 +323,8 @@ def test_solution_operator_reduces_to_flat(zgrid, rgrid, forcing):
     assert np.max(np.abs(trace_u[1:] - want_trace)) <= 1e-13 * np.max(np.abs(want_trace))
     assert not np.any(profiles[:, :, 0]) and trace_u[0] == 0.0
     zero = np.zeros((rgrid.nr, zgrid.N // 2 + 1))
-    assert not any(np.any(out) for out in operator.apply(zero, zero))
+    assert not np.any(operator.apply(zero, zero))
+    assert not np.any(operator.trace(zero, zero))
 
 
 def test_solution_operator_linearity(zgrid, rgrid, forcing):
@@ -437,9 +438,10 @@ def test_bvp_contraction_factor(zgrid, rgrid):
 
 def test_bvp_solve_makes_two_transforms_per_sweep(zgrid, rgrid, monkeypatch):
     # a sweep transforms the stacked forcing forward and the stacked state
-    # back; the flat right-hand side and the final trace cost no sweep, so
-    # with eta's one transform a solve of s sweeps makes 2 s + 1
-    ffts, sweeps = [], []
+    # back; eta, the flat right-hand side and the converged forcing of the
+    # one trace cost one transform each and no sweep, so a solve of s sweeps
+    # (its GMRES matvecs) makes 2 s + 3
+    ffts, sweeps, traces = [], [], []
     for name in ("fft", "ifft", "rfft", "irfft"):
         real = getattr(np.fft, name)
 
@@ -448,20 +450,52 @@ def test_bvp_solve_makes_two_transforms_per_sweep(zgrid, rgrid, monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    sweep = dno.SolutionOperator.apply
+    for method, seen in (("apply", sweeps), ("trace", traces)):
+        def counted_method(*args, _real=getattr(dno.SolutionOperator, method),
+                           _seen=seen):
+            _seen.append(1)
+            return _real(*args)
 
-    def counted_sweep(*args):
-        sweeps.append(1)
-        return sweep(*args)
+        monkeypatch.setattr(dno.SolutionOperator, method, counted_method)
+    matvecs = []
+    gmres = solver.gmres
 
-    monkeypatch.setattr(dno.SolutionOperator, "apply", counted_sweep)
+    def counted_gmres(matvec, *args, **kwargs):
+        def counted_matvec(x):
+            matvecs.append(1)
+            return matvec(x)
+
+        return gmres(counted_matvec, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "gmres", counted_gmres)
     eta_hat = zgrid.to_rcoeffs(0.01 * np.cos(zgrid.z))
     xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
     dno._operator_for(zgrid, rgrid)
     ffts.clear()
     dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid)
-    assert len(sweeps) > 2
-    assert len(ffts) == 2 * len(sweeps) + 1
+    assert len(sweeps) == len(matvecs) > 2
+    assert len(traces) == 1
+    assert len(ffts) == 2 * len(sweeps) + 3
+
+
+def test_oracle_solves_on_one_grid_share_one_operator(linear_law, monkeypatch):
+    # each oracle solve makes its own RadialGrid; equal radial grids (same
+    # nr) must reuse the operator cached on the z grid, not build another
+    builds = []
+    build = dno.SolutionOperator.__init__
+
+    def counted_build(self, *args):
+        builds.append(1)
+        build(self, *args)
+
+    monkeypatch.setattr(dno.SolutionOperator, "__init__", counted_build)
+    grid = SpectralGrid.make(200.0, 512)
+    for _ in range(2):
+        rep = solver.solve_travelling_wave(5.0, linear_law, 0.2, dn_oracle=True,
+                                           grid=grid)
+        assert rep.converged
+    assert len(builds) == 1
+    assert sum(key[0] == "dno_operator" for key in grid._cache) == 1
 
 
 def test_operator_is_freed_with_its_grid(rgrid):

@@ -7,8 +7,9 @@ import pytest
 from scipy.sparse.linalg import LinearOperator, gmres as scipy_gmres
 
 from ferrojet import solver
+from ferrojet.dispersion import make_profile
 from ferrojet.errors import ConvergenceError
-from ferrojet.spectral import SpectralGrid
+from ferrojet.spectral import CutoffSpec, SpectralGrid
 from ferrojet.wnl import kdv_coeffs, nls_coeffs, zeta_kdv, zeta_nls
 
 PROBLEMS = ["kdv", "fd_kdv", "fd_nls", "gzcs"]
@@ -31,6 +32,120 @@ def make_problem(name, law):
     wave = SpectralGrid.make(200.0, 512)
     problem = solver.travelling_wave_problem(5.0, law, 1.98, wave)
     return problem, problem.basis.to_coords(0.01 * zeta_kdv(0.1 * wave.z, coeffs))
+
+
+def _nodal_envelope_maps(name, law, grid):
+    """The envelope residual and J.v composed through nodal values and
+    ``product_values``, the reference of the coordinate path: v -> F(v) and
+    (v, W) -> J(v) W, for the problems of ``make_problem``."""
+    eps = 0.1
+    if name == "fd_nls":
+        profile = make_profile(15.0)
+        coeffs = nls_coeffs(15.0, law, profile)
+        basis = solver.ConjugateEvenBasis(grid)
+        sym = profile.g(profile.omega + eps * grid.k) / eps**2 + coeffs.a2
+        cubic = -coeffs.a3 * CutoffSpec(profile.omega / 6.0, profile.omega).chi0(
+            eps * grid.k)
+
+        def residual(v):
+            z = basis.to_values(v)
+            return sym * v + cubic * basis.to_coords(
+                grid.product_values([z, np.conj(z), z]))
+
+        def jv(v, W):
+            z, w = basis.to_values(v), basis.to_values(W)
+            dcube = (2.0 * grid.product_values([z, np.conj(z), w])
+                     + grid.product_values([z, z, np.conj(w)]))
+            return sym * W + cubic * basis.to_coords(dcube)
+
+        return residual, jv
+    coeffs = kdv_coeffs(5.0, law)
+    basis = solver.EvenBasis(grid)
+    quad = 2.0 * coeffs.c0_squared * coeffs.d0
+    if name == "kdv":
+        sym = -coeffs.kdv_dispersion * grid.kr**2 + 2.0 * coeffs.c0_squared
+    else:
+        sym = make_profile(5.0).g_scaled(eps, grid.kr) + 2.0 * coeffs.c0_squared
+        quad = quad * CutoffSpec(0.5).chi0(eps * grid.kr)
+
+    def residual(v):
+        u = basis.to_values(v)
+        return sym * v + quad * basis.to_coords(grid.product_values([u, u]))
+
+    def jv(v, W):
+        u, w = basis.to_values(v), basis.to_values(W)
+        return sym * W + 2.0 * quad * basis.to_coords(grid.product_values([u, w]))
+
+    return residual, jv
+
+
+@pytest.mark.parametrize("name", ["kdv", "fd_kdv", "fd_nls"])
+def test_envelope_coordinate_path_matches_nodal_products(name, linear_law):
+    problem, v = make_problem(name, linear_law)
+    residual, jv = _nodal_envelope_maps(name, linear_law, problem.basis.grid)
+    ref = residual(v)
+    got = problem.residual_at(v)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    W = np.random.default_rng(5).standard_normal((3, problem.dim))
+    ref = jv(v, W)
+    got = problem.linearize(v)(W)
+    assert got.shape == W.shape
+    scale = np.max(np.abs(ref), axis=-1)
+    assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-13 * scale)
+    single = problem.linearize(v)(W[1:2])[0]
+    assert np.max(np.abs(single - ref[1])) <= 1e-13 * scale[1]
+
+
+@pytest.mark.parametrize("name", ["kdv", "fd_kdv", "fd_nls"])
+def test_envelope_fft_calls_per_residual_and_direction(name, linear_law,
+                                                        monkeypatch):
+    # the state is refined once per iterate; a residual is then one
+    # projection, and a batch of directions one refine and one projection
+    calls = []
+    for fname in ("fft", "ifft", "rfft", "irfft"):
+        real = getattr(np.fft, fname)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, fname, counted)
+    problem, v = make_problem(name, linear_law)
+    calls.clear()
+    problem.residual_at(v)
+    assert len(calls) == 2
+    calls.clear()
+    jac = problem.linearize(v)  # the residual's context, kept
+    assert len(calls) == 0
+    for rows in (1, 3):  # one batch of directions, any number of rows
+        calls.clear()
+        jac(np.ones((rows, problem.dim)))
+        assert len(calls) == 2
+
+
+@pytest.mark.parametrize("name", ["kdv", "fd_kdv", "fd_nls"])
+def test_each_iterate_prepares_its_state_once(name, linear_law):
+    # the envelope problems' share of the memo; the travelling-wave problem's
+    # is test_each_newton_iterate_evaluates_the_surface_operator_once
+    problem, v = make_problem(name, linear_law)
+    prepared, evaluated = [], []
+    prepare, residual = problem.prepare, problem.residual
+
+    def counted_prepare(u):
+        prepared.append(np.array(u))
+        return prepare(u)
+
+    def counted_residual(ctx):
+        evaluated.append(1)
+        return residual(ctx)
+
+    problem.prepare, problem.residual = counted_prepare, counted_residual
+    rep = solver._newton(problem, v, 1e-10, 20, epsilon=0.1, branch=name)
+    assert rep.converged and rep.iterations >= 2
+    # the flat state (the preconditioner), then one per residual evaluation:
+    # the Newton step at an accepted point reuses its residual's context
+    assert len(prepared) == 1 + len(evaluated)
+    assert not np.any(prepared[0])
 
 
 def test_gmres_matches_scipy_on_preconditioned_system():
@@ -77,7 +192,7 @@ def test_flat_state_jacobian_is_diagonal(name, linear_law):
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_newton_step_matches_dense_step(name, linear_law):
     problem, v = make_problem(name, linear_law)
-    r = problem.residual(v)
+    r = problem.residual_at(v)
     dense = np.linalg.solve(problem.assemble_jacobian(v), r)
     step, trace = solver._newton_step(problem, v, r, solver._flat_diagonal(problem))
     assert 0 < trace["iterations"] <= solver.GMRES_MAX_ITER
@@ -105,8 +220,8 @@ def test_gmres_miss_raises_with_its_record(linear_law, monkeypatch):
 def test_stagnation_raises_with_its_record(linear_law):
     # no step can lower a constant residual, so damping refuses every one
     problem, v = make_problem("kdv", linear_law)
-    problem.residual = lambda v: np.ones_like(v)
-    problem.jv_batch = lambda v, W: W
+    problem.residual = lambda ctx: np.ones(problem.dim)
+    problem.jv_batch = lambda ctx, W: W
     with pytest.raises(ConvergenceError, match="Newton stagnation") as info:
         solver._newton(problem, v, 1e-11, 5, epsilon=0.0, branch="kdv")
     assert len(info.value.residual_history) == 1
@@ -119,7 +234,7 @@ def test_singular_jacobian_raises_convergence_error(linear_law):
     # J = 0 everywhere: the zero flat-state diagonal is guarded to ones and
     # GMRES finds the map singular
     problem, v = make_problem("kdv", linear_law)
-    problem.jv_batch = lambda v, W: 0.0 * W
+    problem.jv_batch = lambda ctx, W: 0.0 * W
     with pytest.raises(ConvergenceError, match="singular"):
         solver._newton(problem, v, 1e-11, 5, epsilon=0.0, branch="kdv")
 

@@ -205,6 +205,27 @@ def test_half_spectrum_refine_and_project_match_the_value_routes(grid, rows):
     assert np.max(np.abs(back - rc)) <= 1e-15 * np.max(np.abs(rc))
 
 
+def test_coefficient_refine_and_project_in_both_layouts(grid, rows):
+    # a half spectrum refines to real values, a full spectrum to complex
+    # ones; the value routes are these with one transform in front or behind
+    rc, c = grid.to_rcoeffs(rows), grid.to_coeffs(rows.astype(complex))
+    fine = grid.refine_to_values(rc, 3)
+    assert np.array_equal(fine, grid.refine_values(rows, 3))
+    assert_close(fine, grid.refine_to_values(c, 3))
+    pointwise = np.cos(fine) * fine
+    half = grid.project_to_coeffs(pointwise, 3)
+    assert half.shape == rc.shape
+    assert np.array_equal(grid.to_rvalues(half), grid.project_values(pointwise, 3))
+    full = grid.project_to_coeffs(pointwise.astype(complex), 3)
+    assert full.shape == c.shape
+    assert np.max(np.abs(full[..., : grid.N // 2 + 1] - half)) <= 1e-12 * np.max(
+        np.abs(half))
+    with pytest.raises(GridError):
+        grid.refine_to_values(np.ones(grid.N + 2))
+    with pytest.raises(ParameterError):  # below N = 4 the two layouts coincide
+        SpectralGrid.make(1.0, 2)
+
+
 # a wrong-length last axis raises instead of being padded or cut to N
 def test_to_coeffs_rejects_wrong_length(grid):
     with pytest.raises(GridError):
