@@ -220,9 +220,11 @@ class SolveReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _res_norms(basis, r: np.ndarray):
-    vals = np.abs(basis.to_values(r))
-    return float(np.max(vals)), float(np.sqrt(np.sum(vals**2) * basis.grid.dz))
+def _res_norms(grid: SpectralGrid, basis, r: np.ndarray):
+    vals = basis.to_values(r)
+    return float(np.max(np.abs(vals))), float(
+        np.sqrt(np.sum(np.abs(vals) ** 2) * grid.dz)
+    )
 
 
 def _flat_diagonal(problem: SolverProblem) -> np.ndarray:
@@ -247,9 +249,10 @@ def _newton_step(problem: SolverProblem, v: np.ndarray, r: np.ndarray,
 def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
             max_iter: int, epsilon: float, branch: str) -> SolveReport:
     v = np.array(v0, dtype=float)
+    grid = problem.basis.grid
     precond = _flat_diagonal(problem)
     r = problem.residual_at(v)
-    rmax, rl2 = _res_norms(problem.basis, r)
+    rmax, rl2 = _res_norms(grid, problem.basis, r)
     history, linear_solves = [rmax], []
     its = 0
     for its in range(1, max_iter + 1):
@@ -267,7 +270,7 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
             v_try = v - s * step
             if problem.geometry_ok is None or problem.geometry_ok(v_try):
                 r_try = problem.residual_at(v_try)
-                rmax_try, rl2_try = _res_norms(problem.basis, r_try)
+                rmax_try, rl2_try = _res_norms(grid, problem.basis, r_try)
                 if rmax_try < rmax or rmax_try <= tol:
                     break
                 failure = f"Newton stagnation: residual stuck at {rmax:.3e}"
@@ -298,6 +301,7 @@ def _quadratic_even_problem(grid: SpectralGrid, sym: np.ndarray,
                             quad) -> SolverProblem:
     """Even-subspace problem sym * v + quad * coords(u^2), quad per mode or not;
     v is u's half spectrum, and its context is (v, u on the padded grid)."""
+    basis = EvenBasis(grid)
 
     def quadratic(fine):
         return quad * grid.project_to_coeffs(fine).real
@@ -310,7 +314,7 @@ def _quadratic_even_problem(grid: SpectralGrid, sym: np.ndarray,
         _, u_f = ctx
         return sym * W + 2.0 * quadratic(u_f * grid.refine_to_values(W))
 
-    return SolverProblem(basis=EvenBasis(grid),
+    return SolverProblem(basis=basis,
                          prepare=lambda v: (v, grid.refine_to_values(v)),
                          residual=residual, jv_batch=jv_batch)
 
@@ -343,12 +347,16 @@ def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
     if profile.regime is not Regime.WEAK:
         raise RegimeError("full-dispersion NLS needs the weak regime")
     coeffs = nls_coeffs(gamma, law, profile)
-    delta = profile.omega / 6.0 if delta is None else delta
-    sym = profile.g(profile.omega + epsilon * grid.k) / epsilon**2 + coeffs.a2
-    chi0 = CutoffSpec(delta, profile.omega).chi0(epsilon * grid.k)
+    if delta is None:
+        delta = profile.omega / 6.0
+    basis = ConjugateEvenBasis(grid)
+    k = grid.k
+    sym = profile.g(profile.omega + epsilon * k) / epsilon**2 + coeffs.a2
+    chi0 = CutoffSpec(delta, profile.omega).chi0(epsilon * k)
+    a3 = coeffs.a3
 
     def cubic(fine):
-        return coeffs.a3 * chi0 * grid.project_to_coeffs(fine, 3).real
+        return a3 * chi0 * grid.project_to_coeffs(fine, 3).real
 
     def prepare(v):  # v is z's real full spectrum; z, |z|^2, z^2 padded
         z_f = grid.refine_to_values(v, 3)
@@ -363,7 +371,7 @@ def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
         w_f = grid.refine_to_values(W, 3)
         return sym * W - cubic(2.0 * abs2_f * w_f + z2_f * w_f.conj())
 
-    return SolverProblem(basis=ConjugateEvenBasis(grid), prepare=prepare,
+    return SolverProblem(basis=basis, prepare=prepare,
                          residual=residual, jv_batch=jv_batch)
 
 
@@ -611,10 +619,11 @@ def check_jacobian(problem: SolverProblem, v: np.ndarray, n_dirs: int = 5,
     rng = np.random.default_rng(seed)
     worst = 0.0
     scale = max(1.0, float(np.max(np.abs(v))))
+    jac = problem.linearize(v)
     for _ in range(n_dirs):
         w = rng.standard_normal(problem.dim)
         w /= np.linalg.norm(w)
-        jw = problem.linearize(v)(w[None, :])[0]
+        jw = jac(w[None, :])[0]
         step = h * scale
         fd = (problem.residual_at(v + step * w)
               - problem.residual_at(v - step * w)) / (2.0 * step)

@@ -168,9 +168,9 @@ def test_shared_rule_agrees_with_per_node_panels_on_smooth_forcing(zgrid, rgrid,
     # xi = 0: the boundary term and the trace do not go through A
     F1_hat, F2_hat, _ = forcing
     operator = dno.SolutionOperator(zgrid, rgrid)
-    got, _ = operator.apply(F1_hat, F2_hat)
+    got = operator.apply(F1_hat, F2_hat)
     operator.A = _per_node_panel_operator(zgrid, rgrid)
-    want, _ = operator.apply(F1_hat, F2_hat)
+    want = operator.apply(F1_hat, F2_hat)
     for name, a, b in zip(("u", "D0 u"), got, want):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 

@@ -148,6 +148,20 @@ def test_each_iterate_prepares_its_state_once(name, linear_law):
     assert not np.any(prepared[0])
 
 
+def test_jacobian_check_prepares_its_state_once(linear_law):
+    # the context of v serves every direction; v +- h w take one each
+    problem, v = make_problem("fd_kdv", linear_law)
+    prepare, prepared = problem.prepare, []
+
+    def counted_prepare(u):
+        prepared.append(1)
+        return prepare(u)
+
+    problem.prepare = counted_prepare
+    assert solver.check_jacobian(problem, v, n_dirs=5) < 1e-6
+    assert len(prepared) == 1 + 2 * 5
+
+
 def test_gmres_matches_scipy_on_preconditioned_system():
     rng = np.random.default_rng(7)
     n = 300
