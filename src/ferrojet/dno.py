@@ -47,7 +47,23 @@ solver's grids stay near |k| = 10.
 Per mode the four kernel matrices form one real block operator
 A = [[G, H2], [H1, H3]] acting on (i k F2_hat, -F1_hat) and giving
 (u, D0 u - F1_hat), so a sweep is one real batched matmul on the complex
-data viewed as (re, im) column pairs.
+data viewed as (re, im) column pairs.  A is (nk, 2 nr, 2 nr): its memory,
+its build and a sweep all grow as nr^2.
+
+Certified radial grid: the operator integrates the forcing's degree nr - 1
+interpolant on the state nodes, so the error of a solve is the size of the
+Legendre coefficients the nodes cannot hold, and the top coefficients of
+the converged forcing estimate it (coefficient decay; Boyd, Chebyshev and
+Fourier Spectral Methods, 2001, ch. 2).  Without an explicit radial grid a
+solve runs on the rungs ``RADIAL_RUNGS`` = 32, 64, 128 in turn and accepts
+the first whose radial tail (``RadialGrid.legendre_tail``) is at most
+max(tol, 16 nr eps), the BVP's own tolerance or the transform's rounding;
+128 nodes that miss it raise ``ConvergenceError`` with nr and the tail.
+The z grid remembers the certified rung, so the next solve on it (every
+Newton iterate of an oracle solve) starts there and shares its operator.
+The benchmark's (5, 0.1) state and Gaussian data on L = 20 and 80 read
+tails of about 1e-14 at 32 nodes (rounding), against 1.6e-11 at 16 for the
+Gaussians; a boundary layer e^{|k| (r - 1)} with |k| = 40 needs 64.
 """
 
 from __future__ import annotations
@@ -131,6 +147,21 @@ class RadialGrid:
     def boundary_row(self) -> np.ndarray:
         """Extrapolation row to r = 1 (one-sided high-order stencil)."""
         return self.interp_to(np.array([1.0]))[0]
+
+    def legendre_tail(self, values: np.ndarray) -> float:
+        """Largest of the two top Legendre coefficients of ``values`` against
+        the largest of all; 0 for zero values.
+
+        ``values`` holds nodal values on axis -2 (any leading axes and
+        columns).  The coefficients in 2r - 1 come from the exact transform on
+        the Gauss nodes, c_n = (2n + 1) sum_i w_i P_n(2 r_i - 1) f_i; the two
+        top degrees cover both parities.
+        """
+        n = np.arange(self.nr)
+        V = np.polynomial.legendre.legvander(2.0 * self.r - 1.0, self.nr - 1)
+        c = np.abs(((2 * n + 1)[:, None] * V.T * self.w) @ values)
+        top = float(np.max(c))
+        return float(np.max(c[..., -2:, :])) / top if top > 0.0 else 0.0
 
     def diff_matrix(self) -> np.ndarray:
         """Nodal differentiation matrix (for discrete-identity checks)."""
@@ -410,9 +441,17 @@ def _forcing_terms(rgrid, eta_v, eta_z, uz, d0u):
     return F1, F2
 
 
+# the certified radial grid: Gauss-node counts tried in turn, the rounding
+# floor of the Legendre tail per node, and the z-grid cache key of the rung
+RADIAL_RUNGS = (32, 64, 128)
+_TAIL_ROUNDING = 16.0 * np.finfo(float).eps
+_CERTIFIED_NR = "dno_certified_nr"
+
+
 def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
                         xi_hat: np.ndarray, rgrid: Optional[RadialGrid] = None,
-                        tol: float = 1e-12, max_iter: int = 60):
+                        tol: float = 1e-12, max_iter: int = 60,
+                        record: Optional[list] = None):
     """GMRES solve of u = S(F1(eta,u), F2(eta,u), xi); returns (x, K(eta) xi).
 
     eta_hat, xi_hat and K(eta) xi are half spectra on zgrid.  The unknown is
@@ -423,53 +462,91 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
     through ``SolutionOperator.trace``, one transform and no sweep.  A
     relative residual above tol after max_iter sweeps, or a Krylov
     breakdown, raises ConvergenceError with the sweep count and residual.
+
+    An explicit ``rgrid`` is used as given.  Without one the solve climbs
+    ``RADIAL_RUNGS`` from the rung the z grid remembers until the converged
+    forcing's radial tail is at most max(tol, 16 nr eps), and raises
+    ConvergenceError with nr and the tail when 128 nodes miss it.  A
+    ``record`` list gets one entry per call: the nr used, its radial tail,
+    the sweeps of every rung tried and the GMRES relative residual.
     """
     from .solver import gmres  # solver imports this module
 
-    if rgrid is None:
-        rgrid = RadialGrid.make()
     ik = 1j * zgrid.kr
     eta_v, eta_z = zgrid.to_rvalues(np.stack([eta_hat, ik * eta_hat]))
     if np.min(1.0 + eta_v) <= 0.0:
         raise GeometryError("flattening breaks down: min(1 + eta) <= 0")
-    operator = _operator_for(zgrid, rgrid)
-    shape = (2, rgrid.nr, zgrid.N)
-    sweeps = 0
 
-    def state(profiles: np.ndarray) -> np.ndarray:
-        profiles[0] *= ik  # (u, D0 u) -> (u_z, D0 u)
-        return zgrid.to_rvalues(profiles).ravel()
+    def solve(rgrid: RadialGrid):
+        operator = _operator_for(zgrid, rgrid)
+        shape = (2, rgrid.nr, zgrid.N)
+        sweeps = 0
 
-    def forcing(x: np.ndarray) -> np.ndarray:
-        return zgrid.to_rcoeffs(np.stack(
-            _forcing_terms(rgrid, eta_v, eta_z, *x.reshape(shape))))
+        def state(profiles: np.ndarray) -> np.ndarray:
+            profiles[0] *= ik  # (u, D0 u) -> (u_z, D0 u)
+            return zgrid.to_rvalues(profiles).ravel()
 
-    def matvec(x: np.ndarray) -> np.ndarray:
-        nonlocal sweeps
-        sweeps += 1
-        return x - state(operator.apply(*forcing(x)))
+        def forcing(x: np.ndarray) -> np.ndarray:
+            return zgrid.to_rcoeffs(np.stack(
+                _forcing_terms(rgrid, eta_v, eta_z, *x.reshape(shape))))
 
-    flat_profiles, flat_trace = operator.flat(xi_hat)
-    try:
-        x, _, rel = gmres(matvec, state(flat_profiles), rtol=tol,
-                          restart=max_iter, max_iter=max_iter)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"BVP solve: Krylov breakdown after {sweeps} sweeps ({exc})"
-        ) from exc
-    if rel > tol:
-        raise ConvergenceError(
-            f"BVP solve: relative residual {rel:.3e} > tol {tol:g} after "
-            f"{sweeps} sweeps; eta may be too large"
-        )
-    trace_u = operator.trace(*forcing(x))
-    return x.reshape(shape), -(ik * (trace_u + flat_trace))
+        def matvec(x: np.ndarray) -> np.ndarray:
+            nonlocal sweeps
+            sweeps += 1
+            return x - state(operator.apply(*forcing(x)))
+
+        flat_profiles, flat_trace = operator.flat(xi_hat)
+        try:
+            x, _, rel = gmres(matvec, state(flat_profiles), rtol=tol,
+                              restart=max_iter, max_iter=max_iter)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"BVP solve: Krylov breakdown after {sweeps} sweeps ({exc})"
+            ) from exc
+        if rel > tol:
+            raise ConvergenceError(
+                f"BVP solve: relative residual {rel:.3e} > tol {tol:g} after "
+                f"{sweeps} sweeps; eta may be too large"
+            )
+        F = forcing(x)
+        info = {"nr": rgrid.nr, "radial_tail": rgrid.legendre_tail(F),
+                "sweeps": sweeps, "relative_residual": rel}
+        return x.reshape(shape), -(ik * (operator.trace(*F) + flat_trace)), info
+
+    if rgrid is not None:
+        x, K, info = solve(rgrid)
+    else:
+        start = zgrid._cache.get(_CERTIFIED_NR, RADIAL_RUNGS[0])
+        sweeps = 0
+        for nr in RADIAL_RUNGS[RADIAL_RUNGS.index(start):]:
+            x, K, info = solve(RadialGrid.make(nr))
+            sweeps += info["sweeps"]
+            bound = max(tol, _TAIL_ROUNDING * nr)
+            if info["radial_tail"] <= bound:
+                break
+            # the ladder never returns to a rung it left
+            zgrid._cache.pop(("dno_operator", nr), None)
+        else:
+            raise ConvergenceError(
+                f"BVP solve: radial tail {info['radial_tail']:.3e} > "
+                f"{bound:.1e} at nr = {nr}, the finest radial grid; the "
+                "forcing is too steep in r"
+            )
+        zgrid._cache[_CERTIFIED_NR] = nr
+        info["sweeps"] = sweeps
+    if record is not None:
+        record.append(info)
+    return x, K
 
 
 def dn_oracle_apply(zgrid: SpectralGrid, eta_hat: np.ndarray,
-                    rgrid: Optional[RadialGrid] = None,
-                    tol: float = 1e-12) -> Callable[[np.ndarray], np.ndarray]:
+                    rgrid: Optional[RadialGrid] = None, tol: float = 1e-12,
+                    record: Optional[list] = None
+                    ) -> Callable[[np.ndarray], np.ndarray]:
     """K(eta) as a callable on half spectra, backed by the BVP solve.
+
+    Each call is one ``solve_flattened_bvp`` on ``rgrid``, or on the
+    certified radial grid when rgrid is None; ``record`` gets its entry.
 
     The periodic Neumann problem cannot see k = 0: the box mean of xi
     vanishes under d/dz, and the trace derivative carries no mean.  On the
@@ -486,7 +563,8 @@ def dn_oracle_apply(zgrid: SpectralGrid, eta_hat: np.ndarray,
 
     def apply(xi_hat: np.ndarray) -> np.ndarray:
         xibar = float(xi_hat[0].real)
-        _, out = solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid=rgrid, tol=tol)
+        _, out = solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid=rgrid,
+                                     tol=tol, record=record)
         lost = zgrid.to_rcoeffs(dn_expansion(
             zgrid, eta_values,
             np.stack([zgrid.to_rvalues(xi_hat) - xibar, np.full(zgrid.N, xibar)]), 2))

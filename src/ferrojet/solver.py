@@ -13,8 +13,9 @@ Every problem prepares its state once per Newton iterate, and its residual
 and Jacobian action (J.v) read that context from coordinates to coordinates
 (``SolverProblem``).  Each step is matrix-free: restarted GMRES applies J.v,
 right-preconditioned by the exact diagonal of the Jacobian at the flat
-state.  A GMRES solve that misses ``GMRES_RTOL`` raises ``ConvergenceError``
-with the residual history and the linear-solve records, the failed step's
+state.  A GMRES solve that misses ``GMRES_RTOL``, by the iteration cap or
+by a stall at the rounding floor of J.v, raises ``ConvergenceError`` with
+the residual history and the linear-solve records, the failed step's
 included.
 The dense Jacobian (``assemble_jacobian``) serves diagnostics only; a
 finite-difference cross-check of the derivative is part of the acceptance
@@ -107,7 +108,8 @@ class ConjugateEvenBasis:
 # -- generic Newton driver -----------------------------------------------------
 
 # GMRES stops at GMRES_RTOL * |r|.  Much below 1e-12 it stagnates at the
-# attainable accuracy of the rounded J.v and runs into the iteration cap.
+# attainable accuracy of the rounded J.v, and stops at the first restart
+# that does not lower the true residual.
 GMRES_RTOL = 1e-12
 GMRES_RESTART = 60
 GMRES_MAX_ITER = 240
@@ -121,8 +123,11 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
     Arnoldi with classical Gram-Schmidt applied twice and Givens rotations;
     each restart recomputes the true residual, which is also the one
-    returned: ``(x, iterations, |b - matvec(x)| / |b|)``.  Raises
-    ``LinAlgError`` when the Krylov space exposes an exactly singular map.
+    returned: ``(x, iterations, |b - matvec(x)| / |b|)``.  A restart whose
+    true residual does not fall below the best so far means GMRES has
+    reached the rounding floor of ``matvec``: it stops there and returns the
+    best x, short of ``max_iter``.  Raises ``LinAlgError`` when the Krylov
+    space exposes an exactly singular map.
     """
     x = np.zeros_like(b)
     bnorm = float(np.linalg.norm(b))
@@ -154,9 +159,12 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
                 break
             V[j + 1] = w / col[j + 1]
         k = j + 1
-        x = x + np.linalg.solve(np.triu(H[:k, :k]), g[:k]) @ V[:k]
-        r = b - matvec(x)
-        beta = float(np.linalg.norm(r))
+        x_new = x + np.linalg.solve(np.triu(H[:k, :k]), g[:k]) @ V[:k]
+        r_new = b - matvec(x_new)
+        beta_new = float(np.linalg.norm(r_new))
+        if not beta_new < beta:  # stalled (nan included): keep the best
+            break
+        x, r, beta = x_new, r_new, beta_new
     return x, its, beta / bnorm
 
 
@@ -169,7 +177,8 @@ class SolverProblem:
     linearisation); ``residual(ctx)`` and ``jv_batch(ctx, W)`` read it, the
     rows of W being directions, so one call applies J to a batch.
     ``context`` keeps the last context, so the Newton step at an accepted
-    trial point reuses the one its residual built.
+    trial point reuses the one its residual built.  ``diagnostics`` holds
+    what the problem records as it runs; the solve's report carries it.
     """
 
     basis: object
@@ -177,6 +186,7 @@ class SolverProblem:
     residual: Callable[[object], np.ndarray]
     jv_batch: Callable[[object, np.ndarray], np.ndarray]
     geometry_ok: Optional[Callable[[np.ndarray], bool]] = None
+    diagnostics: dict = field(default_factory=dict)
     _last: tuple = field(default=(), init=False, repr=False)
 
     @property
@@ -260,11 +270,12 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
             break
         step, trace = _newton_step(problem, v, r, precond)
         linear_solves.append(trace)
-        if not trace["relative_residual"] <= GMRES_RTOL:  # nan is a miss
-            raise ConvergenceError(
-                f"GMRES missed rtol {GMRES_RTOL:g}: relative residual "
-                f"{trace['relative_residual']:.3e} after {trace['iterations']} "
-                "iterations", history, linear_solves)
+        rel, lin_its = trace["relative_residual"], trace["iterations"]
+        if not rel <= GMRES_RTOL:  # nan is a miss
+            why = (f"stalled at {rel:.3e}" if lin_its < GMRES_MAX_ITER else
+                   f"missed rtol {GMRES_RTOL:g}: relative residual {rel:.3e}")
+            raise ConvergenceError(f"GMRES {why} after {lin_its} iterations",
+                                   history, linear_solves)
         s = 1.0
         while True:
             v_try = v - s * step
@@ -290,7 +301,7 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
         epsilon=epsilon,
         branch=branch,
         residual_history=history,
-        diagnostics={"linear_solves": linear_solves},
+        diagnostics={"linear_solves": linear_solves, **problem.diagnostics},
     )
 
 
@@ -377,23 +388,25 @@ def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
 
 def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
                             grid: SpectralGrid, dn_order: int = 2,
-                            dn_oracle: Optional[dno.RadialGrid] = None
-                            ) -> SolverProblem:
+                            dn_oracle: bool = False) -> SolverProblem:
     """Full truncated equation P(eta) - c^2 Q(eta) = 0 in the even subspace.
 
     ``prepare`` evaluates K(eta) xi once and builds the residual with the
     J.v context, on the padded grid of ``op.KineticLinearization``.  K is the
-    expansion of order ``dn_order``, or the BVP oracle on ``dn_oracle``.  In
-    oracle mode each step is a quasi-Newton step: dG/dP is taken at the
-    oracle's P, and the dK/deta part of the derivative is the expansion's
-    (the two operators differ at cubic order).
+    expansion of order ``dn_order``, or with ``dn_oracle`` the BVP oracle on
+    its certified radial grid, whose solves are recorded in
+    ``diagnostics["bvp_solves"]``.  In oracle mode each step is a
+    quasi-Newton step: dG/dP is taken at the oracle's P, and the dK/deta
+    part of the derivative is the expansion's (the two operators differ at
+    cubic order).
     """
     basis = EvenBasis(grid)
+    bvp_solves = []
 
     def prepare(v):
         dn_apply = None
-        if dn_oracle is not None:
-            dn_apply = dno.dn_oracle_apply(grid, v, dn_oracle)
+        if dn_oracle:
+            dn_apply = dno.dn_oracle_apply(grid, v, record=bvp_solves)
         kin = op.KineticLinearization(grid, v, dn_order, dn_apply)
         press, press_fields = op.pressure_jacobian_fields(kin.surface, gamma, law)
         return kin.project(press - c2 * kin.value_f).real, press_fields, kin
@@ -406,7 +419,8 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
         return bool(np.min(1.0 + basis.to_values(v)) > 0.0)
 
     return SolverProblem(basis=basis, prepare=prepare, residual=lambda ctx: ctx[0],
-                         jv_batch=jv_batch, geometry_ok=geometry_ok)
+                         jv_batch=jv_batch, geometry_ok=geometry_ok,
+                         diagnostics={"bvp_solves": bvp_solves} if dn_oracle else {})
 
 
 # -- public solvers -------------------------------------------------------------
@@ -526,7 +540,9 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
     at least the envelope solvers' box, eps z in [-DEFAULT_SCALED_L,
     DEFAULT_SCALED_L).  Reports the normalised
     deviation ||eta - seed||_inf / eps^2 (strong) or / eps (weak) alongside
-    the solve diagnostics.
+    the solve diagnostics.  With ``dn_oracle`` K(eta) is the BVP oracle on
+    its certified radial grid, and ``diagnostics["bvp_solves"]`` has one
+    entry per BVP solve (nr, radial tail, sweeps, relative residual).
     """
     if epsilon <= 0.0:
         raise ParameterError("epsilon must be positive")
@@ -547,8 +563,7 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
         seed = epsilon * zeta_nls(epsilon * z, coeffs) * np.cos(profile.omega * z)
         power = 1
 
-    radial = dno.RadialGrid.make() if dn_oracle else None
-    problem = travelling_wave_problem(gamma, law, c2, grid, dn_order, radial)
+    problem = travelling_wave_problem(gamma, law, c2, grid, dn_order, dn_oracle)
     v0 = problem.basis.to_coords(seed)
     rep = _newton(problem, v0, tol, max_iter, epsilon=epsilon, branch="gzcs")
     sol = rep.solution

@@ -479,8 +479,9 @@ def test_bvp_solve_makes_two_transforms_per_sweep(zgrid, rgrid, monkeypatch):
 
 
 def test_oracle_solves_on_one_grid_share_one_operator(linear_law, monkeypatch):
-    # each oracle solve makes its own RadialGrid; equal radial grids (same
-    # nr) must reuse the operator cached on the z grid, not build another
+    # each rung of the certified radial grid is a new RadialGrid; the z grid
+    # remembers the certified rung, and equal radial grids (same nr) must
+    # reuse the operator cached on the z grid, not build another
     builds = []
     build = dno.SolutionOperator.__init__
 
@@ -637,3 +638,105 @@ def test_oracle_first_order_term_matches_dn1(box_probes, L):
 def test_oracle_second_order_term_matches_dn2(box_probes, L):
     diff, K2 = box_probes[L][2]
     assert np.max(np.abs(diff - K2)) <= 1e-3 * np.max(np.abs(K2))
+
+
+# -- the certified radial grid -------------------------------------------------
+
+
+def _certified_vs_128(zgrid, eta_hat, xi_hat):
+    """K(eta) xi on the certified radial grid, its record entry, and its
+    largest deviation from the explicit nr = 128 solve relative to max|K|."""
+    record = []
+    _, K = dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, record=record)
+    _, ref = dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, dno.RadialGrid.make(128))
+    (entry,) = record
+    return K, entry, float(np.max(np.abs(K - ref)) / np.max(np.abs(ref)))
+
+
+def _benchmark_state(law):
+    """The converged (gamma, eps) = (5, 0.1) wave of the bvp_oracle benchmark."""
+    sol = solver.solve_travelling_wave(5.0, law, 0.1).solution
+    return sol.grid, sol.values
+
+
+@pytest.mark.parametrize("state", ["benchmark", "gaussian"])
+def test_smooth_data_certify_on_the_first_rung(state, linear_law):
+    if state == "benchmark":
+        zgrid, eta = _benchmark_state(linear_law)
+    else:
+        zgrid = SpectralGrid.make(20.0, 1024)
+        eta = 0.1 * np.exp(-zgrid.z**2)
+    eta_hat = zgrid.to_rcoeffs(eta)
+    xi_hat = zgrid.to_rcoeffs(eta + 0.5 * eta**2)  # as the travelling wave passes it
+    _, entry, err = _certified_vs_128(zgrid, eta_hat, xi_hat)
+    assert entry["nr"] == dno.RADIAL_RUNGS[0] == 32
+    assert entry["radial_tail"] <= 1e-12
+    assert entry["relative_residual"] <= 1e-12
+    assert err <= 1e-12
+
+
+def test_steep_forcing_climbs_the_ladder():
+    # xi = cos(40 z) puts a boundary layer e^{40 (r - 1)} in u: its Legendre
+    # tail is about 1e-8 on 32 nodes, so the solve re-runs on 64
+    zgrid = SpectralGrid.make(np.pi, 128)
+    eta_hat = zgrid.to_rcoeffs(0.01 * np.cos(zgrid.z))
+    xi_hat = zgrid.to_rcoeffs(np.cos(40.0 * zgrid.z))
+    _, entry, err = _certified_vs_128(zgrid, eta_hat, xi_hat)
+    assert entry["nr"] == 64 and entry["radial_tail"] <= 1e-12
+    assert err <= 1e-12
+    # the grid remembers the rung and keeps only its operator (the explicit
+    # reference added nr = 128): the next solve starts on 64
+    assert zgrid._cache[dno._CERTIFIED_NR] == 64
+    assert ("dno_operator", 32) not in zgrid._cache
+    record = []
+    dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, record=record)
+    assert record[0]["nr"] == 64 and record[0]["sweeps"] < entry["sweeps"]
+
+
+def test_ladder_refuses_an_uncertified_operator():
+    # |k| = 640: a boundary layer that 128 nodes do not resolve either
+    zgrid = SpectralGrid.make(np.pi / 16.0, 128)
+    eta_hat = zgrid.to_rcoeffs(0.01 * np.cos(16.0 * zgrid.z))
+    xi_hat = zgrid.to_rcoeffs(np.cos(640.0 * zgrid.z))
+    with pytest.raises(ConvergenceError, match=r"radial tail .* at nr = 128"):
+        dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat)
+    assert not any(key == dno._CERTIFIED_NR or key[0] == "dno_operator"
+                   for key in zgrid._cache)
+
+
+def test_explicit_radial_grid_is_honoured():
+    grid = SpectralGrid.make(8 * np.pi, 128)
+    eta_hat = grid.to_rcoeffs(0.05 * np.cos(0.5 * grid.z))
+    xi_hat = grid.to_rcoeffs(np.sin(grid.z))
+    record = []
+    x, K = dno.solve_flattened_bvp(grid, eta_hat, xi_hat, dno.RadialGrid.make(48),
+                                   record=record)
+    assert x.shape == (2, 48, grid.N) and record[0]["nr"] == 48
+    assert dno._CERTIFIED_NR not in grid._cache
+    _, ref = dno.solve_flattened_bvp(grid, eta_hat, xi_hat, dno.RadialGrid.make(128))
+    assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_criterion_9_oracle_certifies_on_one_build(linear_law, monkeypatch):
+    # criterion 9's oracle solve runs every BVP solve on 32 nodes, one
+    # operator build; a fall back to 64 nodes fails here
+    builds = []
+    build = dno.SolutionOperator.__init__
+
+    def counted_build(self, zgrid, rgrid):
+        builds.append(rgrid.nr)
+        build(self, zgrid, rgrid)
+
+    monkeypatch.setattr(dno.SolutionOperator, "__init__", counted_build)
+    rep = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
+    assert rep.converged and builds == [32]
+    solves = rep.diagnostics["bvp_solves"]
+    assert 0 < len(solves) <= 5 and sum(e["sweeps"] for e in solves) <= 28
+    assert all(e["nr"] == 32 and e["radial_tail"] <= 1e-12
+               and e["relative_residual"] <= 1e-12 for e in solves)
+    # the same solve with every BVP on 128 nodes
+    monkeypatch.setattr(dno, "RADIAL_RUNGS", (128,))
+    ref = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
+    assert builds == [32, 128]
+    sol, want = rep.solution.values, ref.solution.values
+    assert np.max(np.abs(sol - want)) <= 1e-12 * np.max(np.abs(want))

@@ -192,6 +192,38 @@ def test_gmres_zero_rhs_and_iteration_cap():
     assert its == 6 and rel > 1e-12
 
 
+def test_gmres_stops_at_the_rounding_floor_of_its_matvec():
+    # the preconditioned system of the test above, its products rounded to
+    # single precision: GMRES cannot reach 1e-12 and stops at the first
+    # restart that does not lower the true residual, short of the cap, with
+    # the best iterate it found
+    rng = np.random.default_rng(7)
+    n = 300
+    d = np.logspace(0, 3, n)
+    A = np.diag(d) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+
+    def matvec(u):
+        return (A @ (u / d)).astype(np.float32).astype(float)
+
+    x, its, rel = solver.gmres(matvec, b, 1e-12, 60, 240)
+    assert its < 240 and 1e-12 < rel < 1e-6
+    assert rel == np.linalg.norm(b - matvec(x)) / np.linalg.norm(b)
+
+
+def test_gmres_stall_raises_with_its_record(linear_law):
+    # J.v rounded to single precision: the Newton step stops at the stall
+    # instead of spending GMRES_MAX_ITER directions
+    problem, v = make_problem("kdv", linear_law)
+    jv_batch = problem.jv_batch
+    problem.jv_batch = lambda ctx, W: jv_batch(ctx, W).astype(np.float32).astype(float)
+    with pytest.raises(ConvergenceError, match="GMRES stalled at") as info:
+        solver._newton(problem, v, 1e-11, 5, epsilon=0.0, branch="kdv")
+    (entry,) = info.value.linear_solves
+    assert entry["iterations"] < solver.GMRES_MAX_ITER
+    assert entry["relative_residual"] > solver.GMRES_RTOL
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_flat_state_jacobian_is_diagonal(name, linear_law):
     problem, _ = make_problem(name, linear_law)
