@@ -3,8 +3,8 @@
 Subcommands
     dispersion   tabulate f, c^2, g over a wavenumber grid + regime summary
     wnl          weakly nonlinear constants + operator-extraction comparison
-    solve        Newton solves (kdv | nls+ | nls- | gzcs), optionally fanned
-                 out over an epsilon ladder
+    solve        Newton solves (kdv | nls+ | nls- | gzcs) over an epsilon
+                 ladder, one rung after another in ascending epsilon
     converge     epsilon ladder with a fitted error slope
     checks       oracle suites with a pass/fail table
 
@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -101,10 +100,17 @@ class RunConfig:
                     f"epsilon must lie in (0, {eps_max:g}] for branch "
                     f"{self.branch!r}, got {eps}"
                 )
-        if self.grid_n is not None and (self.grid_n & (self.grid_n - 1)) != 0:
+        # grid N = 0 would fall back to the default N
+        if self.grid_n is not None and (self.grid_n < 1
+                                        or (self.grid_n & (self.grid_n - 1)) != 0):
             raise ParameterError(f"grid N must be a power of two, got {self.grid_n}")
-        if self.delta is not None and self.delta <= 0.0:
+        # written as "not > 0" so that NaN fails too
+        if self.delta is not None and not self.delta > 0.0:
             raise ParameterError("delta must be positive")
+        for name, value in (("tol", self.tol), ("grid L", self.grid_l)):
+            if value is not None and not (np.isfinite(value) and value > 0.0):
+                raise ParameterError(
+                    f"{name} must be finite and positive, got {value}")
         if self.k_order is not None and self.k_order not in (0, 1, 2):
             raise ParameterError("k-order must be 0, 1 or 2")
         # an option the branch does not take is an error, not a no-op
@@ -184,23 +190,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_metadata(outdir: Path, command: str, cfg: RunConfig) -> None:
+    # every setting but the output directory, so none can be left out
+    config = asdict(cfg)
+    del config["out"]
+    config["law"] = config.pop("law_kind")
     meta = {
         "command": command,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "config": {
-            "gamma": cfg.gamma,
-            "law": cfg.law_kind,
-            "nu2": cfg.nu2,
-            "nu3": cfg.nu3,
-            "epsilon": cfg.epsilon,
-            "branch": cfg.branch,
-            "suite": cfg.suite,
-            "delta": cfg.delta,
-            "grid_l": cfg.grid_l,
-            "grid_n": cfg.grid_n,
-            "k_order": cfg.k_order,
-            "tol": cfg.tol,
-        },
+        "config": config,
     }
     _write_json(outdir / "run_metadata.json", meta)
 
@@ -248,39 +245,13 @@ def cmd_wnl(cfg: RunConfig) -> int:
     law = cfg.law()
     coeffs = wnl_coeffs(cfg.gamma, law)
     record = extract_wnl_coefficients(cfg.gamma, law)
-    payload = {
-        "gamma": coeffs.gamma,
-        "regime": coeffs.regime.value,
-        "omega": coeffs.omega,
-        "c0_squared": coeffs.c0_squared,
-        "A0": coeffs.A0,
-        "B0": coeffs.B0,
-        "d0": coeffs.d0,
-        "kdv_dispersion": coeffs.kdv_dispersion,
-        "a1": coeffs.a1,
-        "a2": coeffs.a2,
-        "a3": coeffs.a3,
-        "capA": coeffs.capA,
-        "capB": coeffs.capB,
-        "capC": coeffs.capC,
-        "capD": coeffs.capD,
-        "capE": coeffs.capE,
-        "zeta0_coeff": coeffs.zeta0_coeff,
-        "zeta2_coeff": coeffs.zeta2_coeff,
-        "extraction": {
-            "quad_strong_extracted": record.quad_strong_extracted,
-            "quad_strong_formula": record.quad_strong_formula,
-            "mode0_extracted": record.mode0_extracted,
-            "mode0_formula": record.mode0_formula,
-            "mode2_extracted": record.mode2_extracted,
-            "mode2_formula": record.mode2_formula,
-            "a3_extracted": record.a3_extracted,
-            "a3_formula": record.a3_formula,
-            "a3_formula_alt": record.a3_formula_alt,
-            "d_resolution": record.d_resolution,
-            "max_rel_err": record.max_rel_err,
-        },
-    }
+    # gamma, regime and omega are the coefficients' own; the record repeats them
+    extraction = asdict(record)
+    for key in ("gamma", "regime", "omega"):
+        del extraction[key]
+    extraction["max_rel_err"] = record.max_rel_err
+    payload = {**asdict(coeffs), "regime": coeffs.regime.value,
+               "extraction": extraction}
     _write_json(cfg.out / "wnl.json", payload)
     return EXIT_OK
 
@@ -328,14 +299,6 @@ def _solve_one(cfg: RunConfig, branch: str, eps: float):
     return rep
 
 
-def _attempt(cfg: RunConfig, branch: str, eps: float):
-    """The report of one solve, or the numerical error that stopped it."""
-    try:
-        return _solve_one(cfg, branch, eps)
-    except _NUMERICAL_ERRORS as exc:
-        return exc
-
-
 def _reconstruct_for_report(cfg, rep, eps):
     # the target box is the envelope's own, eps z in [-L, L): a wider one
     # would show the periodic envelope's next copy as a second wave
@@ -346,34 +309,21 @@ def _reconstruct_for_report(cfg, rep, eps):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    """Solve each eps; a rung that fails is reported and the others kept."""
+    """Solve each eps in ascending order; a rung that fails is reported and
+    the others kept."""
     branch = cfg.branch
     tag = branch.replace("+", "plus").replace("-", "minus")
-    eps_list = sorted(cfg.epsilon)
-    if len(eps_list) > 1:
-        # imported here: only a ladder needs the worker machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        workers = min(os.cpu_count() or 1, len(eps_list))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                eps: pool.submit(_attempt, cfg, branch, eps)
-                for eps in eps_list
-            }
-            results = {eps: fut.result() for eps, fut in futures.items()}
-    else:
-        results = {eps_list[0]: _attempt(cfg, branch, eps_list[0])}
-
     reports = []
     failed = False
-    for eps in eps_list:
-        rep = results[eps]
-        if isinstance(rep, Exception):
-            error = {"error": type(rep).__name__, "message": str(rep)}
+    for eps in sorted(cfg.epsilon):
+        try:
+            rep = _solve_one(cfg, branch, eps)
+        except _NUMERICAL_ERRORS as exc:
+            error = {"error": type(exc).__name__, "message": str(exc)}
             print(json.dumps({"epsilon": eps, **error}), file=sys.stderr)
-            if isinstance(rep, ConvergenceError):
-                error["residual_history"] = [float(r) for r in rep.residual_history]
-                error["linear_solves"] = rep.linear_solves
+            if isinstance(exc, ConvergenceError):
+                error["residual_history"] = [float(r) for r in exc.residual_history]
+                error["linear_solves"] = exc.linear_solves
             reports.append({"branch": branch, "gamma": cfg.gamma,
                             "epsilon": eps, "status": "error", **error})
             failed = True
@@ -385,10 +335,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         if branch != "gzcs":
             eta = _reconstruct_for_report(cfg, rep, eps)
             _field_csv(cfg.out / f"eta_{tag}_eps{eps_tag}.csv", eta, "z")
-        # a converged gzcs solve may have found the flat state, not the wave
-        flat = rep.diagnostics.get("amplitude_ratio", 1.0) < solver.FLAT_STATE_RATIO
-        status = ("not_converged" if not rep.converged
-                  else "flat_state" if flat else "converged")
+        status = solver.rung_status(rep)
         reports.append({**_report_payload(rep, cfg.gamma), "status": status})
         failed = failed or status != "converged"
     _write_json(cfg.out / f"solve_{tag}.json", {"reports": reports})

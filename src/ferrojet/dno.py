@@ -426,10 +426,12 @@ class SolutionOperator:
         return profiles, trace_u
 
 
-def _operator_for(zgrid: SpectralGrid, rgrid: RadialGrid) -> SolutionOperator:
-    key = ("dno_operator", rgrid.nr)  # a RadialGrid is fully determined by nr
+def _operator_for(zgrid: SpectralGrid, nr: int) -> SolutionOperator:
+    """The z grid's operator on nr radial nodes; the first call builds it
+    together with its radial grid, ``operator.rgrid``."""
+    key = ("dno_operator", nr)  # a RadialGrid is fully determined by nr
     if key not in zgrid._cache:
-        zgrid._cache[key] = SolutionOperator(zgrid, rgrid)
+        zgrid._cache[key] = SolutionOperator(zgrid, RadialGrid.make(nr))
     return zgrid._cache[key]
 
 
@@ -463,7 +465,7 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
     relative residual above tol after max_iter sweeps, or a Krylov
     breakdown, raises ConvergenceError with the sweep count and residual.
 
-    An explicit ``rgrid`` is used as given.  Without one the solve climbs
+    An explicit ``rgrid`` fixes the node count.  Without one the solve climbs
     ``RADIAL_RUNGS`` from the rung the z grid remembers until the converged
     forcing's radial tail is at most max(tol, 16 nr eps), and raises
     ConvergenceError with nr and the tail when 128 nodes miss it.  A
@@ -477,8 +479,9 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
     if np.min(1.0 + eta_v) <= 0.0:
         raise GeometryError("flattening breaks down: min(1 + eta) <= 0")
 
-    def solve(rgrid: RadialGrid):
-        operator = _operator_for(zgrid, rgrid)
+    def solve(nr: int):
+        operator = _operator_for(zgrid, nr)
+        rgrid = operator.rgrid
         shape = (2, rgrid.nr, zgrid.N)
         sweeps = 0
 
@@ -514,12 +517,12 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
         return x.reshape(shape), -(ik * (operator.trace(*F) + flat_trace)), info
 
     if rgrid is not None:
-        x, K, info = solve(rgrid)
+        x, K, info = solve(rgrid.nr)
     else:
         start = zgrid._cache.get(_CERTIFIED_NR, RADIAL_RUNGS[0])
         sweeps = 0
         for nr in RADIAL_RUNGS[RADIAL_RUNGS.index(start):]:
-            x, K, info = solve(RadialGrid.make(nr))
+            x, K, info = solve(nr)
             sweeps += info["sweeps"]
             bound = max(tol, _TAIL_ROUNDING * nr)
             if info["radial_tail"] <= bound:

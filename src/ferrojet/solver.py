@@ -45,6 +45,7 @@ __all__ = [
     "solve_full_dispersion_nls",
     "solve_travelling_wave",
     "reconstruct_eta",
+    "rung_status",
     "convergence_study",
     "ConvergenceStudy",
     "check_jacobian",
@@ -583,6 +584,21 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
 # -- convergence studies ---------------------------------------------------------
 
 
+def rung_status(rep: SolveReport) -> str:
+    """The status of one rung of an epsilon ladder: "converged",
+    "flat_state" or "not_converged".
+
+    A converged gzcs solve whose ``amplitude_ratio`` is below
+    FLAT_STATE_RATIO found the flat state, not the wave; a report without
+    the ratio (the envelope solvers') counts as a wave.
+    """
+    if not rep.converged:
+        return "not_converged"
+    if rep.diagnostics.get("amplitude_ratio", 1.0) < FLAT_STATE_RATIO:
+        return "flat_state"
+    return "converged"
+
+
 @dataclass
 class ConvergenceStudy:
     epsilons: list
@@ -597,7 +613,11 @@ class ConvergenceStudy:
 def convergence_study(runner: Callable[[float], SolveReport],
                       epsilons: Sequence[float],
                       error_key: str) -> ConvergenceStudy:
-    """Run a solver over a geometric epsilon ladder and fit the error slope."""
+    """Run a solver over a geometric epsilon ladder and fit the error slope.
+
+    A rung counts as converged when ``rung_status`` says so, so a solve that
+    fell to the flat state leaves the ladder incomplete and out of the fit.
+    """
     if len(epsilons) < 3:
         raise ParameterError("a convergence study needs at least 3 epsilons")
     errors, residuals, flags = [], [], []
@@ -606,7 +626,7 @@ def convergence_study(runner: Callable[[float], SolveReport],
             rep = runner(eps)
             errors.append(float(rep.diagnostics[error_key]))
             residuals.append(rep.final_residual)
-            flags.append(bool(rep.converged))
+            flags.append(rung_status(rep) == "converged")
         except ConvergenceError:
             errors.append(np.nan)
             residuals.append(np.nan)

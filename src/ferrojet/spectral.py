@@ -364,7 +364,7 @@ class CutoffSpec:
     omega: float = 0.0
 
     def __post_init__(self):
-        if self.delta <= 0:
+        if not self.delta > 0:  # NaN fails too
             raise ParameterError("cutoff width delta must be positive")
         if self.omega > 0 and not (self.delta < self.omega / 3.0):
             raise ParameterError(

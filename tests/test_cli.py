@@ -76,12 +76,12 @@ def test_solve_kdv(tmp_path):
     assert all(entry["relative_residual"] <= solver.GMRES_RTOL for entry in solves)
 
 
-def test_solve_epsilon_ladder_fans_out(tmp_path):
+def test_solve_epsilon_ladder_runs_in_ascending_order(tmp_path):
     rc = main(["solve", "--branch", "kdv", "--gamma", "5",
                "--epsilon", "0.2", "0.1", "--out", str(tmp_path)])
     assert rc == 0
     reports = read_json(tmp_path / "solve_kdv.json")["reports"]
-    assert [r["epsilon"] for r in reports] == [0.1, 0.2]  # sorted merge
+    assert [r["epsilon"] for r in reports] == [0.1, 0.2]  # ascending eps
     assert all(r["converged"] for r in reports)
     assert (tmp_path / "profile_kdv_eps0p2.csv").exists()
 
@@ -96,7 +96,7 @@ def test_solve_ladder_keeps_converged_rungs(tmp_path, capsys):
     assert [r["status"] for r in reports] == ["converged", "converged", "error"]
     assert all(r["converged"] and "diagnostics" in r for r in reports[:2])
     assert reports[2]["error"] == "ConvergenceError" and reports[2]["message"]
-    # the failed rung's partial Newton history crosses the worker pool
+    # the failed rung keeps its partial Newton history
     history = reports[2]["residual_history"]
     assert len(history) >= 2 and len(reports[2]["linear_solves"]) == len(history)
     assert (tmp_path / "profile_gzcs_eps0p1.csv").exists()
@@ -115,6 +115,20 @@ def test_solve_flags_a_collapse_to_the_flat_state(tmp_path):
     assert report["diagnostics"]["amplitude_ratio"] < solver.FLAT_STATE_RATIO
     assert (tmp_path / "profile_gzcs_eps0p2.csv").exists()
     assert (tmp_path / "spectrum_gzcs_eps0p2.csv").exists()
+
+
+def test_converge_does_not_count_a_collapsed_rung(tmp_path, capsys):
+    # the eps = 0.2 rung converges to the flat state, as in the test above:
+    # the ladder is partial, and the slope is fitted through the other two
+    rc = main(["converge", "--branch", "gzcs", "--gamma", "15",
+               "--epsilon", "0.2", "0.1", "0.05", "--out", str(tmp_path)])
+    assert rc == 3
+    assert read_json(tmp_path / "converge.json")["complete"] is False
+    eps, converged = np.loadtxt(tmp_path / "converge.csv", delimiter=",",
+                                skiprows=1, usecols=(0, 3), unpack=True)
+    assert list(converged[eps == 0.2]) == [0.0]
+    assert list(converged[eps != 0.2]) == [1.0, 1.0]
+    assert "partial ladder" in capsys.readouterr().err
 
 
 def test_solve_keeps_a_strong_regime_wave_converged(tmp_path):
@@ -205,6 +219,23 @@ def test_rejects_option_the_branch_does_not_take(tmp_path, capsys, command,
     assert option[0].lstrip("-") in err["message"]
     assert not list(tmp_path.glob("solve_*.json"))
     assert not (tmp_path / "converge.json").exists()
+
+
+@pytest.mark.parametrize("option", [
+    ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+    ["--grid-l", "nan"], ["--grid-l", "0"], ["--grid-n", "0"],
+    ["--delta", "nan"],
+], ids=lambda option: option[0].lstrip("-") + "=" + option[1])
+def test_solve_rejects_bad_numbers(tmp_path, capsys, option):
+    # unchecked, each runs a solve: to a stagnation (tol 0, -1, NaN), a NaN
+    # residual (grid L NaN), one step (tol inf), the default grid (grid L or
+    # N 0) or, with delta NaN, a converged flat state
+    rc = main(["solve", "--branch", "kdv", "--gamma", "5", "--epsilon", "0.1",
+               *option, "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError"
+    assert not list(tmp_path.glob("solve_*.json"))
 
 
 def test_branch_options_default_to_unset():

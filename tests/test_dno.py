@@ -210,7 +210,7 @@ def _four_einsum_sweep(operator, F1_hat, F2_hat, xi_hat):
 def _solution(zgrid, rgrid, F1_hat, F2_hat, xi_hat):
     """S(F1, F2, xi) = S(F1, F2, 0) + S(0, 0, xi): the half spectra of
     (u, D0 u), (2, nr, nk), and of the trace u(1)."""
-    operator = dno._operator_for(zgrid, rgrid)
+    operator = dno._operator_for(zgrid, rgrid.nr)
     flat_profiles, flat_trace = operator.flat(xi_hat)
     return (operator.apply(F1_hat, F2_hat) + flat_profiles,
             operator.trace(F1_hat, F2_hat) + flat_trace)
@@ -218,7 +218,7 @@ def _solution(zgrid, rgrid, F1_hat, F2_hat, xi_hat):
 
 def test_block_sweep_matches_four_einsum_sweep(zgrid, rgrid, forcing):
     F1_hat, F2_hat, xi_hat = forcing
-    operator = dno._operator_for(zgrid, rgrid)
+    operator = dno._operator_for(zgrid, rgrid.nr)
     assert np.max(np.abs(xi_hat[1:])) > 0.1
     (u, d0u), trace_u = _solution(zgrid, rgrid, F1_hat, F2_hat, xi_hat)
     want = _four_einsum_sweep(operator, F1_hat, F2_hat, xi_hat)
@@ -252,7 +252,7 @@ def test_flat_solve_neumann_trace(zgrid, rgrid):
     # (the multiplier f(k) itself is criterion 4's, in checks.dno_suite)
     k0 = 2.0
     xi_hat = zgrid.to_rcoeffs(np.cos(k0 * zgrid.z))
-    profiles, _ = dno._operator_for(zgrid, rgrid).flat(xi_hat)
+    profiles, _ = dno._operator_for(zgrid, rgrid.nr).flat(xi_hat)
     d0u = zgrid.to_rvalues(rgrid.boundary_row @ profiles[1])
     assert np.max(np.abs(d0u - (-k0) * np.sin(k0 * zgrid.z))) <= 1e-10
 
@@ -288,7 +288,7 @@ def test_surface_velocity_matches_unmirrored_coefficients(zgrid, rgrid, forcing)
 def test_flat_solve_interior_harmonicity(zgrid, rgrid):
     k0 = 2.0
     xi_hat = zgrid.to_rcoeffs(np.cos(k0 * zgrid.z))
-    profiles, _ = dno._operator_for(zgrid, rgrid).flat(xi_hat)
+    profiles, _ = dno._operator_for(zgrid, rgrid.nr).flat(xi_hat)
     D = rgrid.diff_matrix()
     mi = int(round(k0 * zgrid.L / np.pi))
     u, d0u = profiles[:, :, mi]
@@ -310,7 +310,7 @@ def test_solution_operator_reduces_to_flat(zgrid, rgrid, forcing):
     # / (|k| I1(|k|)), every Bessel value from the public functions; no
     # forcing, no response
     _, _, xi_hat = forcing
-    operator = dno._operator_for(zgrid, rgrid)
+    operator = dno._operator_for(zgrid, rgrid.nr)
     profiles, trace_u = operator.flat(xi_hat)
     x = zgrid.kr[1:]
     xr = x[None, :] * rgrid.r[:, None]
@@ -412,7 +412,7 @@ def test_bvp_contraction_factor(zgrid, rgrid):
     def nodal(profiles):
         return zgrid.to_rvalues(profiles * np.stack([ik, np.ones_like(ik)])[:, None, :])
 
-    uz, d0u = nodal(dno._operator_for(zgrid, rgrid).flat(xi_hat)[0])
+    uz, d0u = nodal(dno._operator_for(zgrid, rgrid.nr).flat(xi_hat)[0])
     ratios, last = [], None
     for _ in range(60):
         F1, F2 = dno._forcing_terms(rgrid, eta, eta_z, uz, d0u)
@@ -470,7 +470,7 @@ def test_bvp_solve_makes_two_transforms_per_sweep(zgrid, rgrid, monkeypatch):
     monkeypatch.setattr(solver, "gmres", counted_gmres)
     eta_hat = zgrid.to_rcoeffs(0.01 * np.cos(zgrid.z))
     xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
-    dno._operator_for(zgrid, rgrid)
+    dno._operator_for(zgrid, rgrid.nr)
     ffts.clear()
     dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid)
     assert len(sweeps) == len(matvecs) > 2
@@ -479,9 +479,8 @@ def test_bvp_solve_makes_two_transforms_per_sweep(zgrid, rgrid, monkeypatch):
 
 
 def test_oracle_solves_on_one_grid_share_one_operator(linear_law, monkeypatch):
-    # each rung of the certified radial grid is a new RadialGrid; the z grid
-    # remembers the certified rung, and equal radial grids (same nr) must
-    # reuse the operator cached on the z grid, not build another
+    # the z grid remembers the certified rung, and solves on the same nr
+    # must reuse the operator cached on the z grid, not build another
     builds = []
     build = dno.SolutionOperator.__init__
 
@@ -505,7 +504,7 @@ def test_operator_is_freed_with_its_grid(rgrid):
     gc.disable()
     try:
         z = SpectralGrid.make(2 * np.pi, 16)
-        ref = weakref.ref(dno._operator_for(z, rgrid))
+        ref = weakref.ref(dno._operator_for(z, rgrid.nr))
         del z
         assert ref() is None
     finally:
@@ -514,7 +513,7 @@ def test_operator_is_freed_with_its_grid(rgrid):
 
 def test_mode_map_self_adjointness(zgrid, rgrid):
     # the per-mode map xi_hat -> -u_z(1) is the real even multiplier f(k)
-    operator = dno._operator_for(zgrid, rgrid)
+    operator = dno._operator_for(zgrid, rgrid.nr)
     for k0 in (1.0, 2.5):
         xi_hat = zgrid.to_rcoeffs(np.cos(k0 * zgrid.z))
         K_hat = _surface_operator(zgrid, operator.flat(xi_hat)[1])
@@ -719,17 +718,25 @@ def test_explicit_radial_grid_is_honoured():
 
 def test_criterion_9_oracle_certifies_on_one_build(linear_law, monkeypatch):
     # criterion 9's oracle solve runs every BVP solve on 32 nodes, one
-    # operator build; a fall back to 64 nodes fails here
-    builds = []
+    # operator build; a fall back to 64 nodes fails here.  The radial grid
+    # is built with the operator, not once per BVP solve: its barycentric
+    # weights are an O(nr^2) loop
+    builds, grids = [], []
     build = dno.SolutionOperator.__init__
+    post_init = dno.RadialGrid.__post_init__
 
     def counted_build(self, zgrid, rgrid):
         builds.append(rgrid.nr)
         build(self, zgrid, rgrid)
 
+    def counted_post_init(self):
+        grids.append(self.nr)
+        post_init(self)
+
     monkeypatch.setattr(dno.SolutionOperator, "__init__", counted_build)
+    monkeypatch.setattr(dno.RadialGrid, "__post_init__", counted_post_init)
     rep = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
-    assert rep.converged and builds == [32]
+    assert rep.converged and builds == [32] and grids == [32]
     solves = rep.diagnostics["bvp_solves"]
     assert 0 < len(solves) <= 5 and sum(e["sweeps"] for e in solves) <= 28
     assert all(e["nr"] == 32 and e["radial_tail"] <= 1e-12
@@ -737,6 +744,6 @@ def test_criterion_9_oracle_certifies_on_one_build(linear_law, monkeypatch):
     # the same solve with every BVP on 128 nodes
     monkeypatch.setattr(dno, "RADIAL_RUNGS", (128,))
     ref = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
-    assert builds == [32, 128]
+    assert builds == grids == [32, 128]
     sol, want = rep.solution.values, ref.solution.values
     assert np.max(np.abs(sol - want)) <= 1e-12 * np.max(np.abs(want))

@@ -98,7 +98,7 @@ def test_cutoff_width_is_validated(linear_law):
     # omega / 3 = 0.892 at gamma = 15: delta = 1.0 lies outside the reduction
     with pytest.raises(ParameterError):
         solver.solve_full_dispersion_nls(15.0, linear_law, 0.1, delta=1.0)
-    for delta in (0.0, -0.5):  # would silently drop the nonlinear term
+    for delta in (0.0, -0.5, np.nan):  # would silently drop the nonlinear term
         with pytest.raises(ParameterError):
             solver.fd_kdv_problem(5.0, linear_law, 0.1, grid, delta=delta)
         with pytest.raises(ParameterError):
