@@ -5,7 +5,7 @@ Subcommands
     wnl          weakly nonlinear constants + operator-extraction comparison
     solve        Newton solves (kdv | nls+ | nls- | gzcs) over an epsilon
                  ladder, one rung after another in ascending epsilon
-    converge     epsilon ladder with a fitted error slope
+    converge     solve's ladder, then the error slope fitted over its rungs
     checks       oracle suites with a pass/fail table
 
 Configuration comes from an optional flat key = value file (# comments)
@@ -14,9 +14,10 @@ written with 17 significant digits and carry no timestamps; the single
 run_metadata.json holds the wall-clock stamp.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure.  Errors are
-mirrored as one JSON object on stderr.  A ``solve`` ladder keeps the rungs
-that converged: each failed epsilon gets its own stderr object and an
-``error`` entry in ``solve_*.json``, and the exit code is still 3.
+mirrored as one JSON object on stderr.  ``solve`` and ``converge`` run one
+ladder, which keeps the rungs that converged: each failed epsilon gets its
+own stderr object and an ``error`` entry in ``solve_*.json``, and the exit
+code is still 3.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.gamma <= 1.0:
             raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
-        # the envelope solvers' own bound; the full equation takes up to 0.5
-        eps_max = 0.5 if self.branch == "gzcs" else solver.ENVELOPE_EPS_MAX
+        eps_max = (solver.TRAVELLING_WAVE_EPS_MAX if self.branch == "gzcs"
+                   else solver.ENVELOPE_EPS_MAX)
         if len(set(self.epsilon)) != len(self.epsilon):
             raise ParameterError(f"epsilon values must be distinct, got {self.epsilon}")
         for eps in self.epsilon:
@@ -100,10 +101,11 @@ class RunConfig:
                     f"epsilon must lie in (0, {eps_max:g}] for branch "
                     f"{self.branch!r}, got {eps}"
                 )
-        # grid N = 0 would fall back to the default N
-        if self.grid_n is not None and (self.grid_n < 1
-                                        or (self.grid_n & (self.grid_n - 1)) != 0):
-            raise ParameterError(f"grid N must be a power of two, got {self.grid_n}")
+        # SpectralGrid's own rule; N = 0 would fall back to the default N
+        if self.grid_n is not None and (self.grid_n < 4
+                                        or self.grid_n & (self.grid_n - 1)):
+            raise ParameterError(
+                f"grid N must be a power of two >= 4, got {self.grid_n}")
         # written as "not > 0" so that NaN fails too
         if self.delta is not None and not self.delta > 0.0:
             raise ParameterError("delta must be positive")
@@ -308,13 +310,13 @@ def _reconstruct_for_report(cfg, rep, eps):
                                   profile.omega, target)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
-    """Solve each eps in ascending order; a rung that fails is reported and
-    the others kept."""
+def _run_ladder(cfg: RunConfig) -> list:
+    """Solve each eps in ascending order, write each solved rung's CSVs and
+    every rung's entry in ``solve_*.json``, and return the entries; a rung
+    that raises is reported on stderr and the others kept."""
     branch = cfg.branch
     tag = branch.replace("+", "plus").replace("-", "minus")
     reports = []
-    failed = False
     for eps in sorted(cfg.epsilon):
         try:
             rep = _solve_one(cfg, branch, eps)
@@ -326,7 +328,6 @@ def cmd_solve(cfg: RunConfig) -> int:
                 error["linear_solves"] = exc.linear_solves
             reports.append({"branch": branch, "gamma": cfg.gamma,
                             "epsilon": eps, "status": "error", **error})
-            failed = True
             continue
         eps_tag = _eps_tag(eps)
         axis = "Z" if branch != "gzcs" else "z"
@@ -335,30 +336,36 @@ def cmd_solve(cfg: RunConfig) -> int:
         if branch != "gzcs":
             eta = _reconstruct_for_report(cfg, rep, eps)
             _field_csv(cfg.out / f"eta_{tag}_eps{eps_tag}.csv", eta, "z")
-        status = solver.rung_status(rep)
-        reports.append({**_report_payload(rep, cfg.gamma), "status": status})
-        failed = failed or status != "converged"
+        reports.append({**_report_payload(rep, cfg.gamma),
+                        "status": solver.rung_status(rep)})
     _write_json(cfg.out / f"solve_{tag}.json", {"reports": reports})
+    return reports
+
+
+def cmd_solve(cfg: RunConfig) -> int:
+    failed = any(r["status"] != "converged" for r in _run_ladder(cfg))
     return EXIT_NUMERICAL if failed else EXIT_OK
 
 
 def cmd_converge(cfg: RunConfig) -> int:
+    """``solve``'s ladder, then the error slope fitted over its rungs."""
     if len(cfg.epsilon) < 3:
         raise ParameterError("converge needs at least 3 epsilon values")
     branch = cfg.branch
-    law = cfg.law()
     error_key = {
         "kdv": "deviation_from_kdv",
         "nls+": "deviation_from_nls",
         "nls-": "deviation_from_nls",
         "gzcs": "normalized_deviation",
     }[branch]
-
-    def runner(eps):
-        return _solve_one(cfg, branch, eps)
-
-    study = solver.convergence_study(runner, sorted(cfg.epsilon, reverse=True),
-                                     error_key)
+    rungs = _run_ladder(cfg)[::-1]  # descending eps, as converge.csv lists them
+    study = solver.convergence_study(
+        [r["epsilon"] for r in rungs],
+        [r["diagnostics"][error_key] if "diagnostics" in r else np.nan
+         for r in rungs],
+        [r.get("final_residual", np.nan) for r in rungs],
+        [r["status"] == "converged" for r in rungs],
+    )
     _write_csv(cfg.out / "converge.csv",
                ["epsilon", "error", "residual", "converged"],
                [study.epsilons, study.errors, study.residuals,

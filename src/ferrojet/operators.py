@@ -49,6 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .dispersion import make_profile
 from .errors import GeometryError, ParameterError, RegimeError
 from .spectral import SpectralGrid
 from .specfun import f_ratio
@@ -56,11 +57,10 @@ from .wnl import (
     MagnetizationLaw,
     cap_a,
     cap_b,
-    cap_c,
     cap_d,
     cap_d_alt,
-    cap_e,
     cubic_coeff_b0,
+    nls_a3,
     nls_coeffs,
     quad_coeff_a0,
 )
@@ -562,7 +562,8 @@ def extract_wnl_coefficients(gamma: float, law: MagnetizationLaw) -> ExtractionR
             quad_strong_formula=coeffs.A0 + 5.0 * c0sq,
         )
 
-    coeffs = nls_coeffs(gamma, law)
+    profile = make_profile(gamma)
+    coeffs = nls_coeffs(gamma, law, profile)
     omega, c0sq, A0 = coeffs.omega, coeffs.c0_squared, coeffs.A0
     grid = SpectralGrid.commensurate(omega, 16.0 * np.pi / omega, 256)
 
@@ -593,25 +594,8 @@ def extract_wnl_coefficients(gamma: float, law: MagnetizationLaw) -> ExtractionR
     a_cubic = (m1 * e2**5 - m2 * e1**5) / (e1**3 * e2**5 - e2**3 * e1**5)
     a3_extr = -a_cubic
 
-    g0 = gamma - 1.0 - 2.0 * c0sq  # g(0) without the f correction (f(0) = 2)
-    prof_g2w = (gamma - 1.0 + (2 * omega) ** 2) - c0sq * f_ratio(2.0 * omega)
-
-    def assemble_a3(capd_value: float) -> float:
-        four = (
-            2.0 / prof_g2w
-            * (c0sq * cap_c(omega) - A0 + omega**2)
-            * (c0sq * cap_a(omega) - A0 - 0.5 * omega**2)
-            + 2.0 / g0 * (c0sq * capd_value - A0)
-            * (c0sq * cap_b(omega) - 2.0 * A0 + omega**2)
-            - 3.0 * cubic_coeff_b0(gamma, law)
-            - 0.5 * omega**2
-            + 1.5 * omega**4
-            + c0sq * cap_e(omega)
-        )
-        return 0.25 * four
-
-    a3_main = assemble_a3(cap_d(omega))
-    a3_alt = assemble_a3(cap_d_alt(omega))
+    a3_main = nls_a3(coeffs, profile, cap_d(omega))
+    a3_alt = nls_a3(coeffs, profile, cap_d_alt(omega))
     resolution = (
         "f(omega)^2"
         if abs(a3_extr - a3_main) <= abs(a3_extr - a3_alt)

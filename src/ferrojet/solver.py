@@ -60,6 +60,7 @@ __all__ = [
 DEFAULT_SCALED_L = 40.0
 DEFAULT_SCALED_N = 1024
 ENVELOPE_EPS_MAX = 0.3  # full-dispersion KdV and NLS solve 0 < eps <= this
+TRAVELLING_WAVE_EPS_MAX = 0.5  # the full equation solves 0 < eps <= this
 
 
 def default_scaled_grid() -> SpectralGrid:
@@ -545,8 +546,9 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
     its certified radial grid, and ``diagnostics["bvp_solves"]`` has one
     entry per BVP solve (nr, radial tail, sweeps, relative residual).
     """
-    if epsilon <= 0.0:
-        raise ParameterError("epsilon must be positive")
+    if not (0.0 < epsilon <= TRAVELLING_WAVE_EPS_MAX):  # NaN fails too
+        raise ParameterError(f"the travelling-wave equation is solved for "
+                             f"0 < eps <= {TRAVELLING_WAVE_EPS_MAX}, got {epsilon}")
     profile = make_profile(gamma)
     if not profile.solvable:
         raise RegimeError("gamma = 9 admits no solitary-wave continuation")
@@ -610,28 +612,19 @@ class ConvergenceStudy:
     complete: bool
 
 
-def convergence_study(runner: Callable[[float], SolveReport],
-                      epsilons: Sequence[float],
-                      error_key: str) -> ConvergenceStudy:
-    """Run a solver over a geometric epsilon ladder and fit the error slope.
+def convergence_study(epsilons: Sequence[float], errors: Sequence[float],
+                      residuals: Sequence[float],
+                      converged: Sequence[bool]) -> ConvergenceStudy:
+    """Fit the error slope over the rungs of an epsilon ladder.
 
-    A rung counts as converged when ``rung_status`` says so, so a solve that
-    fell to the flat state leaves the ladder incomplete and out of the fit.
+    One entry per rung in each sequence; a failed rung carries NaN for its
+    error and residual.  Only rungs that converged (``rung_status``) with a
+    finite error enter the fit, and the ladder is complete when every rung
+    does.
     """
     if len(epsilons) < 3:
         raise ParameterError("a convergence study needs at least 3 epsilons")
-    errors, residuals, flags = [], [], []
-    for eps in epsilons:
-        try:
-            rep = runner(eps)
-            errors.append(float(rep.diagnostics[error_key]))
-            residuals.append(rep.final_residual)
-            flags.append(rung_status(rep) == "converged")
-        except ConvergenceError:
-            errors.append(np.nan)
-            residuals.append(np.nan)
-            flags.append(False)
-    ok = [i for i, f in enumerate(flags) if f and np.isfinite(errors[i])]
+    ok = [i for i, f in enumerate(converged) if f and np.isfinite(errors[i])]
     complete = len(ok) == len(epsilons)
     if len(ok) >= 2:
         x = np.log([epsilons[i] for i in ok])
@@ -642,8 +635,8 @@ def convergence_study(runner: Callable[[float], SolveReport],
     else:
         slope, fit_residual = np.nan, np.nan
     return ConvergenceStudy(
-        epsilons=list(epsilons), errors=errors, residuals=residuals,
-        converged=flags, slope=slope, fit_residual=fit_residual,
+        epsilons=list(epsilons), errors=list(errors), residuals=list(residuals),
+        converged=list(converged), slope=slope, fit_residual=fit_residual,
         complete=complete,
     )
 

@@ -61,8 +61,9 @@ class SpectralGrid:
     _cache: dict = dc_field(repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ParameterError("grid half-length must be positive")
+        if not 0 < self.L < np.inf:  # NaN fails too
+            raise ParameterError(f"grid half-length must be finite and "
+                                 f"positive, got {self.L}")
         if self.N < 4 or self.N & (self.N - 1):
             raise ParameterError(f"grid size must be a power of two >= 4, got {self.N}")
         n = self.N

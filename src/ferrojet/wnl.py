@@ -25,7 +25,7 @@ the choice numerically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,6 +39,7 @@ __all__ = [
     "WnlCoeffs",
     "kdv_coeffs",
     "nls_coeffs",
+    "nls_a3",
     "wnl_coeffs",
     "zeta_kdv",
     "zeta_nls",
@@ -94,17 +95,19 @@ class MagnetizationLaw:
         # h balances roundoff (eps/h^3 in d3) against stencil truncation
         h = 5e-3
         s = 1.0 + h * np.array([-2, -1, 0, 1, 2], dtype=float)
-        v = np.asarray(self.nu(s), dtype=float)
-        # 4th-order first derivative: the nu'''(1) truncation of the plain
-        # central difference would already exceed the 1e-8 normalisation check
-        d1 = (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h)
-        d2 = (v[3] - 2 * v[2] + v[1]) / h**2
-        d3 = (v[4] - 2 * v[3] + 2 * v[1] - v[0]) / (2 * h**3)
-        if abs(d1 - 1.0) > tol_nu1:
+        with np.errstate(all="ignore"):  # a non-finite law fails below
+            v = np.asarray(self.nu(s), dtype=float)
+            # 4th-order first derivative: the nu'''(1) truncation of the plain
+            # central difference would already exceed the 1e-8 normalisation check
+            d1 = (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h)
+            d2 = (v[3] - 2 * v[2] + v[1]) / h**2
+            d3 = (v[4] - 2 * v[3] + 2 * v[1] - v[0]) / (2 * h**3)
+        # written as "not <=" so that NaN fails too
+        if not abs(d1 - 1.0) <= tol_nu1:
             raise ParameterError(f"law violates nu'(1) = 1: got {d1}")
-        if abs(d2 - self.nu2) > tol_high * max(1.0, abs(self.nu2)):
+        if not abs(d2 - self.nu2) <= tol_high * max(1.0, abs(self.nu2)):
             raise ParameterError(f"nu''(1) mismatch: {d2} vs stored {self.nu2}")
-        if abs(d3 - self.nu3) > tol_high * max(1.0, abs(self.nu3)):
+        if not abs(d3 - self.nu3) <= tol_high * max(1.0, abs(self.nu3)):
             raise ParameterError(f"nu'''(1) mismatch: {d3} vs stored {self.nu3}")
 
 
@@ -201,6 +204,20 @@ def kdv_coeffs(gamma: float, law: MagnetizationLaw) -> WnlCoeffs:
     return coeffs
 
 
+def nls_a3(c: WnlCoeffs, profile: DispersionProfile, capd: float) -> float:
+    """The cubic NLS constant a3 from the A0, B0 and A..E of ``c``, with
+    D(omega) = capd: ``c.capD`` (the f(omega)^2 reading) or ``cap_d_alt``."""
+    omega, c0sq, A0 = c.omega, c.c0_squared, c.A0
+    four_a3 = (
+        2.0 / profile.g(2.0 * omega) * (c0sq * c.capC - A0 + omega**2)
+        * (c0sq * c.capA - A0 - 0.5 * omega**2)
+        + 2.0 / profile.g(0.0) * (c0sq * capd - A0)
+        * (c0sq * c.capB - 2.0 * A0 + omega**2)
+        - 3.0 * c.B0 - 0.5 * omega**2 + 1.5 * omega**4 + c0sq * c.capE
+    )
+    return 0.25 * four_a3
+
+
 def nls_coeffs(gamma: float, law: MagnetizationLaw,
                profile: Optional[DispersionProfile] = None) -> WnlCoeffs:
     """Weak-regime constants a1, a2, a3 and the A..E building blocks."""
@@ -211,41 +228,30 @@ def nls_coeffs(gamma: float, law: MagnetizationLaw,
     omega = profile.omega
     c0sq = profile.c0_squared
     A0 = quad_coeff_a0(gamma, law)
-    B0 = cubic_coeff_b0(gamma, law)
-    A, B, C, D, E = (cap_a(omega), cap_b(omega), cap_c(omega),
-                     cap_d(omega), cap_e(omega))
-    g0 = profile.g(0.0)
-    g2w = profile.g(2.0 * omega)
-    a1 = 0.5 * profile.g_second(omega)
-    a2 = c0sq * f_ratio(omega)
-    four_a3 = (
-        2.0 / g2w * (c0sq * C - A0 + omega**2) * (c0sq * A - A0 - 0.5 * omega**2)
-        + 2.0 / g0 * (c0sq * D - A0) * (c0sq * B - 2.0 * A0 + omega**2)
-        - 3.0 * B0 - 0.5 * omega**2 + 1.5 * omega**4 + c0sq * E
-    )
-    a3 = 0.25 * four_a3
-    if a3 <= 0.0:
-        raise ExistenceError(
-            f"NLS soliton requires a3 > 0; got a3 = {a3} at gamma = {gamma}"
-        )
-    return WnlCoeffs(
+    A, B = cap_a(omega), cap_b(omega)
+    coeffs = WnlCoeffs(
         gamma=gamma,
         regime=Regime.WEAK,
         omega=omega,
         c0_squared=c0sq,
         A0=A0,
-        B0=B0,
-        a1=a1,
-        a2=a2,
-        a3=a3,
+        B0=cubic_coeff_b0(gamma, law),
+        a1=0.5 * profile.g_second(omega),
+        a2=c0sq * f_ratio(omega),
         capA=A,
         capB=B,
-        capC=C,
-        capD=D,
-        capE=E,
-        zeta0_coeff=(omega**2 - 2.0 * A0 + c0sq * B) / g0,
-        zeta2_coeff=(c0sq * A - A0 - 0.5 * omega**2) / g2w,
+        capC=cap_c(omega),
+        capD=cap_d(omega),
+        capE=cap_e(omega),
+        zeta0_coeff=(omega**2 - 2.0 * A0 + c0sq * B) / profile.g(0.0),
+        zeta2_coeff=(c0sq * A - A0 - 0.5 * omega**2) / profile.g(2.0 * omega),
     )
+    a3 = nls_a3(coeffs, profile, coeffs.capD)
+    if a3 <= 0.0:
+        raise ExistenceError(
+            f"NLS soliton requires a3 > 0; got a3 = {a3} at gamma = {gamma}"
+        )
+    return replace(coeffs, a3=a3)
 
 
 def wnl_coeffs(gamma: float, law: MagnetizationLaw) -> WnlCoeffs:

@@ -131,6 +131,31 @@ def test_converge_does_not_count_a_collapsed_rung(tmp_path, capsys):
     assert "partial ladder" in capsys.readouterr().err
 
 
+def test_converge_keeps_the_rungs_solve_keeps(tmp_path, capsys):
+    # the eps = 0.3 seed crosses the rod (GeometryError); the ladder keeps
+    # the two rungs that converge, writes solve's files and fits through them
+    rc = main(["converge", "--branch", "gzcs", "--gamma", "5", "--law",
+               "custom", "--nu2", "2.24", "--nu3", "0", "--epsilon", "0.3",
+               "0.05", "0.025", "--out", str(tmp_path)])
+    assert rc == 3
+    assert read_json(tmp_path / "converge.json")["complete"] is False
+    eps, error, residual, converged = np.loadtxt(
+        tmp_path / "converge.csv", delimiter=",", skiprows=1, unpack=True)
+    assert list(eps) == [0.3, 0.05, 0.025]  # descending, as before
+    assert np.isnan(error[0]) and np.isnan(residual[0]) and converged[0] == 0.0
+    assert np.all(np.isfinite(error[1:])) and list(converged[1:]) == [1.0, 1.0]
+    reports = read_json(tmp_path / "solve_gzcs.json")["reports"]
+    assert [r["status"] for r in reports] == ["converged", "converged", "error"]
+    assert reports[2]["epsilon"] == 0.3
+    assert reports[2]["error"] == "GeometryError" and reports[2]["message"]
+    assert (tmp_path / "profile_gzcs_eps0p05.csv").exists()
+    assert not (tmp_path / "profile_gzcs_eps0p3.csv").exists()
+    err = capsys.readouterr().err.splitlines()
+    (obj,) = [json.loads(line) for line in err if line.startswith("{")]
+    assert obj["epsilon"] == 0.3 and obj["error"] == "GeometryError"
+    assert "partial ladder" in err[-1]
+
+
 def test_solve_keeps_a_strong_regime_wave_converged(tmp_path):
     rc = main(["solve", "--branch", "gzcs", "--gamma", "5",
                "--epsilon", "0.2", "--out", str(tmp_path)])
@@ -224,12 +249,16 @@ def test_rejects_option_the_branch_does_not_take(tmp_path, capsys, command,
 @pytest.mark.parametrize("option", [
     ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
     ["--grid-l", "nan"], ["--grid-l", "0"], ["--grid-n", "0"],
-    ["--delta", "nan"],
+    ["--grid-n", "1"], ["--grid-n", "2"], ["--delta", "nan"],
+    ["--nu2", "nan"], ["--nu2", "inf"],
 ], ids=lambda option: option[0].lstrip("-") + "=" + option[1])
 def test_solve_rejects_bad_numbers(tmp_path, capsys, option):
     # unchecked, each runs a solve: to a stagnation (tol 0, -1, NaN), a NaN
-    # residual (grid L NaN), one step (tol inf), the default grid (grid L or
-    # N 0) or, with delta NaN, a converged flat state
+    # residual (grid L NaN, a custom law's nu2 NaN or inf), one step (tol
+    # inf), the default grid (grid L or N 0), a grid error inside the solve
+    # (N 1 or 2) or, with delta NaN, a converged flat state
+    if option[0] == "--nu2":
+        option = ["--law", "custom", *option]
     rc = main(["solve", "--branch", "kdv", "--gamma", "5", "--epsilon", "0.1",
                *option, "--out", str(tmp_path)])
     assert rc == 2
@@ -247,6 +276,10 @@ def test_branch_options_default_to_unset():
         RunConfig(branch="gzcs", k_order=3).validate()
 
 
+def test_smallest_grid_n_is_four():
+    RunConfig(grid_n=4).validate()  # SpectralGrid's smallest grid
+
+
 def test_metadata_records_the_run_configuration(tmp_path):
     rc = main(["solve", "--branch", "kdv", "--gamma", "5", "--epsilon", "0.1",
                "--delta", "0.3", "--grid-n", "2048", "--out", str(tmp_path)])
@@ -261,6 +294,7 @@ def test_metadata_records_the_run_configuration(tmp_path):
 
 def test_gzcs_epsilon_bound_is_wider():
     RunConfig(branch="gzcs", epsilon=[0.4]).validate()
+    RunConfig(branch="gzcs", epsilon=[solver.TRAVELLING_WAVE_EPS_MAX]).validate()
     with pytest.raises(ParameterError):
         RunConfig(branch="gzcs", epsilon=[0.6]).validate()
 

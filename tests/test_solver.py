@@ -197,37 +197,31 @@ def test_failed_newton_keeps_its_history(linear_law):
 
 
 def test_convergence_study_synthetic():
-    class Rep:
-        def __init__(self, eps):
-            self.diagnostics = {"err": eps**2}
-            self.final_residual = 1e-14
-            self.converged = True
-
-    study = solver.convergence_study(lambda e: Rep(e), [0.4, 0.2, 0.1, 0.05],
-                                     "err")
+    eps = [0.4, 0.2, 0.1, 0.05]
+    study = solver.convergence_study(eps, [e**2 for e in eps], [1e-14] * 4,
+                                     [True] * 4)
     assert abs(study.slope - 2.0) <= 1e-10
     assert study.complete
     with pytest.raises(ParameterError):
-        solver.convergence_study(lambda e: Rep(e), [0.1, 0.05], "err")
+        solver.convergence_study([0.1, 0.05], [1e-2, 2.5e-3], [1e-14] * 2,
+                                 [True] * 2)
 
 
-def test_convergence_study_flags_failures(linear_law):
-    from ferrojet.errors import ConvergenceError
-
-    def runner(eps):
-        if eps < 0.1:
-            raise ConvergenceError("boom")
-
-        class Rep:
-            diagnostics = {"err": eps}
-            final_residual = 0.0
-            converged = True
-
-        return Rep()
-
-    study = solver.convergence_study(runner, [0.4, 0.2, 0.05], "err")
+def test_convergence_study_flags_failures():
+    # the eps = 0.05 rung failed: its error and residual are NaN
+    study = solver.convergence_study([0.4, 0.2, 0.05], [0.4, 0.2, np.nan],
+                                     [0.0, 0.0, np.nan], [True, True, False])
     assert not study.complete
     assert study.converged == [True, True, False]
+    assert abs(study.slope - 1.0) <= 1e-10  # fitted through the other two
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, 0.51])
+def test_travelling_wave_epsilon_is_validated(eps, linear_law):
+    # NaN used to reach the grid sizing as a bare ValueError, and eps > 0.5
+    # ran though the CLI rejects it
+    with pytest.raises(ParameterError, match="0 < eps <= 0.5"):
+        solver.solve_travelling_wave(5.0, linear_law, eps)
 
 
 @pytest.mark.parametrize("make_problem", ["kdv", "fd_kdv", "fd_nls", "gzcs"])

@@ -18,6 +18,9 @@ def test_grid_validation():
         SpectralGrid.make(10.0, 100)  # not a power of two
     with pytest.raises(ParameterError):
         SpectralGrid.make(-1.0, 128)
+    for L in (np.nan, np.inf):  # the grid's nodes would be NaN
+        with pytest.raises(ParameterError):
+            SpectralGrid.make(L, 64)
 
 
 def test_round_trip_random_fields(grid, rng):

@@ -26,6 +26,13 @@ def test_law_validation(linear_law):
         bad.validate()  # nu'(1) = 2 breaks the normalisation
 
 
+@pytest.mark.parametrize("nu2, nu3", [(np.nan, 0.0), (np.inf, 0.0),
+                                      (1.0, np.nan), (1.0, -np.inf)])
+def test_law_validation_rejects_non_finite_derivatives(nu2, nu3):
+    with pytest.raises(ParameterError):
+        MagnetizationLaw.from_derivatives(nu2, nu3).validate()
+
+
 def test_kdv_coeffs_gamma5(linear_law):
     c = kdv_coeffs(5.0, linear_law)
     assert c.d0 == pytest.approx(0.875, abs=1e-15)
