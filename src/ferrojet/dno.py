@@ -55,15 +55,18 @@ interpolant on the state nodes, so the error of a solve is the size of the
 Legendre coefficients the nodes cannot hold, and the top coefficients of
 the converged forcing estimate it (coefficient decay; Boyd, Chebyshev and
 Fourier Spectral Methods, 2001, ch. 2).  Without an explicit radial grid a
-solve runs on the rungs ``RADIAL_RUNGS`` = 32, 64, 128 in turn and accepts
-the first whose radial tail (``RadialGrid.legendre_tail``) is at most
-max(tol, 16 nr eps), the BVP's own tolerance or the transform's rounding;
-128 nodes that miss it raise ``ConvergenceError`` with nr and the tail.
+solve runs on the rungs ``RADIAL_RUNGS`` = 16, 32, 64, 128 in turn and
+accepts the first whose radial tail (``RadialGrid.legendre_tail``) is at
+most max(tol, 16 nr eps), the BVP's own tolerance or the transform's
+rounding; 128 nodes that miss it raise ``ConvergenceError`` with nr and the
+tail.  A rung after the first starts GMRES from the coarser rung's solution,
+interpolated to its nodes.
 The z grid remembers the certified rung, so the next solve on it (every
 Newton iterate of an oracle solve) starts there and shares its operator.
-The benchmark's (5, 0.1) state and Gaussian data on L = 20 and 80 read
-tails of about 1e-14 at 32 nodes (rounding), against 1.6e-11 at 16 for the
-Gaussians; a boundary layer e^{|k| (r - 1)} with |k| = 40 needs 64.
+The benchmark's (5, 0.1) state reads tails of 7.5e-16 to 1.0e-15 at 16
+nodes (rounding).  Gaussian data on L = 20 and 80 read 1.6e-11 at 16 and
+about 1e-14 at 32, where the seeded solve takes one sweep; a boundary layer
+e^{|k| (r - 1)} with |k| = 40 reads 3e-2 at 16 and 1e-8 at 32, and needs 64.
 """
 
 from __future__ import annotations
@@ -445,7 +448,7 @@ def _forcing_terms(rgrid, eta_v, eta_z, uz, d0u):
 
 # the certified radial grid: Gauss-node counts tried in turn, the rounding
 # floor of the Legendre tail per node, and the z-grid cache key of the rung
-RADIAL_RUNGS = (32, 64, 128)
+RADIAL_RUNGS = (16, 32, 64, 128)
 _TAIL_ROUNDING = 16.0 * np.finfo(float).eps
 _CERTIFIED_NR = "dno_certified_nr"
 
@@ -468,9 +471,11 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
     An explicit ``rgrid`` fixes the node count.  Without one the solve climbs
     ``RADIAL_RUNGS`` from the rung the z grid remembers until the converged
     forcing's radial tail is at most max(tol, 16 nr eps), and raises
-    ConvergenceError with nr and the tail when 128 nodes miss it.  A
-    ``record`` list gets one entry per call: the nr used, its radial tail,
-    the sweeps of every rung tried and the GMRES relative residual.
+    ConvergenceError with nr and the tail when 128 nodes miss it.  Each rung
+    after the first starts from the previous rung's unknown, interpolated to
+    its nodes.  A ``record`` list gets one entry per call: the nr used, its
+    radial tail, the sweeps of every rung tried summed, the GMRES relative
+    residual, and ``rungs``, one (nr, radial tail, sweeps) per rung tried.
     """
     from .solver import gmres  # solver imports this module
 
@@ -479,8 +484,7 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
     if np.min(1.0 + eta_v) <= 0.0:
         raise GeometryError("flattening breaks down: min(1 + eta) <= 0")
 
-    def solve(nr: int):
-        operator = _operator_for(zgrid, nr)
+    def solve(operator: SolutionOperator, x0: Optional[np.ndarray] = None):
         rgrid = operator.rgrid
         shape = (2, rgrid.nr, zgrid.N)
         sweeps = 0
@@ -501,7 +505,7 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
         flat_profiles, flat_trace = operator.flat(xi_hat)
         try:
             x, _, rel = gmres(matvec, state(flat_profiles), rtol=tol,
-                              restart=max_iter, max_iter=max_iter)
+                              restart=max_iter, max_iter=max_iter, x0=x0)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"BVP solve: Krylov breakdown after {sweeps} sweeps ({exc})"
@@ -512,21 +516,27 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
                 f"{sweeps} sweeps; eta may be too large"
             )
         F = forcing(x)
-        info = {"nr": rgrid.nr, "radial_tail": rgrid.legendre_tail(F),
-                "sweeps": sweeps, "relative_residual": rel}
+        tail = rgrid.legendre_tail(F)
+        info = {"nr": rgrid.nr, "radial_tail": tail, "sweeps": sweeps,
+                "relative_residual": rel, "rungs": [(rgrid.nr, tail, sweeps)]}
         return x.reshape(shape), -(ik * (operator.trace(*F) + flat_trace)), info
 
     if rgrid is not None:
-        x, K, info = solve(rgrid.nr)
+        x, K, info = solve(_operator_for(zgrid, rgrid.nr))
     else:
         start = zgrid._cache.get(_CERTIFIED_NR, RADIAL_RUNGS[0])
-        sweeps = 0
+        rungs, x = [], None
         for nr in RADIAL_RUNGS[RADIAL_RUNGS.index(start):]:
-            x, K, info = solve(nr)
-            sweeps += info["sweeps"]
+            operator = _operator_for(zgrid, nr)
+            # an escalated rung starts from the coarser rung's solution
+            x0 = None if x is None else np.matmul(
+                coarse.interp_to(operator.rgrid.r), x).ravel()
+            x, K, info = solve(operator, x0)
+            rungs += info["rungs"]
             bound = max(tol, _TAIL_ROUNDING * nr)
             if info["radial_tail"] <= bound:
                 break
+            coarse = operator.rgrid
             # the ladder never returns to a rung it left
             zgrid._cache.pop(("dno_operator", nr), None)
         else:
@@ -536,7 +546,8 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
                 "forcing is too steep in r"
             )
         zgrid._cache[_CERTIFIED_NR] = nr
-        info["sweeps"] = sweeps
+        info["rungs"] = rungs
+        info["sweeps"] = sum(sweeps for _, _, sweeps in rungs)
     if record is not None:
         record.append(info)
     return x, K

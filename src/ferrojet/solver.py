@@ -120,12 +120,16 @@ FLAT_STATE_RATIO = 0.5  # a converged solve below this amplitude_ratio found eta
 
 
 def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-          rtol: float, restart: int, max_iter: int):
-    """Restarted GMRES for ``matvec(x) = b`` from x = 0 (Saad & Schultz 1986).
+          rtol: float, restart: int, max_iter: int,
+          x0: Optional[np.ndarray] = None):
+    """Restarted GMRES for ``matvec(x) = b`` from x0, or from x = 0 when x0 is
+    None (Saad & Schultz 1986).
 
     Arnoldi with classical Gram-Schmidt applied twice and Givens rotations;
     each restart recomputes the true residual, which is also the one
-    returned: ``(x, iterations, |b - matvec(x)| / |b|)``.  A restart whose
+    returned: ``(x, iterations, |b - matvec(x)| / |b|)``.  A starting guess
+    costs one matvec for its residual b - matvec(x0) and returns at once,
+    with 0 iterations, when that already meets rtol |b|.  A restart whose
     true residual does not fall below the best so far means GMRES has
     reached the rounding floor of ``matvec``: it stops there and returns the
     best x, short of ``max_iter``.  Raises ``LinAlgError`` when the Krylov
@@ -135,7 +139,10 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, 0, 0.0
-    its, r, beta = 0, b, bnorm
+    r = b
+    if x0 is not None:
+        x, r = x0, b - matvec(x0)
+    its, beta = 0, float(np.linalg.norm(r))
     while beta > rtol * bnorm and its < max_iter:
         m = min(restart, max_iter - its)
         V = np.zeros((m + 1, b.size))
@@ -544,7 +551,8 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
     deviation ||eta - seed||_inf / eps^2 (strong) or / eps (weak) alongside
     the solve diagnostics.  With ``dn_oracle`` K(eta) is the BVP oracle on
     its certified radial grid, and ``diagnostics["bvp_solves"]`` has one
-    entry per BVP solve (nr, radial tail, sweeps, relative residual).
+    entry per BVP solve (nr, radial tail, sweeps, relative residual, and the
+    (nr, radial tail, sweeps) of every rung tried).
     """
     if not (0.0 < epsilon <= TRAVELLING_WAVE_EPS_MAX):  # NaN fails too
         raise ParameterError(f"the travelling-wave equation is solved for "

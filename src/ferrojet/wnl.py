@@ -92,6 +92,10 @@ class MagnetizationLaw:
 
     def validate(self, tol_nu1: float = 1e-8, tol_high: float = 1e-6) -> None:
         """Finite-difference check of nu'(1)=1 and the stored nu'', nu'''."""
+        # a non-finite nu2 or nu3 would poison every stencil value, nu(1) too
+        for name, value in (("nu2", self.nu2), ("nu3", self.nu3)):
+            if not np.isfinite(value):
+                raise ParameterError(f"law's {name} must be finite: got {value}")
         # h balances roundoff (eps/h^3 in d3) against stencil truncation
         h = 5e-3
         s = 1.0 + h * np.array([-2, -1, 0, 1, 2], dtype=float)

@@ -250,20 +250,24 @@ def test_rejects_option_the_branch_does_not_take(tmp_path, capsys, command,
     ["--tol", "0"], ["--tol", "-1"], ["--tol", "nan"], ["--tol", "inf"],
     ["--grid-l", "nan"], ["--grid-l", "0"], ["--grid-n", "0"],
     ["--grid-n", "1"], ["--grid-n", "2"], ["--delta", "nan"],
-    ["--nu2", "nan"], ["--nu2", "inf"],
+    ["--nu2", "nan"], ["--nu2", "inf"], ["--nu3", "inf"],
 ], ids=lambda option: option[0].lstrip("-") + "=" + option[1])
 def test_solve_rejects_bad_numbers(tmp_path, capsys, option):
     # unchecked, each runs a solve: to a stagnation (tol 0, -1, NaN), a NaN
     # residual (grid L NaN, a custom law's nu2 NaN or inf), one step (tol
     # inf), the default grid (grid L or N 0), a grid error inside the solve
-    # (N 1 or 2) or, with delta NaN, a converged flat state
-    if option[0] == "--nu2":
+    # (N 1 or 2), with delta NaN a converged flat state or, with nu3 inf
+    # (KdV does not read it), a finished solve
+    name, value = option[0].lstrip("-"), option[1]
+    if name in ("nu2", "nu3"):
         option = ["--law", "custom", *option]
     rc = main(["solve", "--branch", "kdv", "--gamma", "5", "--epsilon", "0.1",
                *option, "--out", str(tmp_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ParameterError"
+    if name in ("nu2", "nu3"):  # named, not as the nu'(1) stencil it poisons
+        assert err["message"] == f"law's {name} must be finite: got {value}"
     assert not list(tmp_path.glob("solve_*.json"))
 
 

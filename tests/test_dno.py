@@ -660,6 +660,9 @@ def _benchmark_state(law):
 
 @pytest.mark.parametrize("state", ["benchmark", "gaussian"])
 def test_smooth_data_certify_on_the_first_rung(state, linear_law):
+    # the benchmark's state certifies on the first rung, 16 nodes; the
+    # Gaussian's tail there is about 1.6e-11, so it climbs to 32, where the
+    # solve seeded from the 16-node one only confirms it
     if state == "benchmark":
         zgrid, eta = _benchmark_state(linear_law)
     else:
@@ -668,28 +671,40 @@ def test_smooth_data_certify_on_the_first_rung(state, linear_law):
     eta_hat = zgrid.to_rcoeffs(eta)
     xi_hat = zgrid.to_rcoeffs(eta + 0.5 * eta**2)  # as the travelling wave passes it
     _, entry, err = _certified_vs_128(zgrid, eta_hat, xi_hat)
-    assert entry["nr"] == dno.RADIAL_RUNGS[0] == 32
-    assert entry["radial_tail"] <= 1e-12
+    assert dno.RADIAL_RUNGS[0] == 16
+    if state == "benchmark":
+        assert entry["nr"] == 16 and [nr for nr, *_ in entry["rungs"]] == [16]
+    else:
+        (nr0, tail0, _), (nr1, _, sweeps1) = entry["rungs"]
+        assert [nr0, nr1, entry["nr"]] == [16, 32, 32]
+        assert tail0 > 1e-12 and sweeps1 <= 2
+    assert entry["sweeps"] == sum(sweeps for *_, sweeps in entry["rungs"])
+    assert entry["radial_tail"] == entry["rungs"][-1][1] <= 1e-12
     assert entry["relative_residual"] <= 1e-12
     assert err <= 1e-12
 
 
 def test_steep_forcing_climbs_the_ladder():
     # xi = cos(40 z) puts a boundary layer e^{40 (r - 1)} in u: its Legendre
-    # tail is about 1e-8 on 32 nodes, so the solve re-runs on 64
+    # tail is about 3e-2 on 16 nodes and 1e-8 on 32, so the solve climbs to 64
     zgrid = SpectralGrid.make(np.pi, 128)
     eta_hat = zgrid.to_rcoeffs(0.01 * np.cos(zgrid.z))
     xi_hat = zgrid.to_rcoeffs(np.cos(40.0 * zgrid.z))
     _, entry, err = _certified_vs_128(zgrid, eta_hat, xi_hat)
+    assert [nr for nr, *_ in entry["rungs"]] == [16, 32, 64]
     assert entry["nr"] == 64 and entry["radial_tail"] <= 1e-12
     assert err <= 1e-12
     # the grid remembers the rung and keeps only its operator (the explicit
-    # reference added nr = 128): the next solve starts on 64
+    # reference added nr = 128): the next solve starts on 64, from x = 0
     assert zgrid._cache[dno._CERTIFIED_NR] == 64
+    assert ("dno_operator", 16) not in zgrid._cache
     assert ("dno_operator", 32) not in zgrid._cache
     record = []
     dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, record=record)
-    assert record[0]["nr"] == 64 and record[0]["sweeps"] < entry["sweeps"]
+    assert record[0]["rungs"] == [(64, record[0]["radial_tail"], record[0]["sweeps"])]
+    assert record[0]["sweeps"] < entry["sweeps"]
+    # the 64-node rung seeded from the 32-node solve beats that cold start
+    assert entry["rungs"][-1][2] < record[0]["sweeps"]
 
 
 def test_ladder_refuses_an_uncertified_operator():
@@ -717,8 +732,8 @@ def test_explicit_radial_grid_is_honoured():
 
 
 def test_criterion_9_oracle_certifies_on_one_build(linear_law, monkeypatch):
-    # criterion 9's oracle solve runs every BVP solve on 32 nodes, one
-    # operator build; a fall back to 64 nodes fails here.  The radial grid
+    # criterion 9's oracle solve runs every BVP solve on 16 nodes, one
+    # operator build; a climb to 32 nodes fails here.  The radial grid
     # is built with the operator, not once per BVP solve: its barycentric
     # weights are an O(nr^2) loop
     builds, grids = [], []
@@ -736,14 +751,14 @@ def test_criterion_9_oracle_certifies_on_one_build(linear_law, monkeypatch):
     monkeypatch.setattr(dno.SolutionOperator, "__init__", counted_build)
     monkeypatch.setattr(dno.RadialGrid, "__post_init__", counted_post_init)
     rep = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
-    assert rep.converged and builds == [32] and grids == [32]
+    assert rep.converged and builds == [16] and grids == [16]
     solves = rep.diagnostics["bvp_solves"]
     assert 0 < len(solves) <= 5 and sum(e["sweeps"] for e in solves) <= 28
-    assert all(e["nr"] == 32 and e["radial_tail"] <= 1e-12
+    assert all(e["nr"] == 16 and e["radial_tail"] <= 1e-12
                and e["relative_residual"] <= 1e-12 for e in solves)
     # the same solve with every BVP on 128 nodes
     monkeypatch.setattr(dno, "RADIAL_RUNGS", (128,))
     ref = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
-    assert builds == grids == [32, 128]
+    assert builds == grids == [16, 128]
     sol, want = rep.solution.values, ref.solution.values
     assert np.max(np.abs(sol - want)) <= 1e-12 * np.max(np.abs(want))

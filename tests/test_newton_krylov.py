@@ -192,6 +192,32 @@ def test_gmres_zero_rhs_and_iteration_cap():
     assert its == 6 and rel > 1e-12
 
 
+def test_gmres_starts_from_a_guess():
+    rng = np.random.default_rng(7)
+    n = 300
+    d = np.logspace(0, 3, n)
+    A = np.diag(d) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    b = rng.standard_normal(n)
+    matvecs = []
+
+    def matvec(u):
+        matvecs.append(1)
+        return A @ (u / d)
+
+    # the solution itself: one matvec for its residual, and no iteration
+    exact = d * np.linalg.solve(A, b)
+    x, its, rel = solver.gmres(matvec, b, 1e-12, 60, 500, x0=exact)
+    assert its == 0 and len(matvecs) == 1 and rel <= 1e-12
+    assert np.array_equal(x, exact)
+    # a guess off by 1e-6 meets the same rtol |b| in fewer iterations
+    _, cold_its, cold_rel = solver.gmres(matvec, b, 1e-12, 60, 500)
+    guess = exact * (1.0 + 1e-6 * rng.standard_normal(n))
+    x, its, rel = solver.gmres(matvec, b, 1e-12, 60, 500, x0=guess)
+    assert cold_rel <= 1e-12 and rel <= 1e-12
+    assert 0 < its < cold_its
+    assert rel == np.linalg.norm(b - matvec(x)) / np.linalg.norm(b)
+
+
 def test_gmres_stops_at_the_rounding_floor_of_its_matvec():
     # the preconditioned system of the test above, its products rounded to
     # single precision: GMRES cannot reach 1e-12 and stops at the first

@@ -29,7 +29,9 @@ def test_law_validation(linear_law):
 @pytest.mark.parametrize("nu2, nu3", [(np.nan, 0.0), (np.inf, 0.0),
                                       (1.0, np.nan), (1.0, -np.inf)])
 def test_law_validation_rejects_non_finite_derivatives(nu2, nu3):
-    with pytest.raises(ParameterError):
+    # the message names the bad derivative, not the nu'(1) stencil it poisons
+    name, value = ("nu2", nu2) if not np.isfinite(nu2) else ("nu3", nu3)
+    with pytest.raises(ParameterError, match=f"^law's {name} must be finite: got {value}$"):
         MagnetizationLaw.from_derivatives(nu2, nu3).validate()
 
 
