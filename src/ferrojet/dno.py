@@ -48,7 +48,11 @@ Per mode the four kernel matrices form one real block operator
 A = [[G, H2], [H1, H3]] acting on (i k F2_hat, -F1_hat) and giving
 (u, D0 u - F1_hat), so a sweep is one real batched matmul on the complex
 data viewed as (re, im) column pairs.  A is (nk, 2 nr, 2 nr): its memory,
-its build and a sweep all grow as nr^2.
+its build and a sweep all grow as nr^2.  A solve's memory peak is A plus
+the GMRES basis rows it fills, one row of 2 nr N floats per iteration,
+allocated ``solver.GMRES_BLOCK`` rows at a time as GMRES reaches them.  At
+nr = 16 and N = 1024 A is 4 MiB and a block of rows 4 MiB; the
+benchmark's solves take 7 sweeps each, so they fill part of one block.
 
 Certified radial grid: the operator integrates the forcing's degree nr - 1
 interpolant on the state nodes, so the error of a solve is the size of the

@@ -115,8 +115,19 @@ class ConjugateEvenBasis:
 GMRES_RTOL = 1e-12
 GMRES_RESTART = 60
 GMRES_MAX_ITER = 240
+GMRES_BLOCK = 16  # Krylov basis rows allocated at a time
 MIN_DAMPING = 2.0**-10  # the smallest step fraction a damped Newton step tries
 FLAT_STATE_RATIO = 0.5  # a converged solve below this amplitude_ratio found eta = 0
+
+
+def _combine(c: np.ndarray, rows: list) -> np.ndarray:
+    """c @ V for a basis V of len(c) rows kept as row blocks of
+    ``GMRES_BLOCK`` rows (the last one possibly shorter), one product per
+    block."""
+    out = c[:GMRES_BLOCK] @ rows[0]
+    for i, Vb in enumerate(rows[1:], 1):
+        out += c[i * GMRES_BLOCK:(i + 1) * GMRES_BLOCK] @ Vb
+    return out
 
 
 def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -127,8 +138,15 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
     Arnoldi with classical Gram-Schmidt applied twice and Givens rotations;
     each restart recomputes the true residual, which is also the one
-    returned: ``(x, iterations, |b - matvec(x)| / |b|)``.  A starting guess
-    costs one matvec for its residual b - matvec(x0) and returns at once,
+    returned: ``(x, iterations, |b - matvec(x)| / |b|)``.  The Krylov basis
+    is allocated as the Arnoldi process reaches it, ``GMRES_BLOCK`` rows at
+    a time (a cycle's last block only as long as the cycle allows), and the
+    row after a cycle's last, which nothing reads, is never formed: a cycle
+    that stops after j iterations allocates j rows rounded up to a whole
+    block, not ``restart + 1``.
+    Gram-Schmidt and the update run block by block, so a cycle within one
+    block computes what a preallocated basis would, bit for bit.  A starting
+    guess costs one matvec for its residual b - matvec(x0) and returns at once,
     with 0 iterations, when that already meets rtol |b|.  A restart whose
     true residual does not fall below the best so far means GMRES has
     reached the rounding floor of ``matvec``: it stops there and returns the
@@ -145,16 +163,21 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     its, beta = 0, float(np.linalg.norm(r))
     while beta > rtol * bnorm and its < max_iter:
         m = min(restart, max_iter - its)
-        V = np.zeros((m + 1, b.size))
+        V = []  # the basis rows filled so far, one view per block
         H = np.zeros((m + 1, m))
         cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
-        V[0], g[0] = r / beta, beta
+        w, wnorm, g[0] = r, beta, beta
         for j in range(m):
-            w = matvec(V[j])
-            h = V[: j + 1] @ w
-            w = w - h @ V[: j + 1]
-            h2 = V[: j + 1] @ w
-            w = w - h2 @ V[: j + 1]
+            if j % GMRES_BLOCK == 0:  # the basis reaches a new block
+                block = np.empty((min(GMRES_BLOCK, m - j), b.size))
+                V.append(block[:0])
+            V[-1] = block[: j % GMRES_BLOCK + 1]
+            np.divide(w, wnorm, out=V[-1][-1])
+            w = matvec(V[-1][-1])
+            h = np.concatenate([Vb @ w for Vb in V])
+            w = w - _combine(h, V)
+            h2 = np.concatenate([Vb @ w for Vb in V])
+            w = w - _combine(h2, V)
             col = np.append(h + h2, np.linalg.norm(w))
             for i in range(j):
                 col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
@@ -166,9 +189,9 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             its += 1
             if abs(g[j + 1]) <= rtol * bnorm or col[j + 1] == 0.0:
                 break
-            V[j + 1] = w / col[j + 1]
+            wnorm = col[j + 1]
         k = j + 1
-        x_new = x + np.linalg.solve(np.triu(H[:k, :k]), g[:k]) @ V[:k]
+        x_new = x + _combine(np.linalg.solve(np.triu(H[:k, :k]), g[:k]), V)
         r_new = b - matvec(x_new)
         beta_new = float(np.linalg.norm(r_new))
         if not beta_new < beta:  # stalled (nan included): keep the best
@@ -407,14 +430,16 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
     ``diagnostics["bvp_solves"]``.  In oracle mode each step is a
     quasi-Newton step: dG/dP is taken at the oracle's P, and the dK/deta
     part of the derivative is the expansion's (the two operators differ at
-    cubic order).
+    cubic order).  At the flat state xi = 0, so P = 0 exactly and the
+    expansion gives it: the preconditioner's J(0) costs no BVP solve, and
+    ``bvp_solves`` gets one entry per residual evaluation.
     """
     basis = EvenBasis(grid)
     bvp_solves = []
 
     def prepare(v):
         dn_apply = None
-        if dn_oracle:
+        if dn_oracle and np.any(v):  # at the flat state xi = 0, so P = 0
             dn_apply = dno.dn_oracle_apply(grid, v, record=bvp_solves)
         kin = op.KineticLinearization(grid, v, dn_order, dn_apply)
         press, press_fields = op.pressure_jacobian_fields(kin.surface, gamma, law)

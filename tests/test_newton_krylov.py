@@ -12,6 +12,8 @@ from ferrojet.errors import ConvergenceError
 from ferrojet.spectral import CutoffSpec, SpectralGrid
 from ferrojet.wnl import kdv_coeffs, nls_coeffs, zeta_kdv, zeta_nls
 
+import reference
+
 PROBLEMS = ["kdv", "fd_kdv", "fd_nls", "gzcs"]
 
 
@@ -180,6 +182,35 @@ def test_gmres_matches_scipy_on_preconditioned_system():
         assert info == 0
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(exact)
         assert np.linalg.norm(x - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+def test_gmres_block_basis_matches_the_preallocated_one():
+    # against GMRES with its restart + 1 rows allocated up front: a cycle
+    # within one block of GMRES_BLOCK rows is bit-identical to it, and one
+    # across blocks (its Gram-Schmidt sums run block by block) agrees to
+    # rounding
+    n = 32768
+    rng = np.random.default_rng(11)
+    d = np.linspace(1.0, 400.0, n)
+    b = rng.standard_normal(n)
+
+    def matvec(u):
+        return d * u + 0.3 * np.roll(u, 1)
+
+    assert 2 * solver.GMRES_BLOCK < 40  # the first case spans three blocks
+    cases = [((40, 40), {}, False),  # one 40-iteration cycle
+             ((4, 24), {}, True),  # six cycles of 4
+             ((10, 10), {"x0": b / d}, True)]
+    for (restart, max_iter), kwargs, exact in cases:
+        x, its, rel = solver.gmres(matvec, b, 1e-15, restart, max_iter, **kwargs)
+        want, want_its, want_rel = reference.gmres(matvec, b, 1e-15, restart,
+                                                   max_iter, **kwargs)
+        assert its == want_its == max_iter
+        if exact:
+            assert np.array_equal(x, want) and rel == want_rel
+        else:
+            assert np.max(np.abs(x - want)) <= 1e-14 * np.max(np.abs(want))
+            assert abs(rel - want_rel) <= 1e-14 * want_rel
 
 
 def test_gmres_zero_rhs_and_iteration_cap():
