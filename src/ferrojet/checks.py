@@ -190,7 +190,7 @@ def dispersion_suite(gammas: Sequence[float] = (10.0, 15.0, 30.0)) -> list:
         rows.append(_row("dispersion", f"|g(omega)| gamma={gamma}",
                          float(abs(p.g(p.omega))), 0.0, 1e-9, relative=False))
         rows.append(_row("dispersion", f"|g'(omega)| gamma={gamma}",
-                         float(abs(p.g_prime(p.omega))), 0.0, 1e-6,
+                         float(abs(p.g_prime(p.omega))), 0.0, 1e-14 * p.omega,
                          relative=False))
         g2 = float(p.g_second(p.omega))
         rows.append(CheckRow(

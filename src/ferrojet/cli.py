@@ -71,7 +71,6 @@ class RunConfig:
     grid_l: Optional[float] = None
     grid_n: Optional[int] = None
     delta: Optional[float] = None
-    k_order: Optional[int] = None  # gzcs only; None keeps the solver's 2
     branch: str = "kdv"
     suite: str = "specfun"
     tol: float = 1e-10
@@ -113,19 +112,13 @@ class RunConfig:
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ParameterError(
                     f"{name} must be finite and positive, got {value}")
-        if self.k_order is not None and self.k_order not in (0, 1, 2):
-            raise ParameterError("k-order must be 0, 1 or 2")
         # an option the branch does not take is an error, not a no-op
         if self.branch == "gzcs" and self.delta is not None:
             raise ParameterError("delta (the envelope cutoff width) does not "
                                  "apply to branch 'gzcs'")
-        if self.branch != "gzcs" and self.k_order is not None:
-            raise ParameterError(f"k-order (the gzcs operator order) does not "
-                                 f"apply to branch {self.branch!r}")
 
 
 _CONFIG_FLOAT = {"gamma", "nu2", "nu3", "delta", "tol", "grid_l"}
-_CONFIG_INT = {"grid_n", "k_order"}
 
 
 def parse_config_file(path: Path) -> dict:
@@ -145,7 +138,7 @@ def parse_config_file(path: Path) -> dict:
             out[key] = [float(tok) for tok in value.replace(",", " ").split()]
         elif key in _CONFIG_FLOAT:
             out[key] = float(value)
-        elif key in _CONFIG_INT:
+        elif key == "grid_n":
             out[key] = int(value)
         elif key in {"law", "law_kind"}:
             out["law_kind"] = value
@@ -162,7 +155,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         for key, value in parse_config_file(Path(args.config)).items():
             setattr(cfg, key, Path(value) if key == "out" else value)
     for key in ("gamma", "nu2", "nu3", "grid_l", "grid_n", "delta", "tol",
-                "k_order", "branch", "suite"):
+                "branch", "suite"):
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             setattr(cfg, key, value)
@@ -293,9 +286,8 @@ def _solve_one(cfg: RunConfig, branch: str, eps: float):
                                                grid=grid, delta=cfg.delta,
                                                tol=cfg.tol)
     elif branch == "gzcs":
-        kwargs = {} if cfg.k_order is None else {"dn_order": cfg.k_order}
         rep = solver.solve_travelling_wave(cfg.gamma, law, eps, grid=grid,
-                                           tol=cfg.tol, **kwargs)
+                                           tol=cfg.tol)
     else:
         raise ParameterError(f"unknown branch {branch!r}")
     return rep
@@ -440,7 +432,6 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-n", dest="grid_n", type=int)
         p.add_argument("--grid-l", dest="grid_l", type=float)
         p.add_argument("--delta", type=float)
-        p.add_argument("--k-order", dest="k_order", type=int)
         p.add_argument("--tol", type=float)
 
     p = sub.add_parser("checks", help="oracle check suites")

@@ -15,7 +15,9 @@ travelling-wave problem at the bifurcation speed is
 
     g(k) = gamma - 1 + k^2 - c0^2 f(k) >= 0,
 
-vanishing exactly at k = +-omega (k = 0 in the strong regime).
+vanishing exactly at k = +-omega (k = 0 in the strong regime).  Its
+derivatives are the closed forms g'(k) = 2k - c0^2 f'(k) and
+g''(k) = 2 - c0^2 f''(k).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ConvergenceError, ParameterError, RegimeError
 from .specfun import (
@@ -40,15 +43,19 @@ __all__ = [
     "DispersionProfile",
     "c_squared",
     "f_prime",
+    "f_second",
     "h_function",
     "omega_of_gamma",
     "make_profile",
 ]
 
 GAMMA_CRITICAL = 9.0
+OMEGA_TOL = 1e-12  # the bisection's final bracket width for omega
 
 # d/dk of the f Taylor series: f' = (k/2) * sum_j j C_j t^(j-1), t = k^2/4
 _FPRIME_COEFFS = F_COEFFS[1:] * np.arange(1, len(F_COEFFS))
+# and again: f'' = sum_m (m + 1)(m + 1/2) C_(m+1) t^m
+_FSECOND_COEFFS = _FPRIME_COEFFS * (np.arange(len(_FPRIME_COEFFS)) + 0.5)
 
 
 class Regime(enum.Enum):
@@ -68,31 +75,47 @@ def c_squared(k, gamma: float):
     return _vectorise(k, fn)
 
 
-def f_prime(k):
-    """Derivative of the dispersion ratio, f'(k) = k - k I0(k) I2(k) / I1(k)^2.
+def _taylor_or_bessel(a, taylor, bessel):
+    """taylor(|a|) where |a| <= ``F_SERIES_CUT``, whose Bessel forms are 0/0
+    at a = 0, and bessel(|a|, I0, I1, I2), the I's exponentially scaled,
+    elsewhere."""
+    ak = np.abs(a)
+    out = np.empty_like(ak)
+    small = ak <= F_SERIES_CUT
+    if np.any(small):
+        out[small] = taylor(ak[small])
+    if np.any(~small):
+        x = ak[~small]
+        out[~small] = bessel(x, *(_besseli_scaled(n, x) for n in (0, 1, 2)))
+    return out
 
-    Odd in k, with f'(0) = 0; a Taylor branch below ``F_SERIES_CUT`` avoids
-    the 0/0 in the Bessel formula.
-    """
+
+def f_prime(k):
+    """Derivative of the dispersion ratio, f'(k) = k - k I0(k) I2(k) / I1(k)^2;
+    odd in k, with f'(0) = 0."""
 
     def fn(a):
-        ak = np.abs(a)
-        out = np.empty_like(ak)
-        small = ak <= F_SERIES_CUT
-        if np.any(small):
-            t = 0.25 * ak[small] ** 2
-            out[small] = 0.5 * ak[small] * np.polynomial.polynomial.polyval(
-                t, _FPRIME_COEFFS
-            )
-        if np.any(~small):
-            x = ak[~small]
-            i0 = _besseli_scaled(0, x)
-            i1 = _besseli_scaled(1, x)
-            i2 = _besseli_scaled(2, x)
-            out[~small] = x * (1.0 - i0 * i2 / (i1 * i1))
-        return out * np.sign(a)
+        return np.sign(a) * _taylor_or_bessel(
+            a, lambda x: 0.5 * x * polyval(0.25 * x**2, _FPRIME_COEFFS),
+            lambda x, i0, i1, i2: x * (1.0 - i0 * i2 / (i1 * i1)))
 
     return _vectorise(k, fn)
+
+
+def f_second(k):
+    """Second derivative of the dispersion ratio, even in k, with f''(0) = 1/2:
+
+        f''(k) = 1 - a b - k (a + b - 2 a^2 b),   a = I0/I1, b = I2/I1,
+
+    from f' = k (1 - a b), a' = 1 - a^2 + a/k and b' = 1 - b/k - a b.
+    """
+
+    def bessel(x, i0, i1, i2):
+        a, b = i0 / i1, i2 / i1
+        return 1.0 - a * b - x * (a + b - 2.0 * a * a * b)
+
+    return _vectorise(k, lambda a: _taylor_or_bessel(
+        a, lambda x: polyval(0.25 * x**2, _FSECOND_COEFFS), bessel))
 
 
 def h_function(k):
@@ -107,11 +130,11 @@ def h_function(k):
     return _vectorise(k, fn)
 
 
-def omega_of_gamma(gamma: float, tol: float = 1e-12) -> float:
+def omega_of_gamma(gamma: float) -> float:
     """Root of h(omega) = gamma for gamma > 9, by bracketed bisection.
 
     h is strictly increasing and unbounded, so growing the bracket always
-    terminates; bisection then needs ~60 halvings for tol = 1e-12.
+    terminates; bisection then needs ~60 halvings to ``OMEGA_TOL``.
     """
     if gamma <= GAMMA_CRITICAL:
         raise RegimeError(
@@ -127,7 +150,7 @@ def omega_of_gamma(gamma: float, tol: float = 1e-12) -> float:
                 f"failed to bracket h(omega) = {gamma}; h({hi/2}) = "
                 f"{h_function(hi/2)}"
             )
-    while hi - lo > tol:
+    while hi - lo > OMEGA_TOL:
         mid = 0.5 * (lo + hi)
         if h_function(mid) < gamma:
             lo = mid
@@ -177,25 +200,20 @@ class DispersionProfile:
 
         return _vectorise(k, fn)
 
-    def g_prime(self, k, step: float = 1e-3):
-        # step balances the eps |g| / h^2 roundoff of the stencil against
-        # its h^2 truncation; 1e-5 would be roundoff-dominated (~2e-5 bias)
-        return (self.g(np.asarray(k) + step) - self.g(np.asarray(k) - step)) / (
-            2.0 * step
-        )
+    def g_prime(self, k):
+        """g'(k) = 2k - c0^2 f'(k)."""
+        return 2.0 * np.asarray(k) - self.c0_squared * f_prime(k)
 
-    def g_second(self, k, step: float = 1e-3):
-        ka = np.asarray(k)
-        return (self.g(ka + step) - 2.0 * self.g(ka) + self.g(ka - step)) / (
-            step * step
-        )
+    def g_second(self, k):
+        """g''(k) = 2 - c0^2 f''(k)."""
+        return 2.0 - self.c0_squared * f_second(k)
 
     @property
     def solvable(self) -> bool:
         return self.regime is not Regime.CRITICAL
 
 
-def make_profile(gamma: float, tol: float = 1e-12) -> DispersionProfile:
+def make_profile(gamma: float) -> DispersionProfile:
     """Classify gamma and build the dispersion profile with verified invariants."""
     if gamma <= 1.0:
         raise ParameterError(f"theory requires gamma > 1, got {gamma}")
@@ -207,7 +225,7 @@ def make_profile(gamma: float, tol: float = 1e-12) -> DispersionProfile:
         c0sq = 0.5 * (gamma - 1.0)
     else:
         regime = Regime.WEAK
-        omega = omega_of_gamma(gamma, tol=tol)
+        omega = omega_of_gamma(gamma)
         c0sq = 2.0 * omega / f_prime(omega)
 
     g0 = gamma - 1.0 - 2.0 * c0sq
@@ -220,7 +238,8 @@ def make_profile(gamma: float, tol: float = 1e-12) -> DispersionProfile:
             raise ConvergenceError(
                 f"dispersion minimum not resolved: g(omega) = {profile.g(omega)}"
             )
-        if abs(profile.g_prime(omega)) > 1e-6:
+        # 2 omega - c0^2 f'(omega) cancels to a few ulps of 2 omega
+        if abs(profile.g_prime(omega)) > 1e-14 * omega:
             raise ConvergenceError(
                 f"g'(omega) = {profile.g_prime(omega)} exceeds tolerance"
             )

@@ -34,8 +34,8 @@ iterate and works from coordinates to coordinates: one
 and the fields its derivative needs also give K(eta) xi (or the solve's own
 realisation of K evaluates it).  ``pressure_jacobian_fields`` reads the same
 jet, so the residual P(eta) - c^2 Q(eta) is assembled on the padded grid and
-projected once: eight FFT calls per iterate at order 2, where the nodal
-pipeline made 105 at N = 1024.  A Jacobian action refines the directions'
+projected once: eight FFT calls per iterate, where the nodal pipeline
+made 105 at N = 1024.  A Jacobian action refines the directions'
 jet once for both parts (``pressure_jvp`` and the kinetic derivative) and
 projects pressure - c^2 kinetic once: eight calls per batch, where the
 nodal-value composition made sixteen.  All of it agrees with the nodal
@@ -347,12 +347,12 @@ class KineticLinearization:
         project(dG/dP dP_f + dG/deta_z rho_z,f),
         dP = K(eta) sigma + (dK/deta)[rho] xi,   sigma = rho + [eta rho],
 
-    where [.] is a dealiased product and K, dK/deta are the expansion
-    sum_{j <= order} K_j.  For a power-of-two N every product of the
-    expansion (two or three factors) and G itself live on one padded grid of
-    2N points.  Every field is a half spectrum or padded-grid values: a
-    symbol is a multiply on coefficients, and each refine or projection of
-    one dependency level is one batched transform
+    where [.] is a dealiased product and K, dK/deta are the order-2 expansion
+    K0 + K1 + K2, the only order a solve uses.  For a power-of-two N every
+    product of the expansion (two or three factors) and G itself live on one
+    padded grid of 2N points.  Every field is a half spectrum or padded-grid
+    values: a symbol is a multiply on coefficients, and each refine or
+    projection of one dependency level is one batched transform
     (``SpectralGrid.refine_to_values``/``project_to_coeffs``).
 
     ``__init__`` takes eta's half spectrum and refines [eta, eta_z, eta_zz]
@@ -361,23 +361,23 @@ class KineticLinearization:
     D^2 xi refined, [eta K0 xi] and its K0 refined -- also give P: one batched
     projection of the K1 and K2 level rows and one of the nested
     [eta K0[eta K0 xi]].  With the surface and P's refine that is seven
-    transforms at order 2; ``dn_apply`` (half spectrum to half spectrum), when
-    given, evaluates P instead, as the BVP oracle does.  ``P`` is its half
+    transforms; ``dn_apply`` (half spectrum to half spectrum), when given,
+    evaluates P instead, as the BVP oracle does.  ``P`` is its half
     spectrum and ``value_f`` is G on the padded grid.
 
     ``apply`` maps the half spectra of directions (rows) to half spectra: one
     refine of the jet [rho, rho_z, rho_zz], three levels of a batched
     projection and refine, and one projection of the result -- eight
-    transforms at order 2 for any number of rows.  It returns the
-    travelling-wave derivative: the pressure part from the same jet minus c2
-    times the kinetic part.  P, G and the map agree with
+    transforms for any number of rows.  It returns the travelling-wave
+    derivative: the pressure part from the same jet minus c2 times the
+    kinetic part.  P, G and the map agree with
     ``dn_expansion``, ``kinetic_exact`` and the derivative of their
     nodal-value pipeline to rounding, not bit for bit.
     """
 
-    def __init__(self, grid: SpectralGrid, eta, order: int,
+    def __init__(self, grid: SpectralGrid, eta,
                  dn_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None):
-        self.grid, self.order = grid, order
+        self.grid = grid
         S, D, D2 = self.symbols = _half_symbols(grid)
 
         eta_hat = np.asarray(eta)
@@ -386,30 +386,23 @@ class KineticLinearization:
         xi_hat = eta_hat + 0.5 * self.project(self.eta2_f)
 
         # the rows rho_f multiplies at the first level: eta (for sigma), then
-        # g_D, g_S and, at order 2, g_D2 and K0 xi (S = K0, D = ik, D2 = (ik)^2):
+        # g_D, g_S, g_D2 and K0 xi (S = K0, D = ik, D2 = (ik)^2):
         #   (dK/deta)[rho] xi = D[rho g_D] + S[rho g_S]
         #                       + D2[rho g_D2] + S[eta S[rho K0 xi]]
-        rows = [eta_f]
-        if order >= 1:
-            xz_f, k0x_f, xzz_f = _refine_rows(
-                grid, [D * xi_hat, S * xi_hat, D2 * xi_hat])
-            q = self.project(self._levels(xz_f, k0x_f, xzz_f))
-            rows += [-xz_f, -k0x_f]
-        if order == 2:
-            (k0_eta_k0x_f,) = _refine_rows(grid, [S * q[3]])
-            rows[1] = rows[1] + eta_f * xz_f
-            rows[2] = rows[2] + eta_f * xzz_f + k0_eta_k0x_f - eta_f * k0x_f
-            rows += [eta_f * k0x_f, k0x_f]
-        self.rho_rows = np.stack(rows)
+        xz_f, k0x_f, xzz_f = _refine_rows(
+            grid, [D * xi_hat, S * xi_hat, D2 * xi_hat])
+        q = self.project(self._levels(xz_f, k0x_f, xzz_f))
+        (k0_eta_k0x_f,) = _refine_rows(grid, [S * q[3]])
+        self.rho_rows = np.stack([
+            eta_f, -xz_f + eta_f * xz_f,
+            -k0x_f + eta_f * xzz_f + k0_eta_k0x_f - eta_f * k0x_f,
+            eta_f * k0x_f, k0x_f])
 
         if dn_apply is not None:
             P = dn_apply(xi_hat)
         else:
-            P = S * xi_hat
-            if order >= 1:
-                P = P + D * q[0] + S * q[1]
-            if order == 2:
-                P = P + D2 * q[2] + S * self.project(eta_f * k0_eta_k0x_f)
+            P = (S * xi_hat + D * q[0] + S * q[1] + D2 * q[2]
+                 + S * self.project(eta_f * k0_eta_k0x_f))
         self.P = P
         (P_f,) = _refine_rows(grid, [P])
         s2 = 1.0 + ez_f**2
@@ -424,13 +417,10 @@ class KineticLinearization:
 
     def _levels(self, s_z, k0s, s_zz, nested=None):
         """Padded-grid rows (stacked on axis -2) whose projections q give the
-        levels of K(eta) s from s_z, K0 s and s_zz: K1(eta) s = D q0 + S q1 at
-        order 1, and (K1 + K2)(eta) s = D q0 + S (q1 + [eta S q3]) + D2 q2 at
-        order 2.  ``nested``, when given, adds eta ``nested`` to row 1."""
-        eta_f = self.surface[0]
-        if self.order == 1:
-            return np.stack([-eta_f * s_z, -eta_f * k0s], axis=-2)
-        ee_f = self.eta2_f
+        levels of K(eta) s from s_z, K0 s and s_zz:
+        (K1 + K2)(eta) s = D q0 + S (q1 + [eta S q3]) + D2 q2.  ``nested``,
+        when given, adds eta ``nested`` to row 1."""
+        eta_f, ee_f = self.surface[0], self.eta2_f
         row1 = 0.5 * ee_f * (s_zz - k0s) - eta_f * k0s
         if nested is not None:
             row1 += eta_f * nested
@@ -441,7 +431,7 @@ class KineticLinearization:
         """Half spectra of the pressure derivative (``pressure_fields`` from
         ``pressure_jacobian_fields``) minus c2 times the kinetic derivative,
         in the directions whose half spectra are ``rows``."""
-        grid, order = self.grid, self.order
+        grid = self.grid
         S, D, D2 = self.symbols
         eta_f = self.surface[0]
         r = np.asarray(rows)
@@ -451,18 +441,15 @@ class KineticLinearization:
         out_f = -c2 * self.dG_dez * jet[1] + pressure_jvp(pressure_fields, jet)
         del jet
         sigma = r + c[..., 0, :]
-        dP = S * sigma  # K0 sigma
-        if order >= 1:
-            # (dK/deta)[rho] xi + (K1 + K2)(eta) sigma
-            fields = [D * sigma, S * sigma, D2 * sigma]
-            if order == 2:
-                fields.append(S * c[..., 4, :])  # its refine gives [eta S[rho K0 xi]]
-            q = self.project(self._levels(*_refine_rows(grid, fields)))
-            dP += D * (c[..., 1, :] + q[..., 0, :]) + S * (c[..., 2, :] + q[..., 1, :])
-        if order == 2:
-            (m_f,) = _refine_rows(grid, [S * q[..., 3, :]])
-            dP += D2 * (c[..., 3, :] + q[..., 2, :])
-            dP += S * self.project(eta_f * m_f)  # [eta K0[eta K0 sigma]]
+        # K0 sigma + (dK/deta)[rho] xi + (K1 + K2)(eta) sigma; the last field's
+        # refine gives [eta S[rho K0 xi]]
+        dP = S * sigma
+        q = self.project(self._levels(*_refine_rows(
+            grid, [D * sigma, S * sigma, D2 * sigma, S * c[..., 4, :]])))
+        dP += D * (c[..., 1, :] + q[..., 0, :]) + S * (c[..., 2, :] + q[..., 1, :])
+        (m_f,) = _refine_rows(grid, [S * q[..., 3, :]])
+        dP += D2 * (c[..., 3, :] + q[..., 2, :])
+        dP += S * self.project(eta_f * m_f)  # [eta K0[eta K0 sigma]]
         (dP_f,) = _refine_rows(grid, [dP])
         out_f -= c2 * self.dG_dP * dP_f
         return self.project(out_f)

@@ -117,6 +117,8 @@ GMRES_RESTART = 60
 GMRES_MAX_ITER = 240
 GMRES_BLOCK = 16  # Krylov basis rows allocated at a time
 MIN_DAMPING = 2.0**-10  # the smallest step fraction a damped Newton step tries
+NEWTON_MAX_ITER = 40  # stationary KdV and the travelling-wave equation
+ENVELOPE_MAX_ITER = 25  # full-dispersion KdV and NLS
 FLAT_STATE_RATIO = 0.5  # a converged solve below this amplitude_ratio found eta = 0
 
 
@@ -381,15 +383,10 @@ def fd_kdv_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
     return _quadratic_even_problem(grid, sym, quad * chi0)
 
 
-def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
-                   grid: SpectralGrid, delta: Optional[float] = None,
-                   profile: Optional[DispersionProfile] = None) -> SolverProblem:
-    """Full-dispersion NLS: eps^-2 g(w + eps D) + a2 - a3 chi0 |z|^2 z."""
-    if profile is None:
-        profile = make_profile(gamma)
-    if profile.regime is not Regime.WEAK:
-        raise RegimeError("full-dispersion NLS needs the weak regime")
-    coeffs = nls_coeffs(gamma, law, profile)
+def fd_nls_problem(profile: DispersionProfile, coeffs: WnlCoeffs, epsilon: float,
+                   grid: SpectralGrid, delta: Optional[float] = None) -> SolverProblem:
+    """Full-dispersion NLS: eps^-2 g(w + eps D) + a2 - a3 chi0 |z|^2 z, with
+    the weak-regime ``profile`` and its ``nls_coeffs``."""
     if delta is None:
         delta = profile.omega / 6.0
     basis = ConjugateEvenBasis(grid)
@@ -419,13 +416,13 @@ def fd_nls_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
 
 
 def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
-                            grid: SpectralGrid, dn_order: int = 2,
+                            grid: SpectralGrid,
                             dn_oracle: bool = False) -> SolverProblem:
     """Full truncated equation P(eta) - c^2 Q(eta) = 0 in the even subspace.
 
     ``prepare`` evaluates K(eta) xi once and builds the residual with the
     J.v context, on the padded grid of ``op.KineticLinearization``.  K is the
-    expansion of order ``dn_order``, or with ``dn_oracle`` the BVP oracle on
+    order-2 expansion K0 + K1 + K2, or with ``dn_oracle`` the BVP oracle on
     its certified radial grid, whose solves are recorded in
     ``diagnostics["bvp_solves"]``.  In oracle mode each step is a
     quasi-Newton step: dG/dP is taken at the oracle's P, and the dK/deta
@@ -441,7 +438,7 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
         dn_apply = None
         if dn_oracle and np.any(v):  # at the flat state xi = 0, so P = 0
             dn_apply = dno.dn_oracle_apply(grid, v, record=bvp_solves)
-        kin = op.KineticLinearization(grid, v, dn_order, dn_apply)
+        kin = op.KineticLinearization(grid, v, dn_apply)
         press, press_fields = op.pressure_jacobian_fields(kin.surface, gamma, law)
         return kin.project(press - c2 * kin.value_f).real, press_fields, kin
 
@@ -461,23 +458,22 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
 
 
 def solve_stationary_kdv(coeffs: WnlCoeffs, grid: Optional[SpectralGrid] = None,
-                         seed: Optional[np.ndarray] = None, tol: float = 1e-11,
-                         max_iter: int = 40) -> SolveReport:
-    """Newton solve of the stationary KdV equation from ``seed`` or 0.9 zeta_KdV."""
+                         seed: Optional[np.ndarray] = None) -> SolveReport:
+    """Newton solve of the stationary KdV equation from ``seed`` or 0.9 zeta_KdV,
+    to a residual of 1e-11."""
     if grid is None:
         grid = default_scaled_grid()
     problem = kdv_problem(coeffs, grid)
     if seed is None:
         seed = 0.9 * zeta_kdv(grid.z, coeffs)
     v0 = problem.basis.to_coords(np.asarray(seed, dtype=float))
-    return _newton(problem, v0, tol, max_iter, epsilon=0.0, branch="kdv")
+    return _newton(problem, v0, 1e-11, NEWTON_MAX_ITER, epsilon=0.0, branch="kdv")
 
 
 def solve_full_dispersion_kdv(gamma: float, law: MagnetizationLaw,
                               epsilon: float,
                               grid: Optional[SpectralGrid] = None,
-                              delta: float = 0.5, tol: float = 1e-10,
-                              max_iter: int = 25) -> SolveReport:
+                              delta: float = 0.5, tol: float = 1e-10) -> SolveReport:
     """Solve the full-dispersion KdV equation, seeded by the explicit envelope."""
     if not (0.0 < epsilon <= ENVELOPE_EPS_MAX):
         raise ParameterError(f"full-dispersion KdV is solved for 0 < eps <= "
@@ -488,7 +484,7 @@ def solve_full_dispersion_kdv(gamma: float, law: MagnetizationLaw,
     problem = fd_kdv_problem(gamma, law, epsilon, grid, delta=delta)
     seed = zeta_kdv(grid.z, coeffs)
     v0 = problem.basis.to_coords(seed)
-    rep = _newton(problem, v0, tol, max_iter, epsilon=epsilon, branch="kdv")
+    rep = _newton(problem, v0, tol, ENVELOPE_MAX_ITER, epsilon=epsilon, branch="kdv")
     sol = rep.solution
     rep.diagnostics.update(
         deviation_from_kdv=float(np.max(np.abs(sol.values - seed))),
@@ -501,8 +497,7 @@ def solve_full_dispersion_nls(gamma: float, law: MagnetizationLaw,
                               epsilon: float, sign: int = +1,
                               grid: Optional[SpectralGrid] = None,
                               delta: Optional[float] = None,
-                              tol: float = 1e-10,
-                              max_iter: int = 25) -> SolveReport:
+                              tol: float = 1e-10) -> SolveReport:
     """Solve the full-dispersion NLS equation for the +- branch."""
     if sign not in (+1, -1):
         raise ParameterError("branch sign must be +1 or -1")
@@ -513,11 +508,10 @@ def solve_full_dispersion_nls(gamma: float, law: MagnetizationLaw,
         grid = default_scaled_grid()
     profile = make_profile(gamma)
     coeffs = nls_coeffs(gamma, law, profile)
-    problem = fd_nls_problem(gamma, law, epsilon, grid, delta=delta,
-                             profile=profile)
+    problem = fd_nls_problem(profile, coeffs, epsilon, grid, delta=delta)
     seed = sign * zeta_nls(grid.z, coeffs)
     v0 = problem.basis.to_coords(seed.astype(complex))
-    rep = _newton(problem, v0, tol, max_iter, epsilon=epsilon,
+    rep = _newton(problem, v0, tol, ENVELOPE_MAX_ITER, epsilon=epsilon,
                   branch="nls_plus" if sign > 0 else "nls_minus")
     sol = rep.solution
     rep.diagnostics.update(
@@ -562,9 +556,9 @@ def reconstruct_eta(zeta: SpectralField, epsilon: float, regime: Regime,
 
 
 def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
-                          dn_order: int = 2, dn_oracle: bool = False,
+                          dn_oracle: bool = False,
                           grid: Optional[SpectralGrid] = None,
-                          tol: float = 1e-10, max_iter: int = 40) -> SolveReport:
+                          tol: float = 1e-10) -> SolveReport:
     """Newton solve of the full truncated travelling-wave equation.
 
     Seeded by the explicit leading-order profile evaluated in closed form on
@@ -599,9 +593,9 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
         seed = epsilon * zeta_nls(epsilon * z, coeffs) * np.cos(profile.omega * z)
         power = 1
 
-    problem = travelling_wave_problem(gamma, law, c2, grid, dn_order, dn_oracle)
+    problem = travelling_wave_problem(gamma, law, c2, grid, dn_oracle)
     v0 = problem.basis.to_coords(seed)
-    rep = _newton(problem, v0, tol, max_iter, epsilon=epsilon, branch="gzcs")
+    rep = _newton(problem, v0, tol, NEWTON_MAX_ITER, epsilon=epsilon, branch="gzcs")
     sol = rep.solution
     seed_amplitude = float(np.max(np.abs(seed)))
     rep.diagnostics.update(
@@ -675,8 +669,8 @@ def convergence_study(epsilons: Sequence[float], errors: Sequence[float],
 
 
 def check_jacobian(problem: SolverProblem, v: np.ndarray, n_dirs: int = 5,
-                   seed: int = 0, h: float = 1e-6) -> float:
-    """Worst relative error of the Jacobian action vs central differences."""
+                   seed: int = 0) -> float:
+    """Worst relative error of J.v vs central differences of step 1e-6 max(1, |v|)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     scale = max(1.0, float(np.max(np.abs(v))))
@@ -685,7 +679,7 @@ def check_jacobian(problem: SolverProblem, v: np.ndarray, n_dirs: int = 5,
         w = rng.standard_normal(problem.dim)
         w /= np.linalg.norm(w)
         jw = jac(w[None, :])[0]
-        step = h * scale
+        step = 1e-6 * scale
         fd = (problem.residual_at(v + step * w)
               - problem.residual_at(v - step * w)) / (2.0 * step)
         err = np.linalg.norm(fd - jw) / max(np.linalg.norm(jw), 1e-300)

@@ -149,11 +149,11 @@ class SpectralGrid:
     def deriv_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         return self.apply_symbol(values, self.ik**order)
 
-    def mode_index(self, k_target: float, tol: float = 1e-9) -> int:
-        """FFT index of an exact lattice wavenumber."""
+    def mode_index(self, k_target: float) -> int:
+        """FFT index of a lattice wavenumber (|k L / pi - m| <= 1e-9)."""
         m = k_target * self.L / np.pi
         mi = int(np.rint(m))
-        if abs(m - mi) > tol:
+        if abs(m - mi) > 1e-9:
             raise GridError(
                 f"wavenumber {k_target} is not on the lattice (m = {m})"
             )

@@ -68,15 +68,14 @@ class MagnetizationLaw:
     label: str = "custom"
 
     @staticmethod
-    def linear(label: str = "linear") -> "MagnetizationLaw":
+    def linear() -> "MagnetizationLaw":
         """Linear magnetisation m(s) = s, i.e. nu(s) = s^2/2."""
         return MagnetizationLaw(nu=lambda s: 0.5 * np.asarray(s) ** 2,
-                                nu2=1.0, nu3=0.0, label=label,
+                                nu2=1.0, nu3=0.0, label="linear",
                                 nu_prime=lambda s: np.asarray(s, dtype=float))
 
     @staticmethod
-    def from_derivatives(nu2: float, nu3: float,
-                         label: str = "cubic") -> "MagnetizationLaw":
+    def from_derivatives(nu2: float, nu3: float) -> "MagnetizationLaw":
         """Cubic model law matching the prescribed derivatives at s = 1."""
 
         def nu(s):
@@ -87,11 +86,12 @@ class MagnetizationLaw:
             d = np.asarray(s) - 1.0
             return 1.0 + nu2 * d + 0.5 * nu3 * d**2
 
-        return MagnetizationLaw(nu=nu, nu2=nu2, nu3=nu3, label=label,
+        return MagnetizationLaw(nu=nu, nu2=nu2, nu3=nu3, label="cubic",
                                 nu_prime=nu_prime)
 
-    def validate(self, tol_nu1: float = 1e-8, tol_high: float = 1e-6) -> None:
-        """Finite-difference check of nu'(1)=1 and the stored nu'', nu'''."""
+    def validate(self) -> None:
+        """Finite-difference check of nu'(1) = 1 to 1e-8 and of the stored
+        nu'', nu''' to 1e-6 relative (absolute below 1)."""
         # a non-finite nu2 or nu3 would poison every stencil value, nu(1) too
         for name, value in (("nu2", self.nu2), ("nu3", self.nu3)):
             if not np.isfinite(value):
@@ -107,11 +107,11 @@ class MagnetizationLaw:
             d2 = (v[3] - 2 * v[2] + v[1]) / h**2
             d3 = (v[4] - 2 * v[3] + 2 * v[1] - v[0]) / (2 * h**3)
         # written as "not <=" so that NaN fails too
-        if not abs(d1 - 1.0) <= tol_nu1:
+        if not abs(d1 - 1.0) <= 1e-8:
             raise ParameterError(f"law violates nu'(1) = 1: got {d1}")
-        if not abs(d2 - self.nu2) <= tol_high * max(1.0, abs(self.nu2)):
+        if not abs(d2 - self.nu2) <= 1e-6 * max(1.0, abs(self.nu2)):
             raise ParameterError(f"nu''(1) mismatch: {d2} vs stored {self.nu2}")
-        if not abs(d3 - self.nu3) <= tol_high * max(1.0, abs(self.nu3)):
+        if not abs(d3 - self.nu3) <= 1e-6 * max(1.0, abs(self.nu3)):
             raise ParameterError(f"nu'''(1) mismatch: {d3} vs stored {self.nu3}")
 
 
@@ -274,7 +274,8 @@ def zeta_kdv(Z, coeffs: WnlCoeffs):
     if coeffs.d0 == 0.0:
         raise ExistenceError("degenerate quadratic coefficient d0 = 0")
     rate = 2.0 * np.sqrt(coeffs.c0_squared / (9.0 - coeffs.gamma))
-    return -(1.5 / coeffs.d0) / np.cosh(rate * np.asarray(Z, dtype=float)) ** 2
+    e = np.exp(-2.0 * np.abs(rate * np.asarray(Z, dtype=float)))  # no cosh to overflow
+    return -(1.5 / coeffs.d0) * 4.0 * e / (1.0 + e) ** 2  # sech^2 x = 4e / (1 + e)^2
 
 
 def zeta_nls(Z, coeffs: WnlCoeffs):
@@ -285,4 +286,5 @@ def zeta_nls(Z, coeffs: WnlCoeffs):
         raise ExistenceError("NLS envelope requires a1, a2, a3 > 0")
     amp = np.sqrt(2.0 * coeffs.a2 / coeffs.a3)
     rate = np.sqrt(coeffs.a2 / coeffs.a1)
-    return amp / np.cosh(rate * np.asarray(Z, dtype=float))
+    e = np.exp(-np.abs(rate * np.asarray(Z, dtype=float)))  # sech x = 2e / (1 + e^2)
+    return amp * 2.0 * e / (1.0 + e * e)

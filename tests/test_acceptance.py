@@ -216,8 +216,9 @@ def test_criterion_10_jacobian_checks():
     problem = solver.fd_kdv_problem(5.0, LAW, 0.1, grid)
     worst = max(worst, solver.check_jacobian(problem, v, n_dirs=5, seed=2))
 
-    n = nls_coeffs(15.0, LAW)
-    problem = solver.fd_nls_problem(15.0, LAW, 0.1, grid)
+    prof15 = make_profile(15.0)
+    n = nls_coeffs(15.0, LAW, prof15)
+    problem = solver.fd_nls_problem(prof15, n, 0.1, grid)
     vn = problem.basis.to_coords(zeta_nls(grid.z, n).astype(complex))
     worst = max(worst, solver.check_jacobian(problem, vn, n_dirs=5, seed=3))
 
@@ -226,7 +227,6 @@ def test_criterion_10_jacobian_checks():
     vw = problem.basis.to_coords(0.01 * zeta_kdv(0.1 * wave.z, coeffs))
     worst = max(worst, solver.check_jacobian(problem, vw, n_dirs=5, seed=4))
 
-    prof15 = make_profile(15.0)
     wave15 = SpectralGrid.commensurate(prof15.omega, 100.0, 512)
     problem = solver.travelling_wave_problem(15.0, LAW,
                                              prof15.c0_squared * 0.99, wave15)

@@ -1,13 +1,15 @@
 """Command-line front end: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ferrojet import solver
-from ferrojet.cli import RunConfig, main, parse_config_file
+from ferrojet.cli import RunConfig, _make_parser, main, parse_config_file
 from ferrojet.errors import ParameterError
 
 
@@ -229,14 +231,10 @@ def test_solve_rejects_cutoff_outside_reduction(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "converge"])
 @pytest.mark.parametrize("branch, option", [
     ("gzcs", ["--delta", "50"]),
-    ("kdv", ["--k-order", "0"]),
-    ("nls+", ["--k-order", "2"]),
-    ("nls-", ["--k-order", "1"]),
 ])
 def test_rejects_option_the_branch_does_not_take(tmp_path, capsys, command,
                                                  branch, option):
-    gamma = "5" if branch in ("gzcs", "kdv") else "15"
-    rc = main([command, "--branch", branch, "--gamma", gamma, "--epsilon",
+    rc = main([command, "--branch", branch, "--gamma", "5", "--epsilon",
                "0.2", "0.1", "0.05", *option, "--out", str(tmp_path)])
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -244,6 +242,45 @@ def test_rejects_option_the_branch_does_not_take(tmp_path, capsys, command,
     assert option[0].lstrip("-") in err["message"]
     assert not list(tmp_path.glob("solve_*.json"))
     assert not (tmp_path / "converge.json").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+@pytest.mark.parametrize("branch", ["kdv", "nls+", "nls-", "gzcs"])
+def test_k_order_is_an_unknown_flag(tmp_path, capsys, command, branch):
+    # the surface operator has one order, 2; argparse exits 2 on the flag
+    gamma = "5" if branch in ("gzcs", "kdv") else "15"
+    with pytest.raises(SystemExit) as info:
+        main([command, "--branch", branch, "--gamma", gamma, "--epsilon",
+              "0.2", "0.1", "0.05", "--k-order", "2", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --k-order 2" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_k_order_is_an_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("k_order = 2\n")
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--branch", "gzcs", "--gamma", "5",
+               "--epsilon", "0.1", "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError"
+    assert err["message"] == f"{cfg}:1: unknown key 'k_order'"
+    assert not out.exists()
+
+
+def test_readme_lists_the_parser_flags():
+    parser = _make_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    flags = {opt for sub in subparsers.choices.values() for a in sub._actions
+             for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("Flags:")
+    listed = set(re.findall(r"--[a-z0-9][a-z0-9-]*",
+                            readme[start:readme.index(". ", start)]))
+    assert listed == flags
 
 
 @pytest.mark.parametrize("option", [
@@ -272,12 +309,10 @@ def test_solve_rejects_bad_numbers(tmp_path, capsys, option):
 
 
 def test_branch_options_default_to_unset():
-    cfg = RunConfig()
-    assert cfg.k_order is None and cfg.delta is None
-    RunConfig(branch="gzcs", k_order=1).validate()
+    assert RunConfig().delta is None
     RunConfig(branch="kdv", delta=2.0).validate()
     with pytest.raises(ParameterError):
-        RunConfig(branch="gzcs", k_order=3).validate()
+        RunConfig(branch="gzcs", delta=2.0).validate()
 
 
 def test_smallest_grid_n_is_four():
@@ -290,7 +325,7 @@ def test_metadata_records_the_run_configuration(tmp_path):
     assert rc == 0
     config = read_json(tmp_path / "run_metadata.json")["config"]
     assert config["delta"] == 0.3 and config["grid_n"] == 2048
-    assert config["grid_l"] is None and config["k_order"] is None
+    assert config["grid_l"] is None and "k_order" not in config
     assert config["tol"] == 1e-10
     report = read_json(tmp_path / "solve_kdv.json")["reports"][0]
     assert report["grid"]["N"] == 2048

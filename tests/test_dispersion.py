@@ -5,7 +5,8 @@ import pytest
 
 from ferrojet import dispersion as dsp
 from ferrojet.errors import ParameterError, RegimeError
-from ferrojet.specfun import f_ratio
+from ferrojet.specfun import F_SERIES_CUT, f_ratio
+from ferrojet.wnl import nls_coeffs
 
 # frozen 30-digit values of the auxiliary monotone function
 H_AT_1 = 9.6994978198656940139
@@ -41,6 +42,35 @@ def test_f_prime_against_central_difference():
         assert dsp.f_prime(-k) == -dsp.f_prime(k)
 
 
+def _mp_f_derivative(k, n):
+    """d^n f / dk^n at the float k, by mpmath at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return mpmath.diff(lambda x: x * mpmath.besseli(0, x) / mpmath.besseli(1, x),
+                           mpmath.mpf(k), n)
+
+
+def test_f_second_matches_mpmath_on_both_branches():
+    ks = np.concatenate([np.linspace(0.05, F_SERIES_CUT, 6),
+                         np.linspace(F_SERIES_CUT + 1e-4, 12.0, 24)])
+    for k in ks:
+        assert abs(dsp.f_second(k) - float(_mp_f_derivative(k, 2))) <= 1e-13
+    assert dsp.f_second(0.0) == 0.5  # f = 2 + k^2/4 + O(k^4)
+    assert np.array_equal(dsp.f_second(-ks), dsp.f_second(ks))
+
+
+@pytest.mark.parametrize("gamma", [10.0, 15.0, 30.0])
+def test_closed_form_derivatives_match_mpmath(gamma, linear_law):
+    p = dsp.make_profile(gamma)
+    omega, c0sq = p.omega, p.c0_squared
+    g1 = 2.0 * omega - c0sq * float(_mp_f_derivative(omega, 1))
+    g2 = 2.0 - c0sq * float(_mp_f_derivative(omega, 2))
+    assert abs(p.g_prime(omega) - g1) <= 1e-12
+    assert abs(p.g_second(omega) - g2) <= 1e-12 * g2
+    a1 = nls_coeffs(gamma, linear_law, p).a1
+    assert abs(a1 - 0.5 * g2) <= 1e-12 * 0.5 * g2
+
+
 def test_h_limit_and_monotonicity():
     assert abs(dsp.h_function(1e-4) - 9.0) <= 1e-6
     assert dsp.h_function(2.0) > dsp.h_function(1.0)
@@ -66,7 +96,7 @@ def test_weak_profile_minimum_conditions(gamma):
     p = dsp.make_profile(gamma)
     assert p.regime is dsp.Regime.WEAK
     assert abs(p.g(p.omega)) <= 1e-9
-    assert abs(p.g_prime(p.omega)) <= 1e-6
+    assert abs(p.g_prime(p.omega)) <= 1e-14 * p.omega
     assert p.g_second(p.omega) > 0
     # both published expressions for the minimum speed agree
     assert abs(2.0 * p.omega / dsp.f_prime(p.omega) - p.c2(p.omega)) <= 1e-10 * p.c0_squared

@@ -28,8 +28,9 @@ def make_problem(name, law):
         problem = solver.fd_kdv_problem(5.0, law, 0.1, grid)
         return problem, problem.basis.to_coords(zeta_kdv(grid.z, coeffs))
     if name == "fd_nls":
-        n = nls_coeffs(15.0, law)
-        problem = solver.fd_nls_problem(15.0, law, 0.1, grid)
+        profile = make_profile(15.0)
+        n = nls_coeffs(15.0, law, profile)
+        problem = solver.fd_nls_problem(profile, n, 0.1, grid)
         return problem, problem.basis.to_coords(zeta_nls(grid.z, n).astype(complex))
     wave = SpectralGrid.make(200.0, 512)
     problem = solver.travelling_wave_problem(5.0, law, 1.98, wave)

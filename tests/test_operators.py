@@ -211,7 +211,7 @@ def _kinetic_jv(kin, rows):
 
 def test_kinetic_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rng):
     eta = 0.05 * smooth_eta
-    kin = op.KineticLinearization(grid, grid.to_rcoeffs(eta), 2)
+    kin = op.KineticLinearization(grid, grid.to_rcoeffs(eta))
     rho = rng.standard_normal(grid.N)
     rho /= np.max(np.abs(rho))
     h = 1e-6
@@ -240,16 +240,15 @@ class _NodalKineticLinearization:
     oracle's): the quasi-Newton of a solve whose Jacobian never saw the
     oracle."""
 
-    def __init__(self, grid, eta_hat, order, dn_apply=None,
-                 slope_from_expansion=False):
-        self.grid, self.order = grid, order
+    def __init__(self, grid, eta_hat, dn_apply=None, slope_from_expansion=False):
+        self.grid = grid
         self.eta = grid.to_rvalues(eta_hat)
         eta2 = grid.product_values([self.eta, self.eta])
         self.xi_comb = self.eta + 0.5 * eta2
         self.surface = _refine_each(grid, self.eta)
         ezf = self.surface[1]
         if dn_apply is None:
-            P = op.dn_expansion(grid, self.eta, self.xi_comb, order)
+            P = op.dn_expansion(grid, self.eta, self.xi_comb, 2)
         else:
             P = grid.to_rvalues(dn_apply(grid.to_rcoeffs(self.xi_comb)))
         Pf = grid.refine_values(P, 3)
@@ -258,7 +257,7 @@ class _NodalKineticLinearization:
         self.value_f = -0.5 * Pf**2 + W * (1.0 - Pf) ** 2 + Pf
         if slope_from_expansion:
             Pf = grid.refine_values(
-                op.dn_expansion(grid, self.eta, self.xi_comb, order), 3)
+                op.dn_expansion(grid, self.eta, self.xi_comb, 2), 3)
         self.dG_dP = 1.0 - Pf - 2.0 * W * (1.0 - Pf)
         self.dG_dez = ezf / s2**2 * (1.0 - Pf) ** 2
 
@@ -268,13 +267,8 @@ class _NodalKineticLinearization:
     def apply(self, rows, pressure_fields, c2):
         grid, eta, xi = self.grid, self.eta, self.xi_comb
         rho = grid.to_rvalues(rows)
-        dP = np.zeros(np.broadcast_shapes(np.shape(rho), np.shape(xi)))
-        if self.order >= 1:
-            dP = dP + op.dn1_apply(grid, rho, xi)
-        if self.order >= 2:
-            dP = dP + 2.0 * op.dn2_apply(grid, eta, rho, xi)
-        dP = dP + op.dn_expansion(grid, eta, rho + grid.product_values([eta, rho]),
-                                  self.order)
+        dP = op.dn1_apply(grid, rho, xi) + 2.0 * op.dn2_apply(grid, eta, rho, xi)
+        dP = dP + op.dn_expansion(grid, eta, rho + grid.product_values([eta, rho]), 2)
         dPf = grid.refine_values(dP, 3)
         rzf = grid.refine_values(grid.deriv_values(rho), 3)
         out = grid.project_values(self.dG_dP * dPf + self.dG_dez * rzf, 3)
@@ -288,7 +282,7 @@ def _regime_eta(grid, regime):
     return 0.3 / np.cosh(0.1 * grid.z) * np.cos(1.3 * grid.z)  # NLS-like packet
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [2])  # the one order a solve uses
 @pytest.mark.parametrize("regime", ["strong", "weak"])
 @pytest.mark.parametrize("N", [512, 1024, 2048])
 def test_kinetic_linearization_matches_nodal_pipeline(N, regime, order):
@@ -299,8 +293,8 @@ def test_kinetic_linearization_matches_nodal_pipeline(N, regime, order):
     R[2] = (-1.0) ** np.arange(N)  # a unit Nyquist coefficient alone
     assert abs(grid.to_rcoeffs(R[2])[-1]) == 1.0
     eta_hat = grid.to_rcoeffs(eta)
-    kin = op.KineticLinearization(grid, eta_hat, order)
-    ref = _kinetic_jv(_NodalKineticLinearization(grid, eta_hat, order),
+    kin = op.KineticLinearization(grid, eta_hat)
+    ref = _kinetic_jv(_NodalKineticLinearization(grid, eta_hat),
                       grid.to_rcoeffs(R))
     ref = grid.to_rvalues(ref)
     got = grid.to_rvalues(_kinetic_jv(kin, grid.to_rcoeffs(R)))
@@ -314,7 +308,7 @@ def test_kinetic_linearization_matches_nodal_pipeline(N, regime, order):
     assert np.max(np.abs(single - ref[0])) <= 1e-12 * scale[0]
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [2])  # the one order a solve uses
 @pytest.mark.parametrize("regime", ["strong", "weak"])
 @pytest.mark.parametrize("N", [512, 1024, 2048])
 def test_half_spectrum_surface_operator_matches_dn_expansion(N, regime, order):
@@ -322,7 +316,7 @@ def test_half_spectrum_surface_operator_matches_dn_expansion(N, regime, order):
     eta = _regime_eta(grid, regime)
     xi = eta + 0.5 * grid.product_values([eta, eta])
     ref = op.dn_expansion(grid, eta, xi, order)
-    got = grid.to_rvalues(op.KineticLinearization(grid, grid.to_rcoeffs(eta), order).P)
+    got = grid.to_rvalues(op.KineticLinearization(grid, grid.to_rcoeffs(eta)).P)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # dn_apply, when given, evaluates P from xi's half spectrum
     seen = []
@@ -331,7 +325,7 @@ def test_half_spectrum_surface_operator_matches_dn_expansion(N, regime, order):
         seen.append(xi_hat)
         return 0.5 * xi_hat
 
-    kin = op.KineticLinearization(grid, grid.to_rcoeffs(eta), order, dn_apply)
+    kin = op.KineticLinearization(grid, grid.to_rcoeffs(eta), dn_apply)
     assert len(seen) == 1
     assert np.max(np.abs(grid.to_rvalues(seen[0]) - xi)) <= 1e-15 * np.max(np.abs(xi))
     assert np.array_equal(kin.P, 0.5 * seen[0])
@@ -361,7 +355,7 @@ def test_coordinate_jv_matches_nodal_composition(regime, linear_law):
     _, fields = op.pressure_jacobian_fields(_refine_each(grid, eta), gamma, linear_law)
     press = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, w)), 3)
     kinetic = grid.to_rvalues(
-        _kinetic_jv(_NodalKineticLinearization(grid, v, 2), grid.to_rcoeffs(w)))
+        _kinetic_jv(_NodalKineticLinearization(grid, v), grid.to_rcoeffs(w)))
     ref = basis.to_coords(press - c2 * kinetic)
     scale = np.max(np.abs(ref), axis=-1)
     assert np.all(np.max(np.abs(got - ref), axis=-1) <= 1e-12 * scale)
@@ -463,7 +457,7 @@ def test_pressure_routines_match_refine_per_field(linear_law, rng):
         -ezf / (w * s2 * s) + 3.0 * ezzf * ezf / (s2**2 * s),
         -1.0 / (s2 * s),
     )
-    surface = op.KineticLinearization(grid, grid.to_rcoeffs(eta), 0).surface
+    surface = op.KineticLinearization(grid, grid.to_rcoeffs(eta)).surface
     for got, ref in zip(surface, (ef, ezf, ezzf)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     value, fields = op.pressure_jacobian_fields(surface, gamma, linear_law)

@@ -90,11 +90,25 @@ def test_fd_nls_branches(linear_law):
     with pytest.raises(ParameterError):
         solver.solve_full_dispersion_nls(15.0, linear_law, 0.1, 2)
     with pytest.raises(RegimeError):
-        solver.fd_nls_problem(5.0, linear_law, 0.1, solver.default_scaled_grid())
+        solver.solve_full_dispersion_nls(5.0, linear_law, 0.1)
+
+
+def test_nls_solve_evaluates_its_coefficients_once(linear_law, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return nls_coeffs(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "nls_coeffs", counted)
+    rep = solver.solve_full_dispersion_nls(15.0, linear_law, 0.1, +1)
+    assert rep.converged and calls == [15.0]
 
 
 def test_cutoff_width_is_validated(linear_law):
     grid = solver.default_scaled_grid()
+    p = make_profile(15.0)
+    n = nls_coeffs(15.0, linear_law, p)
     # omega / 3 = 0.892 at gamma = 15: delta = 1.0 lies outside the reduction
     with pytest.raises(ParameterError):
         solver.solve_full_dispersion_nls(15.0, linear_law, 0.1, delta=1.0)
@@ -102,7 +116,7 @@ def test_cutoff_width_is_validated(linear_law):
         with pytest.raises(ParameterError):
             solver.fd_kdv_problem(5.0, linear_law, 0.1, grid, delta=delta)
         with pytest.raises(ParameterError):
-            solver.fd_nls_problem(15.0, linear_law, 0.1, grid, delta=delta)
+            solver.fd_nls_problem(p, n, 0.1, grid, delta=delta)
 
 
 def test_fd_nls_symbol_expansion(linear_law):
@@ -236,8 +250,9 @@ def test_jacobian_vs_finite_differences(make_problem, linear_law):
         problem = solver.fd_kdv_problem(5.0, linear_law, 0.1, grid)
         v = problem.basis.to_coords(zeta_kdv(grid.z, coeffs))
     elif make_problem == "fd_nls":
-        n = nls_coeffs(15.0, linear_law)
-        problem = solver.fd_nls_problem(15.0, linear_law, 0.1, grid)
+        p = make_profile(15.0)
+        n = nls_coeffs(15.0, linear_law, p)
+        problem = solver.fd_nls_problem(p, n, 0.1, grid)
         v = problem.basis.to_coords(zeta_nls(grid.z, n).astype(complex))
     else:
         wave = SpectralGrid.make(200.0, 512)
@@ -266,10 +281,11 @@ def test_kdv_nondegeneracy_under_refinement(linear_law):
 def test_nls_nondegeneracy_under_refinement(linear_law):
     # same proxy at +-zeta_nls in the conjugate-even subspace (at eps = 0.1)
     sigmas = {+1: [], -1: []}
-    n = nls_coeffs(15.0, linear_law)
+    p = make_profile(15.0)
+    n = nls_coeffs(15.0, linear_law, p)
     for N in (256, 512):
         grid = SpectralGrid.make(40.0, N)
-        problem = solver.fd_nls_problem(15.0, linear_law, 0.1, grid)
+        problem = solver.fd_nls_problem(p, n, 0.1, grid)
         for sign in (+1, -1):
             v = problem.basis.to_coords(sign * zeta_nls(grid.z, n).astype(complex))
             J = problem.assemble_jacobian(v)

@@ -110,6 +110,26 @@ def test_zeta_kdv_residual_spectral(linear_law):
     assert np.max(np.abs(res)) <= 1e-9
 
 
+def test_envelopes_do_not_overflow_near_the_critical_gamma(linear_law):
+    # at gamma = 8.95 the KdV rate is 17.8 and |Z| reaches 40 on the default
+    # grid, where cosh(rate Z)^2 overflows; pytest turns the RuntimeWarning
+    # numpy would raise into an error
+    Z = default_scaled_grid().z
+    c = kdv_coeffs(8.95, linear_law)
+    x = 2.0 * np.sqrt(c.c0_squared / (9.0 - c.gamma)) * Z
+    assert np.max(np.abs(x)) > 710.0
+    vals = zeta_kdv(Z, c)
+    inner = np.abs(x) < 300.0
+    ref = -(1.5 / c.d0) / np.cosh(x[inner]) ** 2
+    assert np.max(np.abs(vals[inner] - ref) / np.abs(ref)) <= 1e-12
+    assert np.all((vals[~inner] <= 0.0) & (vals[~inner] > -1e-200))  # sech^2 < 1e-260
+    n = nls_coeffs(15.0, linear_law)
+    x = np.sqrt(n.a2 / n.a1) * Z  # up to 228
+    ref = np.sqrt(2.0 * n.a2 / n.a3) / np.cosh(x)
+    assert np.max(np.abs(zeta_nls(Z, n) - ref) / ref) <= 1e-12
+    assert zeta_nls(1e3, n) == 0.0  # cosh would overflow here
+
+
 def test_zeta_nls_profile(linear_law):
     n = nls_coeffs(15.0, linear_law)
     assert zeta_nls(0.0, n) == pytest.approx(np.sqrt(2 * n.a2 / n.a3), rel=1e-15)
