@@ -85,9 +85,6 @@ __all__ = [
     "KineticLinearization",
 ]
 
-_REFINE = 3  # padding factor for pointwise (non-polynomial) nonlinearities
-
-
 def dn0_symbol(grid: SpectralGrid) -> np.ndarray:
     if "dn0" not in grid._cache:
         grid._cache["dn0"] = f_ratio(grid.k)
@@ -159,7 +156,7 @@ def _half_symbols(grid: SpectralGrid):
 
 def _refine_rows(grid: SpectralGrid, rows):
     """Padded-grid values of each half spectrum in rows, by one transform."""
-    fine = grid.refine_to_values(np.stack(rows, axis=-2), _REFINE)
+    fine = grid.refine_to_values(np.stack(rows, axis=-2))
     return tuple(np.moveaxis(fine, -2, 0))
 
 
@@ -195,7 +192,7 @@ def pressure_exact(grid: SpectralGrid, eta, gamma: float,
     """Fully nonlinear pressure functional; vanishes on the quiescent jet."""
     ef, ezf, ezzf = _refined_surface(grid, grid.to_rcoeffs(eta))
     out = _pressure_padded(1.0 + ef, ezf, ezzf, np.sqrt(1.0 + ezf**2), gamma, law)
-    return grid.project_values(out, _REFINE)
+    return grid.project_values(out)
 
 
 def pressure_term(grid: SpectralGrid, eta, j: int, gamma: float,
@@ -292,11 +289,11 @@ def kinetic_exact(grid: SpectralGrid, eta,
     eta2 = grid.product_values([eta, eta])
     P = dn_apply(np.asarray(eta) + 0.5 * eta2)
     ez = _dz(grid, eta)
-    Pf = grid.refine_values(P, _REFINE)
-    ezf = grid.refine_values(ez, _REFINE)
+    Pf = grid.refine_values(P)
+    ezf = grid.refine_values(ez)
     W = ezf**2 / (2.0 * (1.0 + ezf**2))
     out = -0.5 * Pf**2 + W * (1.0 - Pf) ** 2 + Pf
-    return grid.project_values(out, _REFINE)
+    return grid.project_values(out)
 
 
 def wave_residual(grid: SpectralGrid, eta, c2: float, gamma: float,
@@ -413,7 +410,7 @@ class KineticLinearization:
 
     def project(self, fine_values: np.ndarray) -> np.ndarray:
         """Half spectra on the grid of padded-grid values (last axis), one transform."""
-        return self.grid.project_to_coeffs(fine_values, _REFINE)
+        return self.grid.project_to_coeffs(fine_values)
 
     def _levels(self, s_z, k0s, s_zz, nested=None):
         """Padded-grid rows (stacked on axis -2) whose projections q give the

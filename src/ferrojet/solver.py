@@ -396,10 +396,10 @@ def fd_nls_problem(profile: DispersionProfile, coeffs: WnlCoeffs, epsilon: float
     a3 = coeffs.a3
 
     def cubic(fine):
-        return a3 * chi0 * grid.project_to_coeffs(fine, 3).real
+        return a3 * chi0 * grid.project_to_coeffs(fine).real
 
     def prepare(v):  # v is z's real full spectrum; z, |z|^2, z^2 padded
-        z_f = grid.refine_to_values(v, 3)
+        z_f = grid.refine_to_values(v)
         return v, z_f, (z_f * z_f.conj()).real, z_f * z_f
 
     def residual(ctx):
@@ -408,7 +408,7 @@ def fd_nls_problem(profile: DispersionProfile, coeffs: WnlCoeffs, epsilon: float
 
     def jv_batch(ctx, W):
         _, _, abs2_f, z2_f = ctx
-        w_f = grid.refine_to_values(W, 3)
+        w_f = grid.refine_to_values(W)
         return sym * W - cubic(2.0 * abs2_f * w_f + z2_f * w_f.conj())
 
     return SolverProblem(basis=basis, prepare=prepare,

@@ -17,9 +17,11 @@ input's dtype: real arrays go through rfft/irfft and stay real, complex
 arrays (the NLS envelope) through the full FFT.  A symbol applied to a real
 field must satisfy s(-k) = conj s(k), so that its output is real too.
 
-Products of band-limited fields are computed exactly by zero-padding: a
-product of p factors is evaluated on a grid of M >= (p+1) N / 2 points and
-truncated back, so the retained N coefficients carry no aliasing error.
+Products of band-limited fields are computed exactly by zero-padding onto
+one grid of 2N points and truncating back.  A product of p factors aliases
+onto the retained N coefficients unless M >= (p+1) N / 2, so the 2N grid is
+exact for up to three factors, the most any product here takes (K2 carries
+eta^2 K0 xi); the pointwise nonlinearities are evaluated there too.
 The Nyquist coefficient is split evenly between +N/2 and -N/2 on the way
 up and the two are summed on the way down, in both layouts.
 ``refine_to_values`` and ``project_to_coeffs`` go from coefficients (either
@@ -161,20 +163,14 @@ class SpectralGrid:
 
     # -- zero-padded products ------------------------------------------------
 
-    def _padded(self, nfactors: int) -> "SpectralGrid":
-        key = ("pad", nfactors)
-        if key not in self._cache:
-            target = (nfactors + 1) * self.N // 2
-            M = self.N
-            while M < target:
-                M *= 2
-            self._cache[key] = SpectralGrid.make(self.L, M)
-        return self._cache[key]
+    def _padded(self) -> "SpectralGrid":
+        """The dealiasing grid: the same box with 2N points."""
+        if "pad" not in self._cache:
+            self._cache["pad"] = SpectralGrid.make(self.L, 2 * self.N)
+        return self._cache["pad"]
 
-    def pad_coeffs(self, coeffs: np.ndarray, padded: "SpectralGrid") -> np.ndarray:
-        n, M = self.N, padded.N
-        if M == n:
-            return coeffs
+    def pad_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        n, M = self.N, self._padded().N
         out = np.zeros(coeffs.shape[:-1] + (M,), dtype=complex)
         out[..., : n // 2] = coeffs[..., : n // 2]
         # split the Nyquist pair so parity survives the refinement
@@ -183,81 +179,82 @@ class SpectralGrid:
         out[..., M - n // 2 + 1 :] = coeffs[..., n // 2 + 1 :]
         return out
 
-    def truncate_coeffs(self, coeffs: np.ndarray, padded: "SpectralGrid") -> np.ndarray:
-        n, M = self.N, padded.N
-        if M == n:
-            return coeffs
+    def truncate_coeffs(self, coeffs: np.ndarray) -> np.ndarray:
+        n, M = self.N, self._padded().N
         out = np.empty(coeffs.shape[:-1] + (n,), dtype=complex)
         out[..., : n // 2] = coeffs[..., : n // 2]
         out[..., n // 2] = coeffs[..., n // 2] + coeffs[..., M - n // 2]
         out[..., n // 2 + 1 :] = coeffs[..., M - n // 2 + 1 :]
         return out
 
-    def refine_rcoeffs(self, rcoeffs: np.ndarray, nfactors: int = 2) -> np.ndarray:
+    def refine_rcoeffs(self, rcoeffs: np.ndarray) -> np.ndarray:
         """Half spectrum of a real field, zero-padded onto the padded grid.
 
         c_0 and c_N/2 of a real field are real, so their imaginary parts are
         dropped; c_N/2 is split evenly, its conjugate half sitting at -N/2.
         """
-        padded = self._padded(nfactors)
+        padded = self._padded()
         n = self.N
         out = np.zeros(rcoeffs.shape[:-1] + (padded.N // 2 + 1,), dtype=complex)
         out[..., : n // 2] = rcoeffs[..., : n // 2]
         out[..., 0] = rcoeffs[..., 0].real
-        out[..., n // 2] = (0.5 if padded.N > n else 1.0) * rcoeffs[..., n // 2].real
+        out[..., n // 2] = 0.5 * rcoeffs[..., n // 2].real
         return out
 
-    def project_rcoeffs(self, fine_rcoeffs: np.ndarray, nfactors: int = 2) -> np.ndarray:
+    def project_rcoeffs(self, fine_rcoeffs: np.ndarray) -> np.ndarray:
         """Half spectrum back from the padded grid, dropping the unresolved tail.
 
         c_N/2 + c_-N/2 = 2 Re c_N/2 on the padded grid; c_0 keeps its real part.
         """
-        padded = self._padded(nfactors)
         n = self.N
         out = fine_rcoeffs[..., : n // 2 + 1].copy()
         out[..., 0] = out[..., 0].real
-        out[..., n // 2] = (2.0 if padded.N > n else 1.0) * out[..., n // 2].real
+        out[..., n // 2] = 2.0 * out[..., n // 2].real
         return out
 
-    def refine_to_values(self, coeffs: np.ndarray, nfactors: int = 2) -> np.ndarray:
+    def refine_to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Padded-grid values from coefficients (last axis), one transform: a
         half spectrum (N/2 + 1 long; N >= 4 tells it from N) gives real
         values, a full spectrum (N) complex ones."""
-        padded = self._padded(nfactors)
+        padded = self._padded()
         if np.shape(coeffs)[-1] == self.N // 2 + 1:
-            return padded.to_rvalues(self.refine_rcoeffs(coeffs, nfactors))
+            return padded.to_rvalues(self.refine_rcoeffs(coeffs))
         self._check_length(coeffs, self.N)
-        return padded.to_values(self.pad_coeffs(coeffs, padded))
+        return padded.to_values(self.pad_coeffs(coeffs))
 
-    def project_to_coeffs(self, fine_values: np.ndarray, nfactors: int = 2) -> np.ndarray:
+    def project_to_coeffs(self, fine_values: np.ndarray) -> np.ndarray:
         """Coefficients back from padded-grid values (last axis), one transform,
         dropping the unresolved tail: the half spectrum of real values, the
         full spectrum of complex ones."""
-        padded = self._padded(nfactors)
+        padded = self._padded()
         if np.isrealobj(fine_values):
-            return self.project_rcoeffs(padded.to_rcoeffs(fine_values), nfactors)
-        return self.truncate_coeffs(padded.to_coeffs(fine_values), padded)
+            return self.project_rcoeffs(padded.to_rcoeffs(fine_values))
+        return self.truncate_coeffs(padded.to_coeffs(fine_values))
 
-    def refine_values(self, values: np.ndarray, nfactors: int = 2) -> np.ndarray:
+    def refine_values(self, values: np.ndarray) -> np.ndarray:
         """Values resampled on the padded grid for pointwise nonlinearities."""
         to_coeffs = self.to_rcoeffs if np.isrealobj(values) else self.to_coeffs
-        return self.refine_to_values(to_coeffs(values), nfactors)
+        return self.refine_to_values(to_coeffs(values))
 
-    def project_values(self, fine_values: np.ndarray, nfactors: int = 2) -> np.ndarray:
+    def project_values(self, fine_values: np.ndarray) -> np.ndarray:
         """Back from the padded grid, dropping the unresolved tail."""
         to_values = self.to_rvalues if np.isrealobj(fine_values) else self.to_values
-        return to_values(self.project_to_coeffs(fine_values, nfactors))
+        return to_values(self.project_to_coeffs(fine_values))
 
     def product_values(self, factors: Sequence[np.ndarray]) -> np.ndarray:
-        """Exact (dealiased) pointwise product of band-limited fields."""
+        """Exact (dealiased) pointwise product of up to three band-limited
+        fields; more would alias on the 2N grid."""
         p = len(factors)
+        if p > 3:
+            raise ParameterError(f"a dealiased product takes at most three "
+                                 f"factors, got {p}")
         if p == 1:
             return factors[0]
         prod = None
         for f in factors:
-            fv = self.refine_values(f, p)
+            fv = self.refine_values(f)
             prod = fv if prod is None else prod * fv
-        return self.project_values(prod, p)
+        return self.project_values(prod)
 
 
 def _parity_defect(grid: SpectralGrid, values: np.ndarray, parity: str) -> float:

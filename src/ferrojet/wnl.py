@@ -65,13 +65,12 @@ class MagnetizationLaw:
     nu_prime: Callable[[np.ndarray], np.ndarray]
     nu2: float
     nu3: float
-    label: str = "custom"
 
     @staticmethod
     def linear() -> "MagnetizationLaw":
         """Linear magnetisation m(s) = s, i.e. nu(s) = s^2/2."""
         return MagnetizationLaw(nu=lambda s: 0.5 * np.asarray(s) ** 2,
-                                nu2=1.0, nu3=0.0, label="linear",
+                                nu2=1.0, nu3=0.0,
                                 nu_prime=lambda s: np.asarray(s, dtype=float))
 
     @staticmethod
@@ -86,8 +85,7 @@ class MagnetizationLaw:
             d = np.asarray(s) - 1.0
             return 1.0 + nu2 * d + 0.5 * nu3 * d**2
 
-        return MagnetizationLaw(nu=nu, nu2=nu2, nu3=nu3, label="cubic",
-                                nu_prime=nu_prime)
+        return MagnetizationLaw(nu=nu, nu_prime=nu_prime, nu2=nu2, nu3=nu3)
 
     def validate(self) -> None:
         """Finite-difference check of nu'(1) = 1 to 1e-8 and of the stored

@@ -184,7 +184,7 @@ def test_extraction_matches_wnl_zeta_coeffs(linear_law):
 
 def _refine_each(grid, f):
     """f, f_z and f_zz refined one field at a time through nodal values."""
-    return tuple(grid.refine_values(v, 3) for v in
+    return tuple(grid.refine_values(v) for v in
                  (f, grid.deriv_values(f), grid.deriv_values(f, 2)))
 
 
@@ -196,7 +196,7 @@ def test_pressure_jvp_matches_finite_difference(grid, linear_law, smooth_eta, rn
     h = 1e-6
     fd = (op.pressure_exact(grid, eta + h * rho, 5.0, linear_law)
           - op.pressure_exact(grid, eta - h * rho, 5.0, linear_law)) / (2 * h)
-    jv = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, rho)), 3)
+    jv = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, rho)))
     assert np.max(np.abs(fd - jv)) <= 1e-5
 
 
@@ -251,29 +251,29 @@ class _NodalKineticLinearization:
             P = op.dn_expansion(grid, self.eta, self.xi_comb, 2)
         else:
             P = grid.to_rvalues(dn_apply(grid.to_rcoeffs(self.xi_comb)))
-        Pf = grid.refine_values(P, 3)
+        Pf = grid.refine_values(P)
         s2 = 1.0 + ezf**2
         W = ezf**2 / (2.0 * s2)
         self.value_f = -0.5 * Pf**2 + W * (1.0 - Pf) ** 2 + Pf
         if slope_from_expansion:
             Pf = grid.refine_values(
-                op.dn_expansion(grid, self.eta, self.xi_comb, 2), 3)
+                op.dn_expansion(grid, self.eta, self.xi_comb, 2))
         self.dG_dP = 1.0 - Pf - 2.0 * W * (1.0 - Pf)
         self.dG_dez = ezf / s2**2 * (1.0 - Pf) ** 2
 
     def project(self, fine_values):
-        return self.grid.to_rcoeffs(self.grid.project_values(fine_values, 3))
+        return self.grid.to_rcoeffs(self.grid.project_values(fine_values))
 
     def apply(self, rows, pressure_fields, c2):
         grid, eta, xi = self.grid, self.eta, self.xi_comb
         rho = grid.to_rvalues(rows)
         dP = op.dn1_apply(grid, rho, xi) + 2.0 * op.dn2_apply(grid, eta, rho, xi)
         dP = dP + op.dn_expansion(grid, eta, rho + grid.product_values([eta, rho]), 2)
-        dPf = grid.refine_values(dP, 3)
-        rzf = grid.refine_values(grid.deriv_values(rho), 3)
-        out = grid.project_values(self.dG_dP * dPf + self.dG_dez * rzf, 3)
+        dPf = grid.refine_values(dP)
+        rzf = grid.refine_values(grid.deriv_values(rho))
+        out = grid.project_values(self.dG_dP * dPf + self.dG_dez * rzf)
         press = op.pressure_jvp(pressure_fields, _refine_each(grid, rho))
-        return grid.to_rcoeffs(grid.project_values(press, 3) - c2 * out)
+        return grid.to_rcoeffs(grid.project_values(press) - c2 * out)
 
 
 def _regime_eta(grid, regime):
@@ -353,7 +353,7 @@ def test_coordinate_jv_matches_nodal_composition(regime, linear_law):
     # the nodal composition to_coords(pressure - c^2 kinetic)
     eta, w = basis.to_values(v), basis.to_values(W)
     _, fields = op.pressure_jacobian_fields(_refine_each(grid, eta), gamma, linear_law)
-    press = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, w)), 3)
+    press = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, w)))
     kinetic = grid.to_rvalues(
         _kinetic_jv(_NodalKineticLinearization(grid, v), grid.to_rcoeffs(w)))
     ref = basis.to_coords(press - c2 * kinetic)
@@ -448,7 +448,7 @@ def test_pressure_routines_match_refine_per_field(linear_law, rng):
     s = np.sqrt(s2)
     ref_p = grid.project_values(
         -gamma * (linear_law.nu(1.0 / w) - linear_law.nu(1.0))
-        + 1.0 / (w * s) - ezzf / s**3 - 1.0, 3)
+        + 1.0 / (w * s) - ezzf / s**3 - 1.0)
     got_p = op.pressure_exact(grid, eta, gamma, linear_law)
     assert np.max(np.abs(got_p - ref_p)) <= 1e-12 * np.max(np.abs(ref_p))
 
@@ -461,7 +461,7 @@ def test_pressure_routines_match_refine_per_field(linear_law, rng):
     for got, ref in zip(surface, (ef, ezf, ezzf)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     value, fields = op.pressure_jacobian_fields(surface, gamma, linear_law)
-    assert np.array_equal(grid.project_values(value, 3), got_p)
+    assert np.array_equal(grid.project_values(value), got_p)
     for got, ref in zip(fields, ref_fields):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -471,10 +471,10 @@ def test_pressure_routines_match_refine_per_field(linear_law, rng):
     ref_rows = []
     for rho in R:
         rf, rzf, rzzf = _refine_each(grid, rho)
-        ref_rows.append(grid.project_values(A * rf + B * rzf + C * rzzf, 3))
-    got = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, R)), 3)
+        ref_rows.append(grid.project_values(A * rf + B * rzf + C * rzzf))
+    got = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, R)))
     assert got.shape == R.shape
     for g, ref in zip(got, ref_rows):
         assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
-    single = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, R[0])), 3)
+    single = grid.project_values(op.pressure_jvp(fields, _refine_each(grid, R[0])))
     assert np.max(np.abs(single - ref_rows[0])) <= 1e-12 * np.max(np.abs(ref_rows[0]))

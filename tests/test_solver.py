@@ -105,6 +105,32 @@ def test_nls_solve_evaluates_its_coefficients_once(linear_law, monkeypatch):
     assert rep.converged and calls == [15.0]
 
 
+def test_nls_cubic_lives_on_the_2n_grid(linear_law):
+    # |z|^2 z has three factors, the most the one 2N dealiasing grid resolves
+    grid = SpectralGrid.make(40.0, 256)
+    p = make_profile(15.0)
+    n = nls_coeffs(15.0, linear_law, p)
+    problem = solver.fd_nls_problem(p, n, 0.1, grid)
+    sizes = {"refine_to_values": [], "project_to_coeffs": []}
+    refine, project = grid.refine_to_values, grid.project_to_coeffs
+
+    def recorded_refine(coeffs, *args):
+        fine = refine(coeffs, *args)
+        sizes["refine_to_values"].append(fine.shape[-1])
+        return fine
+
+    def recorded_project(fine, *args):
+        sizes["project_to_coeffs"].append(fine.shape[-1])
+        return project(fine, *args)
+
+    grid.refine_to_values, grid.project_to_coeffs = recorded_refine, recorded_project
+    v = problem.basis.to_coords(zeta_nls(grid.z, n).astype(complex))
+    problem.residual_at(v)
+    problem.linearize(v)(np.eye(problem.dim)[:2])
+    assert sizes == {"refine_to_values": [2 * grid.N] * 2,
+                     "project_to_coeffs": [2 * grid.N] * 2}
+
+
 def test_cutoff_width_is_validated(linear_law):
     grid = solver.default_scaled_grid()
     p = make_profile(15.0)

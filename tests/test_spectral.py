@@ -81,11 +81,17 @@ def test_triple_product_dealiased(grid):
     assert np.max(np.abs(p - exact)) <= 1e-13
 
 
+def test_product_takes_at_most_three_factors(grid):
+    # the 2N grid resolves three factors of bandwidth N/2; a fourth would alias
+    a = np.cos(grid.z)
+    with pytest.raises(ParameterError):
+        grid.product_values([a, a, a, a])
+
+
 def test_pad_truncate_nyquist_round_trip(grid):
     c = np.zeros(grid.N, dtype=complex)
     c[grid.N // 2] = 1.0
-    padded = grid._padded(2)
-    rt = grid.truncate_coeffs(grid.pad_coeffs(c, padded), padded)
+    rt = grid.truncate_coeffs(grid.pad_coeffs(c))
     assert np.max(np.abs(rt - c)) == 0.0
 
 
@@ -177,13 +183,13 @@ def test_real_product_matches_complex_path(grid, rows, nfactors):
 
 
 def test_real_refine_and_project_match_complex_path(grid, rows):
-    fine = grid.refine_values(rows, 3)
-    fine_c = grid.refine_values(rows.astype(complex), 3)
-    assert fine.shape == (4, grid._padded(3).N)
+    fine = grid.refine_values(rows)
+    fine_c = grid.refine_values(rows.astype(complex))
+    assert fine.shape == (4, 2 * grid.N)
     assert_close(fine, fine_c)
     pointwise = np.cos(fine) * fine  # a non-polynomial nonlinearity
-    assert_close(grid.project_values(pointwise, 3),
-                 grid.project_values(pointwise.astype(complex), 3))
+    assert_close(grid.project_values(pointwise),
+                 grid.project_values(pointwise.astype(complex)))
 
 
 @pytest.mark.parametrize("which", ["ik", "ik2", "dn0"])
@@ -195,15 +201,15 @@ def test_real_apply_symbol_matches_complex_path(grid, rows, which):
 
 def test_half_spectrum_refine_and_project_match_the_value_routes(grid, rows):
     rc = grid.to_rcoeffs(rows)
-    fine = grid._padded(3)
-    assert np.array_equal(fine.to_rvalues(grid.refine_rcoeffs(rc, 3)),
-                          grid.refine_values(rows, 3))
-    pointwise = np.cos(grid.refine_values(rows, 3))
+    fine = grid._padded()
+    assert np.array_equal(fine.to_rvalues(grid.refine_rcoeffs(rc)),
+                          grid.refine_values(rows))
+    pointwise = np.cos(grid.refine_values(rows))
     assert np.array_equal(
-        grid.to_rvalues(grid.project_rcoeffs(fine.to_rcoeffs(pointwise), 3)),
-        grid.project_values(pointwise, 3))
+        grid.to_rvalues(grid.project_rcoeffs(fine.to_rcoeffs(pointwise))),
+        grid.project_values(pointwise))
     # the round trip keeps a half spectrum whose c_0 and c_N/2 are real
-    back = grid.project_rcoeffs(grid.refine_rcoeffs(rc, 3), 3)
+    back = grid.project_rcoeffs(grid.refine_rcoeffs(rc))
     assert np.array_equal(back.imag[:, [0, -1]], np.zeros((4, 2)))
     assert np.max(np.abs(back - rc)) <= 1e-15 * np.max(np.abs(rc))
 
@@ -212,14 +218,14 @@ def test_coefficient_refine_and_project_in_both_layouts(grid, rows):
     # a half spectrum refines to real values, a full spectrum to complex
     # ones; the value routes are these with one transform in front or behind
     rc, c = grid.to_rcoeffs(rows), grid.to_coeffs(rows.astype(complex))
-    fine = grid.refine_to_values(rc, 3)
-    assert np.array_equal(fine, grid.refine_values(rows, 3))
-    assert_close(fine, grid.refine_to_values(c, 3))
+    fine = grid.refine_to_values(rc)
+    assert np.array_equal(fine, grid.refine_values(rows))
+    assert_close(fine, grid.refine_to_values(c))
     pointwise = np.cos(fine) * fine
-    half = grid.project_to_coeffs(pointwise, 3)
+    half = grid.project_to_coeffs(pointwise)
     assert half.shape == rc.shape
-    assert np.array_equal(grid.to_rvalues(half), grid.project_values(pointwise, 3))
-    full = grid.project_to_coeffs(pointwise.astype(complex), 3)
+    assert np.array_equal(grid.to_rvalues(half), grid.project_values(pointwise))
+    full = grid.project_to_coeffs(pointwise.astype(complex))
     assert full.shape == c.shape
     assert np.max(np.abs(full[..., : grid.N // 2 + 1] - half)) <= 1e-12 * np.max(
         np.abs(half))
@@ -227,6 +233,19 @@ def test_coefficient_refine_and_project_in_both_layouts(grid, rows):
         grid.refine_to_values(np.ones(grid.N + 2))
     with pytest.raises(ParameterError):  # below N = 4 the two layouts coincide
         SpectralGrid.make(1.0, 2)
+
+
+def test_one_dealiasing_grid_of_2n_points(rows):
+    grid = SpectralGrid.make(8 * np.pi, 128)  # an empty cache
+    rc, c = grid.to_rcoeffs(rows), grid.to_coeffs(rows.astype(complex))
+    assert grid.refine_to_values(rc).shape == (4, 2 * grid.N)
+    assert grid.refine_to_values(c).shape == (4, 2 * grid.N)
+    grid.product_values([rows, rows])
+    grid.product_values([rows, rows, rows])
+    assert grid._padded() is grid._padded()
+    assert grid._padded().N == 2 * grid.N
+    cached = [v for v in grid._cache.values() if isinstance(v, SpectralGrid)]
+    assert len(cached) == 1 and cached[0] is grid._padded()
 
 
 # a wrong-length last axis raises instead of being padded or cut to N
