@@ -7,11 +7,15 @@ they check: quadrature of integral representations for the special
 functions, closed-form kernel identities for the Green's function, the flat
 multiplier and amplitude-sweep slopes for the boundary-value solver, and
 operator-level mode extraction for the weakly nonlinear constants.
+
+Code that only these oracles need lives here, not in the modules the solves
+call: modified Struve L0, L1 (``struvel``) and the kernel identities
+(``integral_*`` by quadrature, ``closed_form_*``).
 """
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -20,23 +24,35 @@ import numpy as np
 from . import dno
 from . import operators as op
 from .dispersion import h_function, make_profile
+from .dno import _gauss_rule, greens_kernel
+from .errors import DomainError
 from .spectral import SpectralGrid
 from .specfun import (
     SEAM_I,
     SEAM_K,
+    _besseli_scaled,
+    _besselk_scaled,
+    _converged,
     _iv_asym_scaled,
     _iv_series_scaled,
     _kv_cheb_scaled,
     _kv_series_scaled,
+    _probe,
+    _vectorise,
     besseli,
     besselk,
-    struve_bessel_cross,
-    struvel,
 )
 from .wnl import MagnetizationLaw
 
 __all__ = [
     "CheckRow",
+    "struvel",
+    "struve_bessel_cross",
+    "integral_abs_G",
+    "integral_abs_H1",
+    "integral_H3",
+    "closed_form_H1_integral",
+    "closed_form_H3_integral",
     "specfun_suite",
     "dispersion_suite",
     "greens_suite",
@@ -66,14 +82,153 @@ def _row(suite, name, value, target, tol, relative=True) -> CheckRow:
                     passed=bool(err <= tol))
 
 
+def _sign_row(suite, name, value, passed, tol=0.0, sign=1.0) -> CheckRow:
+    """A sign condition on ``value``: the error is how far sign * value lies
+    below 0, and ``passed`` says whether the condition holds."""
+    return CheckRow(suite=suite, name=name, value=value, target=0.0,
+                    error=max(0.0, -sign * value), tol=tol, passed=bool(passed))
+
+
+# -- modified Struve L ----------------------------------------------------------
+
+# series below SEAM_L (_L_SERIES_TERMS is a cap), L - I asymptotics above
+SEAM_L = 60.0
+_L_SERIES_TERMS = 130
+
+
+def _lv_series(order: int, x: np.ndarray) -> np.ndarray:
+    """L_order(x) by the ascending series; positive terms, x <= SEAM_L."""
+    t = 0.25 * x * x
+    # term0 = (x/2)^(order+1) / (Gamma(3/2) Gamma(order + 3/2))
+    if order == 0:
+        term = (0.5 * x) / (0.25 * np.pi)
+    else:
+        term = (0.5 * x) ** 2 / (0.375 * np.pi)
+    total = term.copy()
+    probe = _probe(x)
+    for m in range(1, _L_SERIES_TERMS):
+        term = term * t / ((m + 0.5) * (m + order + 0.5))
+        total += term
+        if _converged(term, total, probe):
+            break
+    return total
+
+
+def _lv_minus_iv_asym(order: int, x: np.ndarray) -> np.ndarray:
+    """L_nu(x) - I_nu(x) for large x (DLMF 11.6.2 with z = x on the real axis)."""
+    # L_nu - I_nu ~ -(1/pi) sum_k (-1)^k Gamma(k+1/2) (x/2)^(nu-2k-1) / Gamma(nu+1/2-k)
+    total = np.zeros_like(x)
+    half = 0.5 * x
+    for k in range(12):
+        num = math.gamma(k + 0.5)
+        den = math.gamma(order + 0.5 - k)
+        total += (-1.0) ** k * num / den * half ** (order - 2 * k - 1)
+    return -total / np.pi
+
+
+def struvel(order: int, x):
+    """Modified Struve L_order(x) for order in {0, 1}, x >= 0."""
+    if order not in (0, 1):
+        raise DomainError(f"unsupported order {order}; need 0 or 1")
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0):
+        raise DomainError("modified Struve L requires x >= 0")
+
+    def fn(a):
+        out = np.empty_like(a)
+        lo = a <= SEAM_L
+        if np.any(lo):
+            out[lo] = _lv_series(order, a[lo])
+        if np.any(~lo):
+            hi = a[~lo]
+            out[~lo] = besseli(order, hi) + _lv_minus_iv_asym(order, hi)
+        return out
+
+    return _vectorise(x, fn)
+
+
+def struve_bessel_cross(s):
+    """pi * s * (I1(s) L0(s) - I0(s) L1(s)); nondecreasing, derivative 2 s I1(s)."""
+    arr = np.asarray(s, dtype=float)
+    if np.any(arr < 0):
+        raise DomainError("requires s >= 0")
+
+    def fn(a):
+        return np.pi * a * (
+            besseli(1, a) * struvel(0, a) - besseli(0, a) * struvel(1, a)
+        )
+
+    return _vectorise(s, fn)
+
+
+# -- Green's-kernel identities --------------------------------------------------
+
+
+def _panels(r0: float, n_inner: int = 24, n_outer: int = 16):
+    """Quadrature panels for int_0^1 with a kink at r0 and a log point at 0.
+
+    [0, r0] is one panel (integrand analytic there); [r0, 1] is graded
+    dyadically away from r0 so each panel keeps the rt = 0 singularity at a
+    distance comparable to its length.  Only the kernel-identity integrals
+    below use it, on the whole kernel at one r; the solution operator has
+    its own shared rule.
+    """
+    xg_in, wg_in = _gauss_rule(n_inner)
+    xg_out, wg_out = _gauss_rule(n_outer)
+    nodes = [0.5 * r0 * (xg_in + 1.0)]
+    weights = [0.5 * r0 * wg_in]
+    a = r0
+    while a < 1.0:
+        b = min(2.0 * a, 1.0)
+        nodes.append(0.5 * (b - a) * (xg_out + 1.0) + a)
+        weights.append(0.5 * (b - a) * wg_out)
+        a = b
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def integral_abs_G(k: float, r: float) -> float:
+    """Quadrature of int_0^1 rt |G(r, rt)| drt (G is negative definite)."""
+    q, w = _panels(r)
+    G = greens_kernel(k, r, q)["G"]
+    return float(np.sum(w * q * np.abs(G)))
+
+
+def integral_abs_H1(k: float, r: float) -> float:
+    """Quadrature of int_0^1 rt |H1(r, rt)| drt (sign flips across rt = r)."""
+    q, w = _panels(r)
+    H1 = greens_kernel(k, r, q)["H1"]
+    return float(np.sum(w * q * np.abs(H1)))
+
+
+def integral_H3(k: float, r: float) -> float:
+    """Quadrature of int_0^1 rt H3(r, rt) drt (H3 is nonnegative)."""
+    q, w = _panels(r)
+    H3 = greens_kernel(k, r, q)["H3"]
+    return float(np.sum(w * q * H3))
+
+
+def closed_form_H1_integral(k: float, r: float) -> float:
+    """|k| int rt |H1| drt = 2|k| r I1(|k|r) (K1(|k|r) - K1(|k|)/I1(|k|) I1(|k|r))."""
+    x = abs(k)
+    i1r = _besseli_scaled(1, np.array([x * r]))[0]
+    k1r = _besselk_scaled(1, np.array([x * r]))[0]
+    ratio = (_besselk_scaled(1, np.array([x])) / _besseli_scaled(1, np.array([x])))[0]
+    return float(
+        2.0 * x * r * i1r * (k1r - ratio * i1r * np.exp(2.0 * x * (r - 1.0)))
+    )
+
+
+def closed_form_H3_integral(k: float, r: float) -> float:
+    """int rt H3 drt = (pi/2) (I1(|k|r) L1(|k|)/I1(|k|) - L1(|k|r))."""
+    x = abs(k)
+    return float(
+        0.5 * np.pi * (
+            besseli(1, x * r) * struvel(1, x) / besseli(1, x) - struvel(1, x * r)
+        )
+    )
+
+
 # -- quadrature oracles ---------------------------------------------------------
-
-
-@functools.cache
-def _gauss_legendre() -> tuple:
-    """400-point Gauss-Legendre rule on [-1, 1], built on first use (not on
-    import: it is an eigenvalue problem that every CLI start would pay for)."""
-    return np.polynomial.legendre.leggauss(400)
 
 
 def bessel_i_quadrature(order: int, x: float, m: int = 512) -> float:
@@ -92,7 +247,7 @@ def bessel_i_quadrature(order: int, x: float, m: int = 512) -> float:
 def bessel_k_quadrature(order: int, x: float) -> float:
     """Scaled oracle e^x K_n(x) = int_0^inf e^{-x(cosh t - 1)} cosh(nt) dt."""
     T = float(np.arccosh(1.0 + 45.0 / x))
-    nodes, weights = _gauss_legendre()
+    nodes, weights = _gauss_rule(400)
     t = 0.5 * T * (nodes + 1.0)
     w = 0.5 * T * weights
     return float(np.sum(w * np.exp(-x * (np.cosh(t) - 1.0)) * np.cosh(order * t)))
@@ -101,7 +256,7 @@ def bessel_k_quadrature(order: int, x: float) -> float:
 def struve_l_quadrature(order: int, x: float) -> float:
     """Oracle L_0(x) = (2/pi) int_0^{pi/2} sinh(x cos t) dt and its order-1
     analogue (2x/pi) int_0^{pi/2} sinh(x cos t) sin^2 t dt."""
-    nodes, weights = _gauss_legendre()
+    nodes, weights = _gauss_rule(400)
     t = 0.25 * np.pi * (nodes + 1.0)
     w = 0.25 * np.pi * weights
     if order == 0:
@@ -161,16 +316,9 @@ def specfun_suite() -> list:
         rows.append(_row("specfun", f"K{order} branch seam agreement", a,
                          float(cheb[order][0]), 1e-12))
 
-    s = np.linspace(0.0, 20.0, 200)
-    cross = struve_bessel_cross(s)
-    rows.append(_row("specfun", "pi s (I1 L0 - I0 L1) nondecreasing (200 pts)",
-                     float(np.min(np.diff(cross))), 0.0, 1e-14,
-                     relative=False))
-    rows[-1] = CheckRow(
-        suite="specfun", name=rows[-1].name, value=rows[-1].value, target=0.0,
-        error=max(0.0, -rows[-1].value), tol=1e-14,
-        passed=bool(np.all(np.diff(cross) >= -1e-14)),
-    )
+    step = float(np.min(np.diff(struve_bessel_cross(np.linspace(0.0, 20.0, 200)))))
+    rows.append(_sign_row("specfun", "pi s (I1 L0 - I0 L1) nondecreasing (200 pts)",
+                          step, step >= -1e-14, tol=1e-14))
     return rows
 
 
@@ -178,13 +326,9 @@ def dispersion_suite(gammas: Sequence[float] = (10.0, 15.0, 30.0)) -> list:
     rows = [_row("dispersion", "h(1e-4) = 9", float(h_function(1e-4)), 9.0,
                  1e-6, relative=False)]
     ks = np.linspace(0.02, 10.0, 500)
-    hk = h_function(ks)
-    rows.append(CheckRow(
-        suite="dispersion", name="h strictly increasing (500 pts)",
-        value=float(np.min(np.diff(hk))), target=0.0,
-        error=max(0.0, -float(np.min(np.diff(hk)))), tol=0.0,
-        passed=bool(np.all(np.diff(hk) > 0.0)),
-    ))
+    step = float(np.min(np.diff(h_function(ks))))
+    rows.append(_sign_row("dispersion", "h strictly increasing (500 pts)",
+                          step, step > 0.0))
     for gamma in gammas:
         p = make_profile(gamma)
         rows.append(_row("dispersion", f"|g(omega)| gamma={gamma}",
@@ -193,11 +337,8 @@ def dispersion_suite(gammas: Sequence[float] = (10.0, 15.0, 30.0)) -> list:
                          float(abs(p.g_prime(p.omega))), 0.0, 1e-14 * p.omega,
                          relative=False))
         g2 = float(p.g_second(p.omega))
-        rows.append(CheckRow(
-            suite="dispersion", name=f"g''(omega) > 0 gamma={gamma}",
-            value=g2, target=0.0, error=max(0.0, -g2), tol=0.0,
-            passed=bool(g2 > 0.0),
-        ))
+        rows.append(_sign_row("dispersion", f"g''(omega) > 0 gamma={gamma}",
+                              g2, g2 > 0.0))
     return rows
 
 
@@ -206,32 +347,25 @@ def greens_suite(ks: Sequence[float] = (0.5, 1.0, 5.0, 20.0),
     rows = []
     for k in ks:
         for r in rs:
-            g_int = dno.integral_abs_G(k, r)
+            g_int = integral_abs_G(k, r)
             rows.append(_row("greens", f"int rt|G| = 1/k^2 (k={k}, r={r})",
                              g_int, 1.0 / k**2, 1e-8))
-            h1 = abs(k) * dno.integral_abs_H1(k, r)
+            h1 = abs(k) * integral_abs_H1(k, r)
             rows.append(_row("greens", f"|k| int rt|H1| closed form (k={k}, r={r})",
-                             h1, dno.closed_form_H1_integral(k, r), 1e-8))
-            h3 = dno.integral_H3(k, r)
+                             h1, closed_form_H1_integral(k, r), 1e-8))
+            h3 = integral_H3(k, r)
             rows.append(_row("greens", f"int rt H3 closed form (k={k}, r={r})",
-                             h3, dno.closed_form_H3_integral(k, r), 1e-8))
+                             h3, closed_form_H3_integral(k, r), 1e-8))
     rng = np.random.default_rng(7)
     kk = rng.uniform(0.2, 25.0, 200)
     rr = rng.uniform(0.01, 0.99, 200)
     tt = rng.uniform(0.01, 0.99, 200)
-    ker = dno.greens_kernel(kk, rr, tt)
-    rows.append(CheckRow(
-        suite="greens", name="G sign-definite (negative, 200 samples)",
-        value=float(np.max(ker["G"])), target=0.0,
-        error=max(0.0, float(np.max(ker["G"]))), tol=0.0,
-        passed=bool(np.all(ker["G"] < 0.0)),
-    ))
-    rows.append(CheckRow(
-        suite="greens", name="H3 sign-definite (nonnegative, 200 samples)",
-        value=float(np.min(ker["H3"])), target=0.0,
-        error=max(0.0, -float(np.min(ker["H3"]))), tol=0.0,
-        passed=bool(np.all(ker["H3"] >= 0.0)),
-    ))
+    ker = greens_kernel(kk, rr, tt)
+    g_max, h3_min = float(np.max(ker["G"])), float(np.min(ker["H3"]))
+    rows.append(_sign_row("greens", "G sign-definite (negative, 200 samples)",
+                          g_max, g_max < 0.0, sign=-1.0))
+    rows.append(_sign_row("greens", "H3 sign-definite (nonnegative, 200 samples)",
+                          h3_min, h3_min >= 0.0))
     return rows
 
 

@@ -88,8 +88,8 @@ class RunConfig:
         )
 
     def validate(self) -> None:
-        if self.gamma <= 1.0:
-            raise ParameterError(f"gamma must exceed 1, got {self.gamma}")
+        if not 1.0 < self.gamma < np.inf:  # NaN fails too
+            raise ParameterError(f"gamma must be finite and exceed 1, got {self.gamma}")
         eps_max = (solver.TRAVELLING_WAVE_EPS_MAX if self.branch == "gzcs"
                    else solver.ENVELOPE_EPS_MAX)
         if len(set(self.epsilon)) != len(self.epsilon):

@@ -134,7 +134,8 @@ def omega_of_gamma(gamma: float) -> float:
     """Root of h(omega) = gamma for gamma > 9, by bracketed bisection.
 
     h is strictly increasing and unbounded, so growing the bracket always
-    terminates; bisection then needs ~60 halvings to ``OMEGA_TOL``.
+    terminates; bisection then needs ~60 halvings to ``OMEGA_TOL``, or stops
+    at adjacent floats where their spacing exceeds it (omega >= 8192).
     """
     if gamma <= GAMMA_CRITICAL:
         raise RegimeError(
@@ -152,6 +153,8 @@ def omega_of_gamma(gamma: float) -> float:
             )
     while hi - lo > OMEGA_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if h_function(mid) < gamma:
             lo = mid
         else:
@@ -215,8 +218,8 @@ class DispersionProfile:
 
 def make_profile(gamma: float) -> DispersionProfile:
     """Classify gamma and build the dispersion profile with verified invariants."""
-    if gamma <= 1.0:
-        raise ParameterError(f"theory requires gamma > 1, got {gamma}")
+    if not 1.0 < gamma < np.inf:  # NaN fails too
+        raise ParameterError(f"theory requires finite gamma > 1, got {gamma}")
     if gamma < GAMMA_CRITICAL:
         regime, omega = Regime.STRONG, 0.0
         c0sq = 0.5 * (gamma - 1.0)

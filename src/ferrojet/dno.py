@@ -71,6 +71,9 @@ The benchmark's (5, 0.1) state reads tails of 7.5e-16 to 1.0e-15 at 16
 nodes (rounding).  Gaussian data on L = 20 and 80 read 1.6e-11 at 16 and
 about 1e-14 at 32, where the seeded solve takes one sweep; a boundary layer
 e^{|k| (r - 1)} with |k| = 40 reads 3e-2 at 16 and 1e-8 at 32, and needs 64.
+
+This module is the oracle alone; the kernel identities that certify
+``greens_kernel`` are in ``checks``.
 """
 
 from __future__ import annotations
@@ -83,23 +86,11 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, GeometryError
 from .spectral import SpectralGrid
-from .specfun import (
-    _bessel01_scaled,
-    _besseli_scaled,
-    _besselk_scaled,
-    _iv_scaled,
-    besseli,
-    struvel,
-)
+from .specfun import _bessel01_scaled, _besseli_scaled, _iv_scaled
 
 __all__ = [
     "RadialGrid",
     "greens_kernel",
-    "integral_abs_G",
-    "integral_abs_H1",
-    "integral_H3",
-    "closed_form_H1_integral",
-    "closed_form_H3_integral",
     "SolutionOperator",
     "solve_flattened_bvp",
     "dn_oracle_apply",
@@ -150,11 +141,6 @@ class RadialGrid:
     def interp_to(self, pts: np.ndarray) -> np.ndarray:
         return _interp_matrix(self.r, self._bw, np.atleast_1d(pts))
 
-    @property
-    def boundary_row(self) -> np.ndarray:
-        """Extrapolation row to r = 1 (one-sided high-order stencil)."""
-        return self.interp_to(np.array([1.0]))[0]
-
     def legendre_tail(self, values: np.ndarray) -> float:
         """Largest of the two top Legendre coefficients of ``values`` against
         the largest of all; 0 for zero values.
@@ -170,21 +156,11 @@ class RadialGrid:
         top = float(np.max(c))
         return float(np.max(c[..., -2:, :])) / top if top > 0.0 else 0.0
 
-    def diff_matrix(self) -> np.ndarray:
-        """Nodal differentiation matrix (for discrete-identity checks)."""
-        n, x, bw = self.nr, self.r, self._bw
-        D = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    D[i, j] = (bw[j] / bw[i]) / (x[i] - x[j])
-        D[np.diag_indices(n)] = -np.sum(D, axis=1)
-        return D
-
 
 # -- Green's kernels -----------------------------------------------------------
 
 
+# not on the solve path; stays in dno while the benchmark tracer patches it by name
 def greens_kernel(k, r, rt) -> dict:
     """Kernel G and its formal derivatives H1 = G_r, H2 = G_rt, H3 = G_r_rt.
 
@@ -223,70 +199,6 @@ def greens_kernel(k, r, rt) -> dict:
 def _gauss_rule(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1] (shared: read only)."""
     return np.polynomial.legendre.leggauss(n)
-
-
-def _panels(r0: float, n_inner: int = 24, n_outer: int = 16):
-    """Quadrature panels for int_0^1 with a kink at r0 and a log point at 0.
-
-    [0, r0] is one panel (integrand analytic there); [r0, 1] is graded
-    dyadically away from r0 so each panel keeps the rt = 0 singularity at a
-    distance comparable to its length.  Only the kernel-identity integrals
-    below use it, on the whole kernel at one r; the solution operator has
-    its own shared rule.
-    """
-    xg_in, wg_in = _gauss_rule(n_inner)
-    xg_out, wg_out = _gauss_rule(n_outer)
-    nodes = [0.5 * r0 * (xg_in + 1.0)]
-    weights = [0.5 * r0 * wg_in]
-    a = r0
-    while a < 1.0:
-        b = min(2.0 * a, 1.0)
-        nodes.append(0.5 * (b - a) * (xg_out + 1.0) + a)
-        weights.append(0.5 * (b - a) * wg_out)
-        a = b
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def integral_abs_G(k: float, r: float) -> float:
-    """Quadrature of int_0^1 rt |G(r, rt)| drt (G is negative definite)."""
-    q, w = _panels(r)
-    G = greens_kernel(k, r, q)["G"]
-    return float(np.sum(w * q * np.abs(G)))
-
-
-def integral_abs_H1(k: float, r: float) -> float:
-    """Quadrature of int_0^1 rt |H1(r, rt)| drt (sign flips across rt = r)."""
-    q, w = _panels(r)
-    H1 = greens_kernel(k, r, q)["H1"]
-    return float(np.sum(w * q * np.abs(H1)))
-
-
-def integral_H3(k: float, r: float) -> float:
-    """Quadrature of int_0^1 rt H3(r, rt) drt (H3 is nonnegative)."""
-    q, w = _panels(r)
-    H3 = greens_kernel(k, r, q)["H3"]
-    return float(np.sum(w * q * H3))
-
-
-def closed_form_H1_integral(k: float, r: float) -> float:
-    """|k| int rt |H1| drt = 2|k| r I1(|k|r) (K1(|k|r) - K1(|k|)/I1(|k|) I1(|k|r))."""
-    x = abs(k)
-    i1r = _besseli_scaled(1, np.array([x * r]))[0]
-    k1r = _besselk_scaled(1, np.array([x * r]))[0]
-    ratio = (_besselk_scaled(1, np.array([x])) / _besseli_scaled(1, np.array([x])))[0]
-    return float(
-        2.0 * x * r * i1r * (k1r - ratio * i1r * np.exp(2.0 * x * (r - 1.0)))
-    )
-
-
-def closed_form_H3_integral(k: float, r: float) -> float:
-    """int rt H3 drt = (pi/2) (I1(|k|r) L1(|k|)/I1(|k|) - L1(|k|r))."""
-    x = abs(k)
-    return float(
-        0.5 * np.pi * (
-            besseli(1, x * r) * struvel(1, x) / besseli(1, x) - struvel(1, x * r)
-        )
-    )
 
 
 # -- solution operator ---------------------------------------------------------

@@ -74,8 +74,6 @@ __all__ = [
     "pressure_exact",
     "pressure_term",
     "kinetic_term",
-    "kinetic_term2_alt",
-    "kinetic_term3_alt",
     "kinetic_exact",
     "wave_residual",
     "ExtractionRecord",
@@ -253,32 +251,7 @@ def kinetic_term(grid: SpectralGrid, eta, j: int) -> np.ndarray:
     raise ParameterError(f"homogeneous kinetic degree must be 1..3, got {j}")
 
 
-def kinetic_term2_alt(grid: SpectralGrid, eta) -> np.ndarray:
-    """Equivalent quadratic kinetic form written through K1 (consistency check)."""
-    ez = _dz(grid, eta)
-    k0e = dn0_apply(grid, eta)
-    return 0.5 * (
-        grid.product_values([ez, ez])
-        - grid.product_values([k0e, k0e])
-        + dn0_apply(grid, grid.product_values([eta, eta]))
-        + 2.0 * dn1_apply(grid, eta, eta)
-    )
-
-
-def kinetic_term3_alt(grid: SpectralGrid, eta) -> np.ndarray:
-    """Equivalent cubic kinetic form written through K1, K2 (consistency check)."""
-    ez = _dz(grid, eta)
-    k0e = dn0_apply(grid, eta)
-    eta2 = grid.product_values([eta, eta])
-    k1_eta = dn1_apply(grid, eta, eta)
-    return (
-        -grid.product_values([ez, ez, k0e])
-        - 0.5 * grid.product_values([k0e, dn0_apply(grid, eta2) + 2.0 * k1_eta])
-        + 0.5 * dn1_apply(grid, eta, eta2)
-        + dn2_apply(grid, eta, eta, eta)
-    )
-
-
+# not on the Newton path; both stay while the benchmark tracer patches wave_residual
 def kinetic_exact(grid: SpectralGrid, eta,
                   dn_apply: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Kinetic functional with K(eta) realised by ``dn_apply``.

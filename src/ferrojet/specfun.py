@@ -1,7 +1,7 @@
-"""Modified Bessel and modified Struve functions on the nonnegative real axis.
+"""Modified Bessel functions on the nonnegative real axis: what the solves evaluate.
 
-Provides I0, I1, I2, K0, K1 and L0, L1 together with exponentially scaled
-variants (e^-x I_n, e^x K_n) and the dispersion ratio
+Provides I0, I1, I2, K0, K1 together with exponentially scaled variants
+(e^-x I_n, e^x K_n) and the dispersion ratio
 
     f(k) = |k| I0(|k|) / I1(|k|),
 
@@ -24,6 +24,8 @@ partial sum in every element; the term counts are only caps.  I2 keeps its
 own series (no recurrence from I0, I1, whose cancellation f' would feel).
 
 Everything is vectorised over numpy arrays; scalars in give scalars out.
+The modified Struve functions L0, L1, which only the kernel identities need,
+are in ``checks``.
 """
 
 from __future__ import annotations
@@ -38,13 +40,10 @@ from .errors import DomainError
 __all__ = [
     "besseli",
     "besselk",
-    "struvel",
     "f_ratio",
     "f_ratio_minus2",
-    "struve_bessel_cross",
     "SEAM_I",
     "SEAM_K",
-    "SEAM_L",
 ]
 
 # Branch seams.  The I series keeps all-positive terms, so accuracy is pure
@@ -53,7 +52,6 @@ __all__ = [
 # digit to cancellation at x=2; the Chebyshev series takes over there.
 SEAM_I = 30.0
 SEAM_K = 2.0
-SEAM_L = 60.0
 
 _EULER_GAMMA = 0.57721566490153286060651209008240243
 
@@ -61,7 +59,6 @@ _EULER_GAMMA = 0.57721566490153286060651209008240243
 # _SERIES_RTOL of its partial sum in every element.
 _I_SERIES_TERMS = 80
 _K_SERIES_TERMS = 20
-_L_SERIES_TERMS = 130
 _SERIES_RTOL = 1e-17
 _ASYM_TERMS = 24
 
@@ -221,36 +218,6 @@ def _kv_cheb_scaled(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return k0, k1
 
 
-def _lv_series(order: int, x: np.ndarray) -> np.ndarray:
-    """L_order(x) by the ascending series; positive terms, x <= SEAM_L."""
-    t = 0.25 * x * x
-    # term0 = (x/2)^(order+1) / (Gamma(3/2) Gamma(order + 3/2))
-    if order == 0:
-        term = (0.5 * x) / (0.25 * np.pi)
-    else:
-        term = (0.5 * x) ** 2 / (0.375 * np.pi)
-    total = term.copy()
-    probe = _probe(x)
-    for m in range(1, _L_SERIES_TERMS):
-        term = term * t / ((m + 0.5) * (m + order + 0.5))
-        total += term
-        if _converged(term, total, probe):
-            break
-    return total
-
-
-def _lv_minus_iv_asym(order: int, x: np.ndarray) -> np.ndarray:
-    """L_nu(x) - I_nu(x) for large x (DLMF 11.6.2 with z = x on the real axis)."""
-    # L_nu - I_nu ~ -(1/pi) sum_k (-1)^k Gamma(k+1/2) (x/2)^(nu-2k-1) / Gamma(nu+1/2-k)
-    total = np.zeros_like(x)
-    half = 0.5 * x
-    for k in range(12):
-        num = math.gamma(k + 0.5)
-        den = math.gamma(order + 0.5 - k)
-        total += (-1.0) ** k * num / den * half ** (order - 2 * k - 1)
-    return -total / np.pi
-
-
 def _vectorise(x, fn):
     arr = np.asarray(x, dtype=float)
     out = fn(np.atleast_1d(arr))
@@ -331,41 +298,6 @@ def besselk(order: int, x, scaled: bool = False):
         return v * np.exp(-a)
 
     return _vectorise(x, fn)
-
-
-def struvel(order: int, x):
-    """Modified Struve L_order(x) for order in {0, 1}, x >= 0."""
-    if order not in (0, 1):
-        raise DomainError(f"unsupported order {order}; need 0 or 1")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("modified Struve L requires x >= 0")
-
-    def fn(a):
-        out = np.empty_like(a)
-        lo = a <= SEAM_L
-        if np.any(lo):
-            out[lo] = _lv_series(order, a[lo])
-        if np.any(~lo):
-            hi = a[~lo]
-            out[~lo] = besseli(order, hi) + _lv_minus_iv_asym(order, hi)
-        return out
-
-    return _vectorise(x, fn)
-
-
-def struve_bessel_cross(s):
-    """pi * s * (I1(s) L0(s) - I0(s) L1(s)); nondecreasing, derivative 2 s I1(s)."""
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("requires s >= 0")
-
-    def fn(a):
-        return np.pi * a * (
-            besseli(1, a) * struvel(0, a) - besseli(0, a) * struvel(1, a)
-        )
-
-    return _vectorise(s, fn)
 
 
 def _f_series_fractions(nterms: int = 14) -> list[Fraction]:

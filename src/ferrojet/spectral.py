@@ -351,12 +351,8 @@ class SpectralField:
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Sharp spectral cutoffs around the carrier.
-
-    chi0 is the indicator of |k| < delta; chi is the indicator of the
-    carrier bands (+-omega - delta, +-omega + delta), which degenerates to
-    chi0 when omega = 0.  Sharp by construction, hence idempotent.
-    """
+    """Sharp spectral cutoff chi0 = 1{|k| < delta}, hence idempotent; with a
+    carrier omega > 0 the width must satisfy delta < omega/3."""
 
     delta: float
     omega: float = 0.0
@@ -371,8 +367,3 @@ class CutoffSpec:
 
     def chi0(self, k) -> np.ndarray:
         return (np.abs(np.asarray(k)) < self.delta).astype(float)
-
-    def chi(self, k) -> np.ndarray:
-        return (np.abs(np.abs(np.asarray(k)) - self.omega) < self.delta).astype(
-            float
-        )

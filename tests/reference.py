@@ -4,6 +4,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ferrojet.operators import _dz, dn0_apply, dn1_apply, dn2_apply
+
 
 def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
           rtol: float, restart: int, max_iter: int,
@@ -50,3 +52,48 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             break
         x, r, beta = x_new, r_new, beta_new
     return x, its, beta / bnorm
+
+
+def kinetic_term2_alt(grid, eta) -> np.ndarray:
+    """Equivalent quadratic kinetic form written through K1 (consistency check)."""
+    ez = _dz(grid, eta)
+    k0e = dn0_apply(grid, eta)
+    return 0.5 * (
+        grid.product_values([ez, ez])
+        - grid.product_values([k0e, k0e])
+        + dn0_apply(grid, grid.product_values([eta, eta]))
+        + 2.0 * dn1_apply(grid, eta, eta)
+    )
+
+
+def kinetic_term3_alt(grid, eta) -> np.ndarray:
+    """Equivalent cubic kinetic form written through K1, K2 (consistency check)."""
+    ez = _dz(grid, eta)
+    k0e = dn0_apply(grid, eta)
+    eta2 = grid.product_values([eta, eta])
+    k1_eta = dn1_apply(grid, eta, eta)
+    return (
+        -grid.product_values([ez, ez, k0e])
+        - 0.5 * grid.product_values([k0e, dn0_apply(grid, eta2) + 2.0 * k1_eta])
+        + 0.5 * dn1_apply(grid, eta, eta2)
+        + dn2_apply(grid, eta, eta, eta)
+    )
+
+
+def diff_matrix(rgrid) -> np.ndarray:
+    """Nodal differentiation matrix of a ``dno.RadialGrid`` (for
+    discrete-identity checks)."""
+    n, x, bw = rgrid.nr, rgrid.r, rgrid._bw
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = (bw[j] / bw[i]) / (x[i] - x[j])
+    D[np.diag_indices(n)] = -np.sum(D, axis=1)
+    return D
+
+
+def boundary_row(rgrid) -> np.ndarray:
+    """Extrapolation row of a ``dno.RadialGrid`` to r = 1 (one-sided
+    high-order stencil)."""
+    return rgrid.interp_to(np.array([1.0]))[0]

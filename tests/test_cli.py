@@ -308,6 +308,26 @@ def test_solve_rejects_bad_numbers(tmp_path, capsys, option):
     assert not list(tmp_path.glob("solve_*.json"))
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["solve", "--branch", "kdv", "--epsilon", "0.1"],
+    ["solve", "--branch", "nls+", "--epsilon", "0.1"],
+    ["solve", "--branch", "nls-", "--epsilon", "0.1"],
+    ["solve", "--branch", "gzcs", "--epsilon", "0.1"],
+    ["dispersion"],
+    ["wnl"],
+], ids=lambda command: command[2] if command[0] == "solve" else command[0])
+def test_rejects_non_finite_gamma(tmp_path, capsys, command, gamma):
+    # unchecked, NaN failed g''(omega) > 0 (exit 3) and inf never left the
+    # bisection for omega
+    rc = main([*command, "--gamma", gamma, "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError"
+    assert err["message"] == f"gamma must be finite and exceed 1, got {gamma}"
+    assert not list(tmp_path.iterdir())
+
+
 def test_branch_options_default_to_unset():
     assert RunConfig().delta is None
     RunConfig(branch="kdv", delta=2.0).validate()

@@ -91,6 +91,20 @@ def test_omega_round_trips():
         dsp.omega_of_gamma(5.0)
 
 
+def test_omega_returns_where_float_spacing_exceeds_the_bracket_tolerance():
+    # omega ~ sqrt(gamma - 1) = 1e4: one float step is 1.8e-12 > OMEGA_TOL, so
+    # the bisection stops at adjacent floats; below 8192 nothing changes
+    omega = dsp.omega_of_gamma(1e8)
+    assert abs(dsp.h_function(omega) / 1e8 - 1.0) <= 1e-10
+    assert dsp.omega_of_gamma(15.0) == 2.675240200697746
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_profile_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ParameterError):
+        dsp.make_profile(gamma)
+
+
 @pytest.mark.parametrize("gamma", [10.0, 15.0, 30.0])
 def test_weak_profile_minimum_conditions(gamma):
     p = dsp.make_profile(gamma)

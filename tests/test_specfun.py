@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ferrojet import checks
 from ferrojet import specfun as sf
 from ferrojet.checks import (
     bessel_i_quadrature,
@@ -21,8 +22,8 @@ def test_series_values_at_origin():
     assert sf.besseli(0, 0.0) == 1.0
     assert sf.besseli(1, 0.0) == 0.0
     assert sf.besseli(2, 0.0) == 0.0
-    assert sf.struvel(0, 0.0) == 0.0
-    assert sf.struvel(1, 0.0) == 0.0
+    assert checks.struvel(0, 0.0) == 0.0
+    assert checks.struvel(1, 0.0) == 0.0
 
 
 def test_i0_at_10_matches_quadrature_oracle():
@@ -72,19 +73,19 @@ def test_scaled_variant_finite_up_to_1e4():
 def test_struve_quadrature_oracle_at_3():
     oracle = struve_l_quadrature(0, 3.0)
     assert abs(oracle - L0_AT_3) <= 1e-12 * L0_AT_3
-    assert abs(sf.struvel(0, 3.0) - oracle) <= 1e-10 * oracle
+    assert abs(checks.struvel(0, 3.0) - oracle) <= 1e-10 * oracle
 
 
 def test_struve_bessel_cross_derivative_identity():
     # d/ds [pi s (I1 L0 - I0 L1)] = 2 s I1(s)
     s, d = 2.0, 1e-5
-    fd = (sf.struve_bessel_cross(s + d) - sf.struve_bessel_cross(s - d)) / (2 * d)
+    fd = (checks.struve_bessel_cross(s + d) - checks.struve_bessel_cross(s - d)) / (2 * d)
     assert abs(fd - 2.0 * s * sf.besseli(1, s)) <= 1e-6
 
 
 def test_struve_bessel_cross_nondecreasing():
     s = np.linspace(0.0, 20.0, 200)
-    assert np.all(np.diff(sf.struve_bessel_cross(s)) >= -1e-14)
+    assert np.all(np.diff(checks.struve_bessel_cross(s)) >= -1e-14)
 
 
 def test_k_quadrature_oracle():
@@ -149,7 +150,7 @@ def test_series_stop_matches_the_every_element_test(monkeypatch):
     # at the same term and every value is bit for bit the former one
     rng = np.random.default_rng(7)
     sets = _build_arguments() + [
-        np.logspace(-6, np.log10(sf.SEAM_L), 4001),
+        np.logspace(-6, np.log10(checks.SEAM_L), 4001),
         rng.permutation(np.linspace(0.0, sf.SEAM_I, 777)),
         rng.uniform(0.0, sf.SEAM_K, (13, 17)),
         np.array([sf.SEAM_K]), np.array([0.0]), np.array(3.5),
@@ -158,7 +159,7 @@ def test_series_stop_matches_the_every_element_test(monkeypatch):
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         i_vals = sf._iv_series_scaled(x, (0, 1, 2))
-        l_vals = [sf._lv_series(n, np.atleast_1d(x)) for n in (0, 1)]
+        l_vals = [checks._lv_series(n, np.atleast_1d(x)) for n in (0, 1)]
         small = x[(x > 0.0) & (x <= sf.SEAM_K)]  # the K series' range, if any
         if small.size == 0:
             return i_vals + l_vals
@@ -167,6 +168,7 @@ def test_series_stop_matches_the_every_element_test(monkeypatch):
 
     fast = [evaluate(x) for x in sets]
     monkeypatch.setattr(sf, "_converged", _every_element_stop)
+    monkeypatch.setattr(checks, "_converged", _every_element_stop)
     for x, got in zip(sets, fast):
         for a, b in zip(got, evaluate(x)):
             assert np.array_equal(a, b)
@@ -262,7 +264,7 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         sf.besselk(2, 1.0)
     with pytest.raises(DomainError):
-        sf.struvel(0, -0.5)
+        checks.struvel(0, -0.5)
 
 
 def test_scaled_i_finite_where_unscaled_overflows():

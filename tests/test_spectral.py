@@ -128,8 +128,6 @@ def test_cutoff_spec():
     chi0 = cs.chi0(k)
     assert np.all(chi0 * chi0 == chi0)  # sharp indicator, idempotent
     assert np.all(chi0[np.abs(k) >= 0.5] == 0.0)
-    chi = cs.chi(k)
-    assert np.all(chi[np.abs(np.abs(k) - 2.0) >= 0.5] == 0.0)
     with pytest.raises(ParameterError):
         CutoffSpec(delta=0.8, omega=2.0)  # violates delta < omega/3
     CutoffSpec(delta=0.5)  # strong-regime default shape
