@@ -51,7 +51,7 @@ data viewed as (re, im) column pairs.  A is (nk, 2 nr, 2 nr): its memory,
 its build and a sweep all grow as nr^2.  A solve's memory peak is A plus
 the GMRES basis rows it fills, one row of 2 nr N floats per iteration,
 allocated ``solver.GMRES_BLOCK`` rows at a time as GMRES reaches them.  At
-nr = 16 and N = 1024 A is 4 MiB and a block of rows 4 MiB; the
+nr = 12 and N = 1024 A is 2.25 MiB and a block of rows 3 MiB; the
 benchmark's solves take 7 sweeps each, so they fill part of one block.
 
 Certified radial grid: the operator integrates the forcing's degree nr - 1
@@ -59,18 +59,21 @@ interpolant on the state nodes, so the error of a solve is the size of the
 Legendre coefficients the nodes cannot hold, and the top coefficients of
 the converged forcing estimate it (coefficient decay; Boyd, Chebyshev and
 Fourier Spectral Methods, 2001, ch. 2).  Without an explicit radial grid a
-solve runs on the rungs ``RADIAL_RUNGS`` = 16, 32, 64, 128 in turn and
-accepts the first whose radial tail (``RadialGrid.legendre_tail``) is at
-most max(tol, 16 nr eps), the BVP's own tolerance or the transform's
+solve runs on the rungs ``RADIAL_RUNGS`` = 12, 16, 24, 32, 48, 64, 96, 128
+in turn and accepts the first whose radial tail (``RadialGrid.legendre_tail``)
+is at most max(tol, 16 nr eps), the BVP's own tolerance or the transform's
 rounding; 128 nodes that miss it raise ``ConvergenceError`` with nr and the
 tail.  A rung after the first starts GMRES from the coarser rung's solution,
-interpolated to its nodes.
+interpolated to its nodes; the steps of at most 1.5 keep a climb from
+overshooting the rung the data need by much.
 The z grid remembers the certified rung, so the next solve on it (every
 Newton iterate of an oracle solve) starts there and shares its operator.
-The benchmark's (5, 0.1) state reads tails of 7.5e-16 to 1.0e-15 at 16
-nodes (rounding).  Gaussian data on L = 20 and 80 read 1.6e-11 at 16 and
-about 1e-14 at 32, where the seeded solve takes one sweep; a boundary layer
-e^{|k| (r - 1)} with |k| = 40 reads 3e-2 at 16 and 1e-8 at 32, and needs 64.
+The benchmark's (5, 0.1) state reads tails near 7.5e-15 at 12 nodes (at
+most 7.6e-15 over its gamma jitter 4.8 to 5.2; 10 nodes read up to
+6.6e-13).  A Gaussian on L = 20 reads 2e-8 at 12, 1.6e-11 at 16 and 4e-15
+at 24, where the seeded solve takes one sweep; a boundary layer
+e^{|k| (r - 1)} with |k| = 40 reads 0.2 at 12, 3e-2 at 16, 6e-5 at 24 and
+1e-8 at 32, and needs 48.
 
 This module is the oracle alone; the kernel identities that certify
 ``greens_kernel`` are in ``checks``.
@@ -86,7 +89,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, GeometryError
 from .spectral import SpectralGrid
-from .specfun import _bessel01_scaled, _besseli_scaled, _iv_scaled
+from .specfun import _bessel01_scaled, _besseli_scaled, _iv_scaled, f_ratio
 
 __all__ = [
     "RadialGrid",
@@ -364,7 +367,7 @@ def _forcing_terms(rgrid, eta_v, eta_z, uz, d0u):
 
 # the certified radial grid: Gauss-node counts tried in turn, the rounding
 # floor of the Legendre tail per node, and the z-grid cache key of the rung
-RADIAL_RUNGS = (16, 32, 64, 128)
+RADIAL_RUNGS = (12, 16, 24, 32, 48, 64, 96, 128)
 _TAIL_ROUNDING = 16.0 * np.finfo(float).eps
 _CERTIFIED_NR = "dno_certified_nr"
 
@@ -375,7 +378,10 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
                         record: Optional[list] = None):
     """GMRES solve of u = S(F1(eta,u), F2(eta,u), xi); returns (x, K(eta) xi).
 
-    eta_hat, xi_hat and K(eta) xi are half spectra on zgrid.  The unknown is
+    eta_hat, xi_hat and K(eta) xi are half spectra on zgrid.  The periodic
+    Neumann problem cannot see k = 0, so coefficient 0 of K(eta) xi is zero
+    and the mean of xi has no effect; ``dn_oracle_apply`` completes both in
+    closed form.  The unknown is
     x = (u_z, D0 u), nodal values of shape (2, nr, N), and the system is
     x - S(F(eta, x), 0, 0) = S(0, 0, xi), whose right-hand side is the
     closed form ``SolutionOperator.flat``.  Each matvec is one sweep
@@ -469,6 +475,23 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
     return x, K
 
 
+def _constant_response(zgrid: SpectralGrid, eta_hat: np.ndarray) -> np.ndarray:
+    """K(eta) 1 by the second-order expansion, as a half spectrum:
+
+        2 - 2 K0 eta + (eta^2)_zz - K0 eta^2 + 2 K0 (eta K0 eta),
+
+    with K0 = f(D) (``specfun.f_ratio``).  eta and K0 eta are refined to the
+    padded grid in one transform and their two products projected back in
+    one, so the products are exact."""
+    f = f_ratio(zgrid.kr)
+    d2 = (zgrid.ik[: zgrid.kr.size] ** 2).real  # Nyquist zeroed, as d/dz
+    eta, k0_eta = zgrid.refine_to_values(np.stack([eta_hat, f * eta_hat]))
+    eta2, eta_k0_eta = zgrid.project_to_coeffs(np.stack([eta * eta, eta * k0_eta]))
+    out = (d2 - f) * eta2 + 2.0 * f * (eta_k0_eta - eta_hat)
+    out[0] += 2.0
+    return out
+
+
 def dn_oracle_apply(zgrid: SpectralGrid, eta_hat: np.ndarray,
                     rgrid: Optional[RadialGrid] = None, tol: float = 1e-12,
                     record: Optional[list] = None
@@ -481,25 +504,30 @@ def dn_oracle_apply(zgrid: SpectralGrid, eta_hat: np.ndarray,
     The periodic Neumann problem cannot see k = 0: the box mean of xi
     vanishes under d/dz, and the trace derivative carries no mean.  On the
     line the operator is smooth there (f(0) = 2), so both lost pieces come
-    from the second-order expansion, in one batched call on the mean-free
-    part xi' and the constant mean xibar = c_0: coefficient 0 of
-    K(eta) xi' and the whole of K(eta) xibar.  Every other coefficient of
-    the output is the BVP's own, so it stays an independent check of the
+    from the second-order expansion in closed form, from K(eta) 1
+    (``_constant_response``, two transforms once per eta): the whole of
+    K(eta) xibar for the mean xibar = c_0 is xibar K(eta) 1, and coefficient
+    0 of K(eta) xi' for the mean-free part xi' is
+
+        -2 <eta K0 xi'> + <eta^2 xi'_zz> - <eta^2 K0 xi'> + 2 <eta K0 (eta K0 xi')>,
+
+    which, K0 and d^2/dz^2 being symmetric, is <xi' K(eta) 1>: one inner
+    product of half spectra per call, no transform.  Every other coefficient
+    of the output is the BVP's own, so it stays an independent check of the
     expansion.
     """
-    from .operators import dn_expansion
-
-    eta_values = zgrid.to_rvalues(eta_hat)
+    response = _constant_response(zgrid, eta_hat)
+    # mean(a b) of real fields from their half spectra (Parseval on N points)
+    weight = np.full(response.size, 2.0)
+    weight[[0, -1]] = 1.0
+    weighted = weight * np.conj(response)
 
     def apply(xi_hat: np.ndarray) -> np.ndarray:
-        xibar = float(xi_hat[0].real)
         _, out = solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid=rgrid,
                                      tol=tol, record=record)
-        lost = zgrid.to_rcoeffs(dn_expansion(
-            zgrid, eta_values,
-            np.stack([zgrid.to_rvalues(xi_hat) - xibar, np.full(zgrid.N, xibar)]), 2))
-        out += lost[1]
-        out[0] += lost[0, 0]
+        out += xi_hat[0].real * response
+        # <xi K(eta) 1>: the mean-free part's coefficient 0 and xibar's at once
+        out[0] = np.sum(weighted * xi_hat).real
         return out
 
     return apply

@@ -4,7 +4,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ferrojet.operators import _dz, dn0_apply, dn1_apply, dn2_apply
+from ferrojet.operators import _dz, dn0_apply, dn1_apply, dn2_apply, dn_expansion
 
 
 def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -97,3 +97,18 @@ def boundary_row(rgrid) -> np.ndarray:
     """Extrapolation row of a ``dno.RadialGrid`` to r = 1 (one-sided
     high-order stencil)."""
     return rgrid.interp_to(np.array([1.0]))[0]
+
+
+def oracle_k0_completion(grid, eta_hat, xi_hat) -> np.ndarray:
+    """What ``dno.dn_oracle_apply`` adds to the BVP's K(eta) xi for the
+    k = 0 mode the periodic Neumann problem cannot see, by the nodal
+    second-order expansion (its former route): the whole of K(eta) xibar for
+    the mean xibar = c_0, plus coefficient 0 of K(eta) xi' for the mean-free
+    part xi'.  Half spectra in and out."""
+    xibar = float(xi_hat[0].real)
+    lost = grid.to_rcoeffs(dn_expansion(
+        grid, grid.to_rvalues(eta_hat),
+        np.stack([grid.to_rvalues(xi_hat) - xibar, np.full(grid.N, xibar)]), 2))
+    out = lost[1]
+    out[0] += lost[0, 0]
+    return out

@@ -14,7 +14,7 @@ from ferrojet.errors import ConvergenceError, DomainError, GeometryError
 from ferrojet.spectral import SpectralField, SpectralGrid
 from ferrojet.specfun import besseli, besselk, f_ratio
 
-from reference import boundary_row, diff_matrix
+from reference import boundary_row, diff_matrix, oracle_k0_completion
 
 
 @pytest.fixture(scope="module")
@@ -502,24 +502,37 @@ def test_bvp_solve_holds_the_krylov_rows_it_fills():
     assert peak <= 8 * 2**20
 
 
-def test_oracle_solves_on_one_grid_share_one_operator(linear_law, monkeypatch):
-    # the z grid remembers the certified rung, and solves on the same nr
-    # must reuse the operator cached on the z grid, not build another
+def _count_builds(monkeypatch) -> list:
+    """The nr of every ``SolutionOperator`` built from here on, in order."""
     builds = []
     build = dno.SolutionOperator.__init__
 
-    def counted_build(self, *args):
-        builds.append(1)
-        build(self, *args)
+    def counted_build(self, zgrid, rgrid):
+        builds.append(rgrid.nr)
+        build(self, zgrid, rgrid)
 
     monkeypatch.setattr(dno.SolutionOperator, "__init__", counted_build)
+    return builds
+
+
+def test_oracle_solves_on_one_grid_share_one_operator(linear_law, monkeypatch):
+    # the z grid remembers the certified rung, and solves on the same nr
+    # must reuse the operator cached on the z grid, not build another.
+    # (5, 0.2) climbs from 12 to 16 nodes on its second BVP solve and stays
+    # there, so the second solve on the grid builds nothing
+    builds = _count_builds(monkeypatch)
     grid = SpectralGrid.make(200.0, 512)
+    ladders = []
     for _ in range(2):
         rep = solver.solve_travelling_wave(5.0, linear_law, 0.2, dn_oracle=True,
                                            grid=grid)
         assert rep.converged
-    assert len(builds) == 1
-    assert sum(key[0] == "dno_operator" for key in grid._cache) == 1
+        assert builds == [12, 16]
+        assert [key[1] for key in grid._cache if key[0] == "dno_operator"] == [16]
+        ladders.append([[nr for nr, *_ in e["rungs"]]
+                        for e in rep.diagnostics["bvp_solves"]])
+    assert ladders[0][:3] == [[12], [12, 16], [16]]
+    assert all(rungs == [16] for rungs in ladders[0][2:] + ladders[1])
 
 
 def test_operator_is_freed_with_its_grid(rgrid):
@@ -622,6 +635,40 @@ def test_oracle_k0_completion_matches_closed_form_mean(zgrid, rgrid):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _completion_data(case, law):
+    """(grid, eta_hat, xi_hat) for the closed-form k = 0 completion check."""
+    if case == "benchmark":
+        grid, eta = _benchmark_state(law)
+        xi = eta + 0.5 * eta**2  # as the travelling wave passes it
+    elif case == "nonzero-mean":
+        grid = SpectralGrid.make(8 * np.pi, 128)
+        eta = 0.1 * np.cos(grid.z) + 0.05 * np.cos(2 * grid.z)
+        xi = 0.4 + np.sin(grid.z) + 0.3 * np.cos(3 * grid.z)
+    else:  # the box probe's data, at its amplitude and at one where eta^2 shows
+        L, a = case
+        grid = SpectralGrid.make(L, 1 << int(np.ceil(np.log2(12.8 * L))))
+        eta = a / np.cosh(grid.z / 2.0)
+        xi = np.exp(-((grid.z / 3.0) ** 2))
+    return grid, grid.to_rcoeffs(eta), grid.to_rcoeffs(xi)
+
+
+@pytest.mark.parametrize("case", ["benchmark", (20.0, 1e-3), (20.0, 0.5),
+                                  (80.0, 1e-3), (80.0, 0.5), "nonzero-mean"],
+                         ids=lambda c: c if isinstance(c, str) else f"L{c[0]:g}-a{c[1]:g}")
+def test_closed_form_k0_completion_matches_expansion_route(case, linear_law,
+                                                           monkeypatch):
+    # with the BVP's own output zeroed the oracle returns what it adds for
+    # k = 0 alone: K(eta) xibar and coefficient 0 of K(eta) xi', which the
+    # nodal dn_expansion route computed from 32 dealiased products
+    grid, eta_hat, xi_hat = _completion_data(case, linear_law)
+    monkeypatch.setattr(dno, "solve_flattened_bvp", lambda zgrid, *args, **kwargs: (
+        None, np.zeros(zgrid.N // 2 + 1, dtype=complex)))
+    got = dno.dn_oracle_apply(grid, eta_hat)(xi_hat)
+    want = oracle_k0_completion(grid, eta_hat, xi_hat)
+    assert want[0] != 0.0
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def _box_grid_probe(L):
     """The centred first and second differences in the amplitude a = 1e-3 of
     the oracle's K(a eta) xi, beside K1(eta) xi and K2(eta) xi.  eta and xi
@@ -684,9 +731,9 @@ def _benchmark_state(law):
 
 @pytest.mark.parametrize("state", ["benchmark", "gaussian"])
 def test_smooth_data_certify_on_the_first_rung(state, linear_law):
-    # the benchmark's state certifies on the first rung, 16 nodes; the
-    # Gaussian's tail there is about 1.6e-11, so it climbs to 32, where the
-    # solve seeded from the 16-node one only confirms it
+    # the benchmark's state certifies on the first rung, 12 nodes; the
+    # Gaussian's tail there is about 2e-8 (1.6e-11 on 16), so it climbs to 24,
+    # where the solve seeded from the 16-node one only confirms it
     if state == "benchmark":
         zgrid, eta = _benchmark_state(linear_law)
     else:
@@ -695,13 +742,13 @@ def test_smooth_data_certify_on_the_first_rung(state, linear_law):
     eta_hat = zgrid.to_rcoeffs(eta)
     xi_hat = zgrid.to_rcoeffs(eta + 0.5 * eta**2)  # as the travelling wave passes it
     _, entry, err = _certified_vs_128(zgrid, eta_hat, xi_hat)
-    assert dno.RADIAL_RUNGS[0] == 16
+    assert dno.RADIAL_RUNGS[0] == 12
     if state == "benchmark":
-        assert entry["nr"] == 16 and [nr for nr, *_ in entry["rungs"]] == [16]
+        assert entry["nr"] == 12 and [nr for nr, *_ in entry["rungs"]] == [12]
     else:
-        (nr0, tail0, _), (nr1, _, sweeps1) = entry["rungs"]
-        assert [nr0, nr1, entry["nr"]] == [16, 32, 32]
-        assert tail0 > 1e-12 and sweeps1 <= 2
+        (nr0, tail0, _), (nr1, tail1, _), (nr2, _, sweeps2) = entry["rungs"]
+        assert [nr0, nr1, nr2, entry["nr"]] == [12, 16, 24, 24]
+        assert tail0 > tail1 > 1e-12 and sweeps2 <= 2
     assert entry["sweeps"] == sum(sweeps for *_, sweeps in entry["rungs"])
     assert entry["radial_tail"] == entry["rungs"][-1][1] <= 1e-12
     assert entry["relative_residual"] <= 1e-12
@@ -710,24 +757,25 @@ def test_smooth_data_certify_on_the_first_rung(state, linear_law):
 
 def test_steep_forcing_climbs_the_ladder():
     # xi = cos(40 z) puts a boundary layer e^{40 (r - 1)} in u: its Legendre
-    # tail is about 3e-2 on 16 nodes and 1e-8 on 32, so the solve climbs to 64
+    # tail is about 0.2 on 12 nodes, 3e-2 on 16, 6e-5 on 24 and 1e-8 on 32,
+    # so the solve climbs to 48
     zgrid = SpectralGrid.make(np.pi, 128)
     eta_hat = zgrid.to_rcoeffs(0.01 * np.cos(zgrid.z))
     xi_hat = zgrid.to_rcoeffs(np.cos(40.0 * zgrid.z))
     _, entry, err = _certified_vs_128(zgrid, eta_hat, xi_hat)
-    assert [nr for nr, *_ in entry["rungs"]] == [16, 32, 64]
-    assert entry["nr"] == 64 and entry["radial_tail"] <= 1e-12
+    assert [nr for nr, *_ in entry["rungs"]] == [12, 16, 24, 32, 48]
+    assert entry["nr"] == 48 and entry["radial_tail"] <= 1e-12
     assert err <= 1e-12
     # the grid remembers the rung and keeps only its operator (the explicit
-    # reference added nr = 128): the next solve starts on 64, from x = 0
-    assert zgrid._cache[dno._CERTIFIED_NR] == 64
-    assert ("dno_operator", 16) not in zgrid._cache
-    assert ("dno_operator", 32) not in zgrid._cache
+    # reference added nr = 128): the next solve starts on 48, from x = 0
+    assert zgrid._cache[dno._CERTIFIED_NR] == 48
+    assert [key[1] for key in zgrid._cache
+            if key[0] == "dno_operator"] == [48, 128]
     record = []
     dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, record=record)
-    assert record[0]["rungs"] == [(64, record[0]["radial_tail"], record[0]["sweeps"])]
+    assert record[0]["rungs"] == [(48, record[0]["radial_tail"], record[0]["sweeps"])]
     assert record[0]["sweeps"] < entry["sweeps"]
-    # the 64-node rung seeded from the 32-node solve beats that cold start
+    # the 48-node rung seeded from the 32-node solve beats that cold start
     assert entry["rungs"][-1][2] < record[0]["sweeps"]
 
 
@@ -755,9 +803,38 @@ def test_explicit_radial_grid_is_honoured():
     assert np.max(np.abs(K - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("gamma", [4.8, 5.0, 5.2])
+def test_benchmark_jitter_certifies_on_twelve_nodes(gamma, linear_law, monkeypatch):
+    # the bvp_oracle workload jitters gamma by up to 0.2 about 5: every BVP
+    # solve of each oracle solve certifies on the first rung, one build, with
+    # a tail near 7.5e-15 (at most 7.6e-15 over seeds 0-20), far inside 1e-12
+    builds = _count_builds(monkeypatch)
+    rep = solver.solve_travelling_wave(gamma, linear_law, 0.1, dn_oracle=True,
+                                       tol=1e-10)
+    assert rep.converged and builds == [12]
+    for entry in rep.diagnostics["bvp_solves"]:
+        assert entry["rungs"] == [(12, entry["radial_tail"], entry["sweeps"])]
+        assert entry["radial_tail"] <= 1e-13
+
+
+def test_oracle_solve_memory_peak(linear_law):
+    # one default (5, 0.1) oracle solve on a fresh grid, operator build
+    # included: the 12-node operator (2.25 MiB) and GMRES block (3 MiB) and
+    # the closed-form k = 0 completion peak near 7.7 MiB, where the 16-node
+    # ladder with the nodal dn_expansion completion read 11.1 MiB
+    tracemalloc.start()
+    try:
+        rep = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert peak <= 9 * 2**20
+
+
 def test_criterion_9_oracle_certifies_on_one_build(linear_law, monkeypatch):
-    # criterion 9's oracle solve runs every BVP solve on 16 nodes, one
-    # operator build; a climb to 32 nodes fails here.  The radial grid
+    # criterion 9's oracle solve runs every BVP solve on 12 nodes, one
+    # operator build; a climb to 16 nodes fails here.  The radial grid
     # is built with the operator, not once per BVP solve: its barycentric
     # weights are an O(nr^2) loop
     builds, grids = [], []
@@ -775,16 +852,16 @@ def test_criterion_9_oracle_certifies_on_one_build(linear_law, monkeypatch):
     monkeypatch.setattr(dno.SolutionOperator, "__init__", counted_build)
     monkeypatch.setattr(dno.RadialGrid, "__post_init__", counted_post_init)
     rep = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
-    assert rep.converged and builds == [16] and grids == [16]
+    assert rep.converged and builds == [12] and grids == [12]
     # one BVP solve per residual evaluation: the flat-state preconditioner
     # takes P = 0 from the expansion, with no oracle solve
     solves = rep.diagnostics["bvp_solves"]
     assert len(solves) == 4 and sum(e["sweeps"] for e in solves) <= 28
-    assert all(e["nr"] == 16 and e["radial_tail"] <= 1e-12
+    assert all(e["nr"] == 12 and e["radial_tail"] <= 1e-12
                and e["relative_residual"] <= 1e-12 for e in solves)
     # the same solve with every BVP on 128 nodes
     monkeypatch.setattr(dno, "RADIAL_RUNGS", (128,))
     ref = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
-    assert builds == grids == [16, 128]
+    assert builds == grids == [12, 128]
     sol, want = rep.solution.values, ref.solution.values
     assert np.max(np.abs(sol - want)) <= 1e-12 * np.max(np.abs(want))

@@ -1,7 +1,9 @@
 """The modules the solves call export only what the solve path, the CLI and
 ``checks`` use; the reference layer lives in ``checks`` and ``reference``."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -57,3 +59,27 @@ def test_reference_layer_lives_in_checks_and_reference():
     assert not hasattr(spectral.CutoffSpec, "chi")
     # one cached Gauss rule in the package
     assert not hasattr(checks, "_gauss_legendre")
+
+
+def _imported_modules(module) -> set:
+    """Every module an import statement in ``module``'s source names, at any
+    depth (function-local imports included), relative ones by their last
+    component."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:  # from . import name
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module.rsplit(".", 1)[-1])
+    return names
+
+
+def test_dno_does_not_import_operators():
+    # the oracle completes k = 0 in closed form with K0's symbol from specfun,
+    # not through the expansion it is meant to check
+    imported = _imported_modules(dno)
+    assert "specfun" in imported and "solver" in imported
+    assert "operators" not in imported
