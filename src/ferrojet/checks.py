@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from . import dno
 from . import operators as op
 from .dispersion import h_function, make_profile
 from .dno import _gauss_rule, greens_kernel
-from .errors import DomainError
+from .errors import DomainError, ParameterError
 from .spectral import SpectralGrid
 from .specfun import (
     SEAM_I,
@@ -164,7 +163,11 @@ def struve_bessel_cross(s):
 # -- Green's-kernel identities --------------------------------------------------
 
 
-def _panels(r0: float, n_inner: int = 24, n_outer: int = 16):
+_PANEL_NODES_INNER = 24  # Gauss nodes on [0, r0]
+_PANEL_NODES_OUTER = 16  # Gauss nodes on each dyadic panel of [r0, 1]
+
+
+def _panels(r0: float):
     """Quadrature panels for int_0^1 with a kink at r0 and a log point at 0.
 
     [0, r0] is one panel (integrand analytic there); [r0, 1] is graded
@@ -173,8 +176,8 @@ def _panels(r0: float, n_inner: int = 24, n_outer: int = 16):
     below use it, on the whole kernel at one r; the solution operator has
     its own shared rule.
     """
-    xg_in, wg_in = _gauss_rule(n_inner)
-    xg_out, wg_out = _gauss_rule(n_outer)
+    xg_in, wg_in = _gauss_rule(_PANEL_NODES_INNER)
+    xg_out, wg_out = _gauss_rule(_PANEL_NODES_OUTER)
     nodes = [0.5 * r0 * (xg_in + 1.0)]
     weights = [0.5 * r0 * wg_in]
     a = r0
@@ -231,13 +234,17 @@ def closed_form_H3_integral(k: float, r: float) -> float:
 # -- quadrature oracles ---------------------------------------------------------
 
 
-def bessel_i_quadrature(order: int, x: float, m: int = 512) -> float:
+_I_QUADRATURE_PANELS = 512
+
+
+def bessel_i_quadrature(order: int, x: float) -> float:
     """Scaled oracle e^-x I_n(x) = (1/pi) int_0^pi e^{x(cos t - 1)} cos(nt) dt.
 
     The integrand extends to a smooth even 2 pi-periodic function, so the
     uniform trapezoidal rule converges spectrally with exactly representable
     nodes (a Gauss rule would be limited by its computed node accuracy).
     """
+    m = _I_QUADRATURE_PANELS
     j = np.arange(m + 1)
     t = np.pi * j / m
     f = np.exp(x * (np.cos(t) - 1.0)) * np.cos(order * t)
@@ -322,14 +329,21 @@ def specfun_suite() -> list:
     return rows
 
 
-def dispersion_suite(gammas: Sequence[float] = (10.0, 15.0, 30.0)) -> list:
+# the parameters each suite checks at
+DISPERSION_GAMMAS = (10.0, 15.0, 30.0)
+GREENS_KS = (0.5, 1.0, 5.0, 20.0)
+GREENS_RS = (0.1, 0.5, 0.9)
+EXTRACTION_GAMMAS = (5.0, 10.0, 15.0, 30.0)
+
+
+def dispersion_suite() -> list:
     rows = [_row("dispersion", "h(1e-4) = 9", float(h_function(1e-4)), 9.0,
                  1e-6, relative=False)]
     ks = np.linspace(0.02, 10.0, 500)
     step = float(np.min(np.diff(h_function(ks))))
     rows.append(_sign_row("dispersion", "h strictly increasing (500 pts)",
                           step, step > 0.0))
-    for gamma in gammas:
+    for gamma in DISPERSION_GAMMAS:
         p = make_profile(gamma)
         rows.append(_row("dispersion", f"|g(omega)| gamma={gamma}",
                          float(abs(p.g(p.omega))), 0.0, 1e-9, relative=False))
@@ -342,11 +356,10 @@ def dispersion_suite(gammas: Sequence[float] = (10.0, 15.0, 30.0)) -> list:
     return rows
 
 
-def greens_suite(ks: Sequence[float] = (0.5, 1.0, 5.0, 20.0),
-                 rs: Sequence[float] = (0.1, 0.5, 0.9)) -> list:
+def greens_suite() -> list:
     rows = []
-    for k in ks:
-        for r in rs:
+    for k in GREENS_KS:
+        for r in GREENS_RS:
             g_int = integral_abs_G(k, r)
             rows.append(_row("greens", f"int rt|G| = 1/k^2 (k={k}, r={r})",
                              g_int, 1.0 / k**2, 1e-8))
@@ -407,13 +420,10 @@ def dno_suite() -> list:
     return rows
 
 
-def extraction_suite(gammas: Iterable[float] = (5.0, 10.0, 15.0, 30.0),
-                     law: MagnetizationLaw = None) -> list:
-    if law is None:
-        law = MagnetizationLaw.linear()
+def extraction_suite() -> list:
     rows = []
-    for gamma in gammas:
-        rec = op.extract_wnl_coefficients(gamma, law)
+    for gamma in EXTRACTION_GAMMAS:
+        rec = op.extract_wnl_coefficients(gamma, MagnetizationLaw.linear())
         if rec.regime == "strong":
             rows.append(_row("extraction",
                              f"strong mode-0 coefficient = 2 c0^2 d0 (gamma={gamma})",
@@ -450,8 +460,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> list:
+def run_suite(name: str) -> list:
     if name not in SUITES:
-        raise KeyError(f"unknown check suite {name!r}; "
-                       f"choose from {sorted(SUITES)}")
-    return SUITES[name](**kwargs)
+        raise ParameterError(f"unknown check suite {name!r}; "
+                             f"choose from {sorted(SUITES)}")
+    return SUITES[name]()

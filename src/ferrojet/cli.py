@@ -53,8 +53,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-_VALIDATION_ERRORS = (ParameterError, RegimeError, GridError, KeyError)
+_VALIDATION_ERRORS = (ParameterError, RegimeError, GridError)
 _NUMERICAL_ERRORS = (ConvergenceError, ExistenceError, GeometryError)
+BRANCHES = ("kdv", "nls+", "nls-", "gzcs")
+LAWS = ("linear", "custom")
 
 
 def _fmt(x) -> str:
@@ -77,17 +79,20 @@ class RunConfig:
     out: Path = Path(".")
 
     def law(self) -> MagnetizationLaw:
-        if self.law_kind == "linear":
-            return MagnetizationLaw.linear()
         if self.law_kind == "custom":
             law = MagnetizationLaw.from_derivatives(self.nu2, self.nu3)
             law.validate()
             return law
-        raise ParameterError(
-            f"law must be 'linear' or 'custom', got {self.law_kind!r}"
-        )
+        return MagnetizationLaw.linear()
 
     def validate(self) -> None:
+        # a config file's names, which no parser choices have checked
+        for key, value, choices in (("branch", self.branch, BRANCHES),
+                                    ("suite", self.suite, tuple(checks_mod.SUITES)),
+                                    ("law", self.law_kind, LAWS)):
+            if value not in choices:
+                raise ParameterError(f"{key} must be one of "
+                                     f"{', '.join(choices)}; got {value!r}")
         if not 1.0 < self.gamma < np.inf:  # NaN fails too
             raise ParameterError(f"gamma must be finite and exceed 1, got {self.gamma}")
         eps_max = (solver.TRAVELLING_WAVE_EPS_MAX if self.branch == "gzcs"
@@ -274,8 +279,10 @@ def _solve_one(cfg: RunConfig, branch: str, eps: float):
     law = cfg.law()
     grid = None
     if cfg.grid_l is not None or cfg.grid_n is not None:
-        grid = SpectralGrid.make(cfg.grid_l or solver.DEFAULT_SCALED_L,
-                                 cfg.grid_n or solver.DEFAULT_SCALED_N)
+        # each flag replaces its own dimension of the grid the solver would choose
+        auto = (solver.wave_grid(make_profile(cfg.gamma), eps, solver.DEFAULT_SCALED_L)
+                if branch == "gzcs" else solver.default_scaled_grid())
+        grid = SpectralGrid.make(cfg.grid_l or auto.L, cfg.grid_n or auto.N)
     if branch == "kdv":
         kwargs = {} if cfg.delta is None else {"delta": cfg.delta}
         rep = solver.solve_full_dispersion_kdv(cfg.gamma, law, eps, grid=grid,
@@ -285,11 +292,9 @@ def _solve_one(cfg: RunConfig, branch: str, eps: float):
         rep = solver.solve_full_dispersion_nls(cfg.gamma, law, eps, sign,
                                                grid=grid, delta=cfg.delta,
                                                tol=cfg.tol)
-    elif branch == "gzcs":
+    else:
         rep = solver.solve_travelling_wave(cfg.gamma, law, eps, grid=grid,
                                            tol=cfg.tol)
-    else:
-        raise ParameterError(f"unknown branch {branch!r}")
     return rep
 
 
@@ -297,7 +302,7 @@ def _reconstruct_for_report(cfg, rep, eps):
     # the target box is the envelope's own, eps z in [-L, L): a wider one
     # would show the periodic envelope's next copy as a second wave
     profile = make_profile(cfg.gamma)
-    target = solver._auto_wave_grid(profile, eps, rep.solution.grid.L)
+    target = solver.wave_grid(profile, eps, rep.solution.grid.L)
     return solver.reconstruct_eta(rep.solution, eps, profile.regime,
                                   profile.omega, target)
 
@@ -411,7 +416,7 @@ def _make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="flat key = value configuration file")
         p.add_argument("--gamma", type=float)
-        p.add_argument("--law", choices=["linear", "custom"])
+        p.add_argument("--law", choices=LAWS)
         p.add_argument("--nu2", type=float)
         p.add_argument("--nu3", type=float)
         p.add_argument("--out", type=Path, default=None,
@@ -426,8 +431,7 @@ def _make_parser() -> argparse.ArgumentParser:
     for name in ("solve", "converge"):
         p = sub.add_parser(name)
         common(p)
-        p.add_argument("--branch", choices=["kdv", "nls+", "nls-", "gzcs"],
-                       default=None)
+        p.add_argument("--branch", choices=BRANCHES, default=None)
         p.add_argument("--epsilon", type=float, nargs="+")
         p.add_argument("--grid-n", dest="grid_n", type=int)
         p.add_argument("--grid-l", dest="grid_l", type=float)

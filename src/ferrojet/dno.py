@@ -370,12 +370,12 @@ def _forcing_terms(rgrid, eta_v, eta_z, uz, d0u):
 RADIAL_RUNGS = (12, 16, 24, 32, 48, 64, 96, 128)
 _TAIL_ROUNDING = 16.0 * np.finfo(float).eps
 _CERTIFIED_NR = "dno_certified_nr"
+BVP_MAX_ITER = 60  # GMRES sweeps a BVP solve may take, unrestarted
 
 
 def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
                         xi_hat: np.ndarray, rgrid: Optional[RadialGrid] = None,
-                        tol: float = 1e-12, max_iter: int = 60,
-                        record: Optional[list] = None):
+                        tol: float = 1e-12, record: Optional[list] = None):
     """GMRES solve of u = S(F1(eta,u), F2(eta,u), xi); returns (x, K(eta) xi).
 
     eta_hat, xi_hat and K(eta) xi are half spectra on zgrid.  The periodic
@@ -387,7 +387,7 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
     closed form ``SolutionOperator.flat``.  Each matvec is one sweep
     (``SolutionOperator.apply``); the trace comes from the converged forcing
     through ``SolutionOperator.trace``, one transform and no sweep.  A
-    relative residual above tol after max_iter sweeps, or a Krylov
+    relative residual above tol after ``BVP_MAX_ITER`` sweeps, or a Krylov
     breakdown, raises ConvergenceError with the sweep count and residual.
 
     An explicit ``rgrid`` fixes the node count.  Without one the solve climbs
@@ -427,7 +427,7 @@ def solve_flattened_bvp(zgrid: SpectralGrid, eta_hat: np.ndarray,
         flat_profiles, flat_trace = operator.flat(xi_hat)
         try:
             x, _, rel = gmres(matvec, state(flat_profiles), rtol=tol,
-                              restart=max_iter, max_iter=max_iter, x0=x0)
+                              restart=BVP_MAX_ITER, max_iter=BVP_MAX_ITER, x0=x0)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"BVP solve: Krylov breakdown after {sweeps} sweeps ({exc})"

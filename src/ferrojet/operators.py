@@ -94,15 +94,11 @@ def dn0_apply(grid: SpectralGrid, xi: np.ndarray) -> np.ndarray:
     return grid.apply_symbol(xi, dn0_symbol(grid))
 
 
-def _dz(grid, values, order=1):
-    return grid.apply_symbol(values, grid.ik**order)
-
-
 def dn1_apply(grid: SpectralGrid, eta, xi) -> np.ndarray:
     """K1(eta) xi; bilinear in (eta, xi)."""
-    xiz = _dz(grid, xi)
+    xiz = grid.deriv_values(xi)
     k0xi = dn0_apply(grid, xi)
-    return -_dz(grid, grid.product_values([eta, xiz])) - dn0_apply(
+    return -grid.deriv_values(grid.product_values([eta, xiz])) - dn0_apply(
         grid, grid.product_values([eta, k0xi])
     )
 
@@ -110,11 +106,11 @@ def dn1_apply(grid: SpectralGrid, eta, xi) -> np.ndarray:
 def dn2_apply(grid: SpectralGrid, ea, eb, xi) -> np.ndarray:
     """Symmetrised bilinear K2; dn2_apply(grid, eta, eta, xi) is K2(eta) xi."""
     k0xi = dn0_apply(grid, xi)
-    xiz = _dz(grid, xi)
-    xizz = _dz(grid, xi, 2)
-    t1 = 0.5 * _dz(grid, grid.product_values([ea, eb, k0xi]), 2)
+    xiz = grid.deriv_values(xi)
+    xizz = grid.deriv_values(xi, 2)
+    t1 = 0.5 * grid.deriv_values(grid.product_values([ea, eb, k0xi]), 2)
     t2 = 0.5 * dn0_apply(grid, grid.product_values([ea, eb, xizz]))
-    t3 = 0.5 * _dz(grid, grid.product_values([ea, eb, xiz]))
+    t3 = 0.5 * grid.deriv_values(grid.product_values([ea, eb, xiz]))
     t4 = -0.5 * dn0_apply(grid, grid.product_values([ea, eb, k0xi]))
     nested_ab = dn0_apply(
         grid, grid.product_values([ea, dn0_apply(grid, grid.product_values([eb, k0xi]))])
@@ -197,8 +193,8 @@ def pressure_term(grid: SpectralGrid, eta, j: int, gamma: float,
                   law: MagnetizationLaw) -> np.ndarray:
     """Homogeneous pressure term of degree j in eta (j = 1, 2, 3)."""
     if j == 1:
-        return (gamma - 1.0) * np.asarray(eta) - _dz(grid, eta, 2)
-    ez = _dz(grid, eta)
+        return (gamma - 1.0) * np.asarray(eta) - grid.deriv_values(eta, 2)
+    ez = grid.deriv_values(eta)
     if j == 2:
         a0 = quad_coeff_a0(gamma, law)
         return a0 * grid.product_values([eta, eta]) - 0.5 * grid.product_values(
@@ -206,7 +202,7 @@ def pressure_term(grid: SpectralGrid, eta, j: int, gamma: float,
         )
     if j == 3:
         b0 = cubic_coeff_b0(gamma, law)
-        ezz = _dz(grid, eta, 2)
+        ezz = grid.deriv_values(eta, 2)
         return (
             b0 * grid.product_values([eta, eta, eta])
             + 0.5 * grid.product_values([eta, ez, ez])
@@ -223,13 +219,13 @@ def kinetic_term(grid: SpectralGrid, eta, j: int) -> np.ndarray:
     k0e = dn0_apply(grid, eta)
     if j == 1:
         return k0e
-    ez = _dz(grid, eta)
+    ez = grid.deriv_values(eta)
     eta2 = grid.product_values([eta, eta])
     if j == 2:
         return 0.5 * (
             grid.product_values([ez, ez])
             - grid.product_values([k0e, k0e])
-            - _dz(grid, eta2, 2)
+            - grid.deriv_values(eta2, 2)
             - 2.0 * dn0_apply(grid, grid.product_values([eta, k0e]))
             + dn0_apply(grid, eta2)
         )
@@ -237,13 +233,14 @@ def kinetic_term(grid: SpectralGrid, eta, j: int) -> np.ndarray:
         k0_eta_k0e = dn0_apply(grid, grid.product_values([eta, k0e]))
         k0_eta2 = dn0_apply(grid, eta2)
         return (
-            0.5 * grid.product_values([k0e, _dz(grid, eta2, 2)])
+            0.5 * grid.product_values([k0e, grid.deriv_values(eta2, 2)])
             + grid.product_values([k0e, k0_eta_k0e])
             - 0.5 * grid.product_values([k0e, k0_eta2])
             - grid.product_values([ez, ez, k0e])
-            + 0.5 * _dz(grid, grid.product_values([eta, eta, k0e]), 2)
-            + 0.5 * dn0_apply(grid, grid.product_values([eta, eta, _dz(grid, eta, 2)]))
-            - 0.5 * _dz(grid, grid.product_values([eta, eta, ez]))
+            + 0.5 * grid.deriv_values(grid.product_values([eta, eta, k0e]), 2)
+            + 0.5 * dn0_apply(
+                grid, grid.product_values([eta, eta, grid.deriv_values(eta, 2)]))
+            - 0.5 * grid.deriv_values(grid.product_values([eta, eta, ez]))
             - 0.5 * dn0_apply(grid, grid.product_values([eta, eta, k0e]))
             + dn0_apply(grid, grid.product_values([eta, k0_eta_k0e]))
             - 0.5 * dn0_apply(grid, grid.product_values([eta, k0_eta2]))
@@ -261,7 +258,7 @@ def kinetic_exact(grid: SpectralGrid, eta,
     """
     eta2 = grid.product_values([eta, eta])
     P = dn_apply(np.asarray(eta) + 0.5 * eta2)
-    ez = _dz(grid, eta)
+    ez = grid.deriv_values(eta)
     Pf = grid.refine_values(P)
     ezf = grid.refine_values(ez)
     W = ezf**2 / (2.0 * (1.0 + ezf**2))

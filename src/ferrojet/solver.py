@@ -54,6 +54,7 @@ __all__ = [
     "fd_nls_problem",
     "travelling_wave_problem",
     "default_scaled_grid",
+    "wave_grid",
     "gmres",
 ]
 
@@ -84,8 +85,7 @@ class EvenBasis:
         return self.grid.to_rcoeffs(values).real
 
     def field(self, v: np.ndarray) -> SpectralField:
-        return SpectralField.from_values(self.grid, self.to_values(v),
-                                         parity="even")
+        return SpectralField.from_values(self.grid, self.to_values(v))
 
 
 class ConjugateEvenBasis:
@@ -102,9 +102,7 @@ class ConjugateEvenBasis:
         return self.grid.to_coeffs(values).real
 
     def field(self, v: np.ndarray) -> SpectralField:
-        return SpectralField.from_coeffs(
-            self.grid, np.asarray(v, dtype=complex), parity="real-transform"
-        )
+        return SpectralField.from_coeffs(self.grid, np.asarray(v, dtype=complex))
 
 
 # -- generic Newton driver -----------------------------------------------------
@@ -120,6 +118,7 @@ MIN_DAMPING = 2.0**-10  # the smallest step fraction a damped Newton step tries
 NEWTON_MAX_ITER = 40  # stationary KdV and the travelling-wave equation
 ENVELOPE_MAX_ITER = 25  # full-dispersion KdV and NLS
 FLAT_STATE_RATIO = 0.5  # a converged solve below this amplitude_ratio found eta = 0
+JACOBIAN_CHECK_DIRS = 5  # random directions ``check_jacobian`` tries
 
 
 def _combine(c: np.ndarray, rows: list) -> np.ndarray:
@@ -522,7 +521,10 @@ def solve_full_dispersion_nls(gamma: float, law: MagnetizationLaw,
     return rep
 
 
-def _auto_wave_grid(profile, epsilon: float, min_box: float) -> SpectralGrid:
+def wave_grid(profile: DispersionProfile, epsilon: float,
+              min_box: float) -> SpectralGrid:
+    """The travelling-wave solver's default grid at eps: L >= max(min_box / eps,
+    min_box), on the omega lattice in the weak regime, and N >= 256."""
     if profile.regime is Regime.STRONG:
         L = max(min_box / epsilon, min_box)
         k_target = 4.0
@@ -554,7 +556,7 @@ def reconstruct_eta(zeta: SpectralField, epsilon: float, regime: Regime,
     else:
         target_grid.mode_index(omega)  # raises GridError if incommensurate
         vals = epsilon * np.real(env * np.exp(1j * omega * zt))
-    return SpectralField.from_values(target_grid, vals, parity="even")
+    return SpectralField.from_values(target_grid, vals)
 
 
 def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
@@ -583,7 +585,7 @@ def solve_travelling_wave(gamma: float, law: MagnetizationLaw, epsilon: float,
         raise RegimeError("gamma = 9 admits no solitary-wave continuation")
     c2 = profile.c0_squared * (1.0 - epsilon**2)
     if grid is None:
-        grid = _auto_wave_grid(profile, epsilon, DEFAULT_SCALED_L)
+        grid = wave_grid(profile, epsilon, DEFAULT_SCALED_L)
 
     z = grid.z
     if profile.regime is Regime.STRONG:
@@ -670,14 +672,14 @@ def convergence_study(epsilons: Sequence[float], errors: Sequence[float],
     )
 
 
-def check_jacobian(problem: SolverProblem, v: np.ndarray, n_dirs: int = 5,
-                   seed: int = 0) -> float:
-    """Worst relative error of J.v vs central differences of step 1e-6 max(1, |v|)."""
+def check_jacobian(problem: SolverProblem, v: np.ndarray, seed: int = 0) -> float:
+    """Worst relative error of J.v vs central differences of step 1e-6 max(1, |v|),
+    over ``JACOBIAN_CHECK_DIRS`` random unit directions."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     scale = max(1.0, float(np.max(np.abs(v))))
     jac = problem.linearize(v)
-    for _ in range(n_dirs):
+    for _ in range(JACOBIAN_CHECK_DIRS):
         w = rng.standard_normal(problem.dim)
         w /= np.linalg.norm(w)
         jw = jac(w[None, :])[0]

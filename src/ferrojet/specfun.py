@@ -300,9 +300,13 @@ def besselk(order: int, x, scaled: bool = False):
     return _vectorise(x, fn)
 
 
-def _f_series_fractions(nterms: int = 14) -> list[Fraction]:
+_F_SERIES_TERMS = 14
+
+
+def _f_series_fractions() -> list[Fraction]:
     # f(k) = 2 * Q(t) with t = k^2/4 and Q = A/B,
     # A_m = 1/(m!)^2, B_m = 1/(m!(m+1)!), exact long division.
+    nterms = _F_SERIES_TERMS
     fac = [math.factorial(m) for m in range(nterms + 2)]
     A = [Fraction(1, fac[m] ** 2) for m in range(nterms + 1)]
     B = [Fraction(1, fac[m] * fac[m + 1]) for m in range(nterms + 1)]

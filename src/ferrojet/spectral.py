@@ -30,15 +30,16 @@ problems and the surface operators work from coordinates to coordinates.
 Every transform raises ``GridError`` when the last axis is not N long
 (N/2 + 1 for a half spectrum).
 
-Parity tags:
-  'even'           real field with u(z) = u(-z)      <=>  c real and even in m
-  'real-transform' complex field, u(-z) = conj(u(z)) <=>  c real
+A field carries no symmetry of its own: the solvers' subspaces, even real
+fields and conjugate-even complex ones, are their bases' (``solver.EvenBasis``,
+``solver.ConjugateEvenBasis``).  ``SpectralField.shift_reflect_defect``
+measures how far real values are from even, u(z) = u(-z).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -257,27 +258,12 @@ class SpectralGrid:
         return self.project_values(prod)
 
 
-def _parity_defect(grid: SpectralGrid, values: np.ndarray, parity: str) -> float:
-    if parity == "even":
-        rev = values[..., ::-1]
-        mirrored = np.roll(rev, 1, axis=-1)  # z -> -z is j -> (N - j) mod N
-        return float(
-            np.max(np.abs(values - mirrored)) + np.max(np.abs(values.imag))
-            if np.iscomplexobj(values)
-            else np.max(np.abs(values - mirrored))
-        )
-    if parity == "real-transform":
-        return float(np.max(np.abs(grid.to_coeffs(values).imag)))
-    raise ParameterError(f"unknown parity tag {parity!r}")
-
-
 class SpectralField:
-    """Grid function with cached coefficients and an optional parity tag."""
+    """Grid function with cached values and coefficients."""
 
-    __slots__ = ("grid", "_values", "_coeffs", "parity")
+    __slots__ = ("grid", "_values", "_coeffs")
 
-    def __init__(self, grid: SpectralGrid, values=None, coeffs=None,
-                 parity: Optional[str] = None, check_parity: bool = False):
+    def __init__(self, grid: SpectralGrid, values=None, coeffs=None):
         if (values is None) == (coeffs is None):
             raise ParameterError("provide exactly one of values, coeffs")
         self.grid = grid
@@ -287,26 +273,16 @@ class SpectralField:
         arr = self._values if self._values is not None else self._coeffs
         if arr.shape[-1] != n:
             raise GridError(f"field length {arr.shape[-1]} != grid size {n}")
-        self.parity = parity
-        if parity is not None and check_parity:
-            defect = _parity_defect(grid, self.values, parity)
-            if defect > 1e-12 * max(1.0, float(np.max(np.abs(self.values)))):
-                raise ParameterError(f"parity {parity!r} violated by {defect:.2e}")
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_values(cls, grid, values, parity=None, check_parity=False):
-        return cls(grid, values=values, parity=parity, check_parity=check_parity)
+    def from_values(cls, grid, values):
+        return cls(grid, values=values)
 
     @classmethod
-    def from_coeffs(cls, grid, coeffs, parity=None):
-        return cls(grid, coeffs=coeffs, parity=parity)
-
-    @classmethod
-    def from_function(cls, grid, fn: Callable, parity=None, check_parity=False):
-        return cls(grid, values=fn(grid.z), parity=parity,
-                   check_parity=check_parity)
+    def from_coeffs(cls, grid, coeffs):
+        return cls(grid, coeffs=coeffs)
 
     # -- cached views --------------------------------------------------------
 
@@ -329,7 +305,10 @@ class SpectralField:
     # -- operations ----------------------------------------------------------
 
     def shift_reflect_defect(self) -> float:
-        return _parity_defect(self.grid, self.values, self.parity or "even")
+        """max |u(z) - u(-z)| over the nodes of a real field."""
+        v = self.values
+        mirrored = np.roll(v[..., ::-1], 1, axis=-1)  # z -> -z is j -> (N - j) mod N
+        return float(np.max(np.abs(v - mirrored)))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))

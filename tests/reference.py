@@ -4,7 +4,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ferrojet.operators import _dz, dn0_apply, dn1_apply, dn2_apply, dn_expansion
+from ferrojet.operators import dn0_apply, dn1_apply, dn2_apply, dn_expansion
 
 
 def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
@@ -56,7 +56,7 @@ def gmres(matvec: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
 
 def kinetic_term2_alt(grid, eta) -> np.ndarray:
     """Equivalent quadratic kinetic form written through K1 (consistency check)."""
-    ez = _dz(grid, eta)
+    ez = grid.deriv_values(eta)
     k0e = dn0_apply(grid, eta)
     return 0.5 * (
         grid.product_values([ez, ez])
@@ -68,7 +68,7 @@ def kinetic_term2_alt(grid, eta) -> np.ndarray:
 
 def kinetic_term3_alt(grid, eta) -> np.ndarray:
     """Equivalent cubic kinetic form written through K1, K2 (consistency check)."""
-    ez = _dz(grid, eta)
+    ez = grid.deriv_values(eta)
     k0e = dn0_apply(grid, eta)
     eta2 = grid.product_values([eta, eta])
     k1_eta = dn1_apply(grid, eta, eta)

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ferrojet import solver
+from ferrojet import checks, solver
 from ferrojet.cli import RunConfig, _make_parser, main, parse_config_file
+from ferrojet.dispersion import make_profile
 from ferrojet.errors import ParameterError
 
 
@@ -351,6 +352,38 @@ def test_metadata_records_the_run_configuration(tmp_path):
     assert report["grid"]["N"] == 2048
 
 
+@pytest.mark.parametrize("flag", [["--grid-n", "2048"], ["--grid-l", "800"]],
+                         ids=["grid-n", "grid-l"])
+def test_lone_grid_flag_replaces_one_dimension_of_the_solver_grid(tmp_path, flag):
+    # the solver's own grid at (5, 0.05) is L = 800, N = 2048: either flag
+    # alone, set to its own dimension, solves exactly the default problem
+    outs = {}
+    for name, extra in (("default", []), ("flag", flag)):
+        outs[name] = tmp_path / name
+        rc = main(["solve", "--branch", "gzcs", "--gamma", "5", "--epsilon", "0.05",
+                   *extra, "--out", str(outs[name])])
+        assert rc == 0
+    (default,) = read_json(outs["default"] / "solve_gzcs.json")["reports"]
+    (report,) = read_json(outs["flag"] / "solve_gzcs.json")["reports"]
+    assert report["grid"] == default["grid"] == {"L": 800.0, "N": 2048}
+    assert report["status"] == "converged"
+    assert (report["diagnostics"]["normalized_deviation"]
+            == default["diagnostics"]["normalized_deviation"])
+
+
+def test_lone_grid_n_keeps_the_weak_regime_box_commensurate(tmp_path):
+    # L comes from the solver's grid, on the omega lattice; a fallback to the
+    # envelope box L = 40 put omega off it (GridError, exit 2)
+    rc = main(["solve", "--branch", "gzcs", "--gamma", "15", "--epsilon", "0.1",
+               "--grid-n", "2048", "--out", str(tmp_path)])
+    assert rc == 0
+    (report,) = read_json(tmp_path / "solve_gzcs.json")["reports"]
+    omega = make_profile(15.0).omega
+    assert report["grid"]["N"] == 2048
+    m = report["grid"]["L"] * omega / np.pi
+    assert report["grid"]["L"] >= 400.0 and abs(m - round(m)) <= 1e-9
+
+
 def test_gzcs_epsilon_bound_is_wider():
     RunConfig(branch="gzcs", epsilon=[0.4]).validate()
     RunConfig(branch="gzcs", epsilon=[solver.TRAVELLING_WAVE_EPS_MAX]).validate()
@@ -397,6 +430,30 @@ def test_config_file_and_overrides(tmp_path):
     assert read_json(outdir / "dispersion_summary.json")["gamma"] == 5.0
 
 
+@pytest.mark.parametrize("key, value", [
+    ("branch", "foo"), ("suite", "foo"), ("law", "foo"),
+])
+def test_config_file_names_are_validated(tmp_path, capsys, key, value):
+    # the parser's choices do not see a config file; validation names the key
+    # before run_metadata.json is written
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(cfg), "--epsilon", "0.1",
+               "--out", str(out)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError"
+    assert err["message"].startswith(f"{key} must be one of ")
+    assert repr(value) in err["message"]
+    assert not out.exists()
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ParameterError, match="unknown check suite 'foo'"):
+        checks.run_suite("foo")
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("gamma = 5\nwhatever = 3\n")
@@ -418,8 +475,6 @@ def test_float_round_trip_precision(tmp_path):
     assert main(["dispersion", "--gamma", "5", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "dispersion.csv").read_text().splitlines()
     k, f, c2, g = (float(tok) for tok in lines[2].split(","))
-    from ferrojet.dispersion import make_profile
-
     p = make_profile(5.0)
     assert f == p.f(k)  # 17 significant digits round-trip exactly
     assert c2 == p.c2(k)

@@ -386,11 +386,12 @@ def test_bvp_converges_where_picard_diverged(zgrid, rgrid):
     assert _bc_residual(zgrid, rgrid, eta_hat, xi_hat, x) <= 1e-10
 
 
-def test_bvp_iteration_cap_error(zgrid, rgrid):
+def test_bvp_iteration_cap_error(zgrid, rgrid, monkeypatch):
+    monkeypatch.setattr(dno, "BVP_MAX_ITER", 3)
     eta_hat = zgrid.to_rcoeffs(0.2 * np.cos(zgrid.z))
     xi_hat = zgrid.to_rcoeffs(np.sin(zgrid.z))
     with pytest.raises(ConvergenceError, match=r"residual .* after \d+ sweeps"):
-        dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid, tol=1e-12, max_iter=3)
+        dno.solve_flattened_bvp(zgrid, eta_hat, xi_hat, rgrid, tol=1e-12)
 
 
 def test_bvp_boundary_condition_post(zgrid, rgrid):

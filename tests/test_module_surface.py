@@ -9,7 +9,7 @@ import pkgutil
 import pytest
 
 import ferrojet
-from ferrojet import checks, dno, operators, specfun, spectral
+from ferrojet import checks, dno, operators, solver, specfun, spectral
 
 import reference
 
@@ -83,3 +83,37 @@ def test_dno_does_not_import_operators():
     imported = _imported_modules(dno)
     assert "specfun" in imported and "solver" in imported
     assert "operators" not in imported
+
+
+# parameters every caller left at one value, now module constants
+REMOVED_PARAMETERS = [
+    (dno.solve_flattened_bvp, "max_iter"),
+    (solver.check_jacobian, "n_dirs"),
+    (checks._panels, "n_inner"),
+    (checks._panels, "n_outer"),
+    (checks.bessel_i_quadrature, "m"),
+    (specfun._f_series_fractions, "nterms"),
+    (spectral.SpectralField, "parity"),
+    (spectral.SpectralField, "check_parity"),
+    (spectral.SpectralField.from_values, "parity"),
+    (spectral.SpectralField.from_values, "check_parity"),
+    (spectral.SpectralField.from_coeffs, "parity"),
+]
+
+
+def test_single_valued_parameters_are_constants():
+    for fn, name in REMOVED_PARAMETERS:
+        assert name not in inspect.signature(fn).parameters, (fn.__qualname__, name)
+    # every suite runs on its own constants, and run_suite takes a name only
+    assert list(inspect.signature(checks.run_suite).parameters) == ["name"]
+    for suite in checks.SUITES.values():
+        assert not inspect.signature(suite).parameters, suite.__name__
+
+
+def test_spectral_field_carries_no_parity_tag():
+    # the solvers' bases own the symmetric subspaces
+    assert "parity" not in spectral.SpectralField.__slots__
+    assert not hasattr(spectral.SpectralField, "from_function")
+    assert not hasattr(spectral, "_parity_defect")
+    # one derivative helper: SpectralGrid.deriv_values
+    assert not hasattr(operators, "_dz")

@@ -33,10 +33,10 @@ def test_round_trip_random_fields(grid, rng):
 
 
 def test_coefficient_semantics(grid):
-    f = SpectralField.from_function(grid, lambda z: np.cos(3 * z), parity="even")
+    f = SpectralField.from_values(grid, np.cos(3 * grid.z))
     assert f.coeffs[grid.mode_index(3.0)] == pytest.approx(0.5, abs=1e-13)
     assert f.coeffs[grid.mode_index(-3.0)] == pytest.approx(0.5, abs=1e-13)
-    g = SpectralField.from_function(grid, lambda z: np.sin(2 * z))
+    g = SpectralField.from_values(grid, np.sin(2 * grid.z))
     assert g.coeffs[grid.mode_index(2.0)] == pytest.approx(-0.5j, abs=1e-13)
 
 
@@ -95,24 +95,25 @@ def test_pad_truncate_nyquist_round_trip(grid):
     assert np.max(np.abs(rt - c)) == 0.0
 
 
-def test_parity_tags(grid):
-    f = SpectralField.from_function(grid, lambda z: np.cos(z) + 0.2 * np.cos(3 * z),
-                                    parity="even", check_parity=True)
+def test_even_defect(grid):
+    # z -> -z maps node j to (N - j) mod N: an even field reads no defect, and
+    # sin z, with a node at z = pi/2, reads 2 max|sin z_j| = 2
+    f = SpectralField.from_values(grid, np.cos(grid.z) + 0.2 * np.cos(3 * grid.z))
     assert f.shift_reflect_defect() <= 1e-12
-    with pytest.raises(ParameterError):
-        SpectralField.from_function(grid, np.sin, parity="even", check_parity=True)
-    # conjugate-even: real coefficients
+    odd = SpectralField.from_values(grid, np.sin(grid.z))
+    assert odd.shift_reflect_defect() == pytest.approx(2.0, abs=1e-12)
+    # real coefficients give the conjugate-even fields the NLS basis solves in
     c = np.zeros(grid.N)
     c[grid.mode_index(1.0)] = 0.25
     c[grid.mode_index(-2.0)] = 0.5
-    g = SpectralField.from_coeffs(grid, c.astype(complex), parity="real-transform")
+    g = SpectralField.from_coeffs(grid, c.astype(complex))
     vals = g.values
     mirrored = np.conj(np.roll(vals[::-1], 1))
     assert np.max(np.abs(vals - mirrored)) <= 1e-13
 
 
 def test_evaluate_at(grid):
-    f = SpectralField.from_function(grid, lambda z: np.cos(3 * z))
+    f = SpectralField.from_values(grid, np.cos(3 * grid.z))
     pts = np.array([-3.3, 0.1, 7.7])
     assert np.max(np.abs(f.evaluate_at(pts) - np.cos(3 * pts))) <= 1e-13
 
