@@ -79,10 +79,9 @@ class RunConfig:
     out: Path = Path(".")
 
     def law(self) -> MagnetizationLaw:
+        """The configured law; ``validate`` has checked a custom one."""
         if self.law_kind == "custom":
-            law = MagnetizationLaw.from_derivatives(self.nu2, self.nu3)
-            law.validate()
-            return law
+            return MagnetizationLaw.from_derivatives(self.nu2, self.nu3)
         return MagnetizationLaw.linear()
 
     def validate(self) -> None:
@@ -95,6 +94,10 @@ class RunConfig:
                                      f"{', '.join(choices)}; got {value!r}")
         if not 1.0 < self.gamma < np.inf:  # NaN fails too
             raise ParameterError(f"gamma must be finite and exceed 1, got {self.gamma}")
+        # a custom law is checked here, before any output, whether or not the
+        # command reads it
+        if self.law_kind == "custom":
+            self.law().validate()
         eps_max = (solver.TRAVELLING_WAVE_EPS_MAX if self.branch == "gzcs"
                    else solver.ENVELOPE_EPS_MAX)
         if len(set(self.epsilon)) != len(self.epsilon):

@@ -237,7 +237,7 @@ def make_profile(gamma: float) -> DispersionProfile:
     )
 
     if regime is Regime.WEAK:
-        if abs(profile.g(omega)) > 1e-9:
+        if abs(profile.g(omega)) > 1e-11 * gamma:
             raise ConvergenceError(
                 f"dispersion minimum not resolved: g(omega) = {profile.g(omega)}"
             )

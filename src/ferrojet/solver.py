@@ -209,8 +209,10 @@ class SolverProblem:
     state refined onto the padded grid, or the travelling-wave
     linearisation); ``residual(ctx)`` and ``jv_batch(ctx, W)`` read it, the
     rows of W being directions, so one call applies J to a batch.
-    ``context`` keeps the last context, so the Newton step at an accepted
-    trial point reuses the one its residual built.  ``diagnostics`` holds
+    ``flat_diagonal`` is the diagonal of J(0), which is diagonal in each
+    basis, in closed form: the Newton preconditioner.  ``context`` keeps
+    the last context, so the Newton step at an accepted trial point reuses
+    the one its residual built.  ``diagnostics`` holds
     what the problem records as it runs; the solve's report carries it.
     """
 
@@ -218,6 +220,7 @@ class SolverProblem:
     prepare: Callable[[np.ndarray], object]
     residual: Callable[[object], np.ndarray]
     jv_batch: Callable[[object, np.ndarray], np.ndarray]
+    flat_diagonal: np.ndarray
     geometry_ok: Optional[Callable[[np.ndarray], bool]] = None
     diagnostics: dict = field(default_factory=dict)
     _last: tuple = field(default=(), init=False, repr=False)
@@ -272,8 +275,8 @@ def _res_norms(grid: SpectralGrid, basis, r: np.ndarray):
 
 
 def _flat_diagonal(problem: SolverProblem) -> np.ndarray:
-    """Diagonal of J(0), zeros set to one; J(0) is diagonal in each basis."""
-    d = problem.linearize(np.zeros(problem.dim))(np.ones((1, problem.dim)))[0]
+    """The problem's diagonal of J(0), zeros set to one."""
+    d = problem.flat_diagonal
     return np.where(d == 0.0, 1.0, d)
 
 
@@ -345,7 +348,8 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
 def _quadratic_even_problem(grid: SpectralGrid, sym: np.ndarray,
                             quad) -> SolverProblem:
     """Even-subspace problem sym * v + quad * coords(u^2), quad per mode or not;
-    v is u's half spectrum, and its context is (v, u on the padded grid)."""
+    v is u's half spectrum, and its context is (v, u on the padded grid).
+    J(0) is sym."""
     basis = EvenBasis(grid)
 
     def quadratic(fine):
@@ -361,7 +365,7 @@ def _quadratic_even_problem(grid: SpectralGrid, sym: np.ndarray,
 
     return SolverProblem(basis=basis,
                          prepare=lambda v: (v, grid.refine_to_values(v)),
-                         residual=residual, jv_batch=jv_batch)
+                         residual=residual, jv_batch=jv_batch, flat_diagonal=sym)
 
 
 def kdv_problem(coeffs: WnlCoeffs, grid: SpectralGrid) -> SolverProblem:
@@ -386,7 +390,7 @@ def fd_kdv_problem(gamma: float, law: MagnetizationLaw, epsilon: float,
 def fd_nls_problem(profile: DispersionProfile, coeffs: WnlCoeffs, epsilon: float,
                    grid: SpectralGrid, delta: Optional[float] = None) -> SolverProblem:
     """Full-dispersion NLS: eps^-2 g(w + eps D) + a2 - a3 chi0 |z|^2 z, with
-    the weak-regime ``profile`` and its ``nls_coeffs``."""
+    the weak-regime ``profile`` and its ``nls_coeffs``; J(0) is the symbol."""
     if delta is None:
         delta = profile.omega / 6.0
     basis = ConjugateEvenBasis(grid)
@@ -412,7 +416,7 @@ def fd_nls_problem(profile: DispersionProfile, coeffs: WnlCoeffs, epsilon: float
         return sym * W - cubic(2.0 * abs2_f * w_f + z2_f * w_f.conj())
 
     return SolverProblem(basis=basis, prepare=prepare,
-                         residual=residual, jv_batch=jv_batch)
+                         residual=residual, jv_batch=jv_batch, flat_diagonal=sym)
 
 
 def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
@@ -428,8 +432,9 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
     quasi-Newton step: dG/dP is taken at the oracle's P, and the dK/deta
     part of the derivative is the expansion's (the two operators differ at
     cubic order).  At the flat state xi = 0, so P = 0 exactly and the
-    expansion gives it: the preconditioner's J(0) costs no BVP solve, and
-    ``bvp_solves`` gets one entry per residual evaluation.
+    expansion gives it.  J(0) is gamma nu'(1) - 1 - D^2 - c^2 K0 on the half
+    spectrum (Nyquist's D^2 zeroed, as d/dz), so the preconditioner evaluates
+    no K, and ``bvp_solves`` gets one entry per residual evaluation.
     """
     basis = EvenBasis(grid)
     bvp_solves = []
@@ -449,8 +454,11 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
     def geometry_ok(v):
         return bool(np.min(1.0 + basis.to_values(v)) > 0.0)
 
+    S, _, D2 = op._half_symbols(grid)
+    flat = gamma * law.nu_prime(1.0) - 1.0 - D2 - c2 * S
     return SolverProblem(basis=basis, prepare=prepare, residual=lambda ctx: ctx[0],
-                         jv_batch=jv_batch, geometry_ok=geometry_ok,
+                         jv_batch=jv_batch, flat_diagonal=flat,
+                         geometry_ok=geometry_ok,
                          diagnostics={"bvp_solves": bvp_solves} if dn_oracle else {})
 
 

@@ -23,6 +23,13 @@ together.  Every power series stops at the first term below 1e-17 of its
 partial sum in every element; the term counts are only caps.  I2 keeps its
 own series (no recurrence from I0, I1, whose cancellation f' would feel).
 
+On a lattice of arguments z = x_j s_p with x s <= SEAM_I, the Green's-kernel
+build's (mode x radial point) grid, ``_bessel01_lattice`` gives the four
+unscaled: the I series and the K log-series sums are power series in
+(x/2)^2 s^2, so all four sums are one matrix product of a (modes x terms)
+table with a (terms x points) table, the term count set by the same 1e-17
+rule at the largest argument; K above SEAM_K is the same Chebyshev series.
+
 Everything is vectorised over numpy arrays; scalars in give scalars out.
 The modified Struve functions L0, L1, which only the kernel identities need,
 are in ``checks``.
@@ -255,6 +262,94 @@ def _bessel01_scaled(x: np.ndarray):
     """
     i0, i1 = _iv_scaled(x, (0, 1))
     return (i0, i1) + _k01_scaled(x, (i0, i1))
+
+
+def _series_terms(z: float) -> int:
+    """Terms the lattice sums take for arguments up to z <= SEAM_I.
+
+    The rule of the elementwise series at the largest argument, where every
+    series stops last: the I0/I1 pass and, at min(z, SEAM_K), the K0/K1
+    log-series pass each run to their first terms below _SERIES_RTOL of the
+    partial sums, or to their caps.
+    """
+    t = 0.25 * z * z
+    term0, term1 = 1.0, 0.5 * z
+    total0, total1 = term0, term1
+    n_i = _I_SERIES_TERMS
+    for m in range(1, _I_SERIES_TERMS):
+        term0 *= t / (m * m)
+        term1 *= t / (m * (m + 1))
+        total0 += term0
+        total1 += term1
+        if term0 <= _SERIES_RTOL * total0 and term1 <= _SERIES_RTOL * total1:
+            n_i = m + 1
+            break
+    t = min(t, 0.25 * SEAM_K**2)
+    term, s0, s1 = 1.0, 0.0, float(_K1_COEFFS[0])
+    n_k = _K_SERIES_TERMS
+    for m in range(1, _K_SERIES_TERMS):
+        term *= t / (m * m)
+        d0, d1 = term * _K0_COEFFS[m], term * _K1_COEFFS[m]
+        s0 += d0
+        s1 += d1
+        if d0 <= _SERIES_RTOL * s0 and d1 <= _SERIES_RTOL * abs(s1):
+            n_k = m + 1
+            break
+    return max(n_i, n_k)
+
+
+def _lattice_coeffs() -> np.ndarray:
+    # per term m, the coefficients of t^m in the four lattice sums: I0,
+    # 2 I1 / z, the K0 log-series sum and the K1 one (K terms beyond the K
+    # cap are zero)
+    m = np.arange(_I_SERIES_TERMS)
+    fac = np.array([float(math.factorial(j)) for j in range(_I_SERIES_TERMS + 1)])
+    k = np.zeros((2, _I_SERIES_TERMS))
+    k[:, :_K_SERIES_TERMS] = _K0_COEFFS, _K1_COEFFS
+    return np.stack([1.0 / fac[m] ** 2, 1.0 / (fac[m] * fac[m + 1]), *(k / fac[m] ** 2)])
+
+
+_LATTICE_COEFFS = _lattice_coeffs()  # (4, terms)
+
+
+def _lattice_table(s: np.ndarray, terms: int) -> np.ndarray:
+    """The (terms, 4 * s.size) table c_m s^(2m) of the four lattice sums."""
+    powers = (s * s) ** np.arange(terms)[:, None]
+    return (_LATTICE_COEFFS[:, :terms, None] * powers).transpose(1, 0, 2).reshape(terms, -1)
+
+
+def _bessel01_lattice(x: np.ndarray, s: np.ndarray, table=None):
+    """(I0, I1, K0, K1) at z = x_j s_p, unscaled, each of shape (x.size, s.size).
+
+    For 0 < x s <= SEAM_I.  I0, I1 and the K0/K1 log-series sums are power
+    series in t = (x/2)^2 s^2, so all four are one matrix product of the
+    (modes x terms) table (x/2)^(2m) with the (terms x points) table
+    c_m s^(2m) (``_lattice_table``; ``table`` may pass one with at least as
+    many terms).  The term count is the elementwise series' rule at the
+    largest argument (``_series_terms``).  K above SEAM_K is the Chebyshev
+    series of ``_kv_cheb_scaled``.
+    """
+    terms = _series_terms(float(np.max(x) * np.max(s)))
+    if table is None:
+        table = _lattice_table(s, terms)
+    powers = (0.25 * x * x)[:, None] ** np.arange(terms)
+    i0, i1, k0, k1 = np.moveaxis((powers @ table[:terms]).reshape(x.size, 4, s.size), 1, 0)
+    z = x[:, None] * s
+    i1 *= 0.5 * z
+    # the log series everywhere, then K above SEAM_K replaced
+    lg = np.log(0.5 * z)
+    k0 -= (lg + _EULER_GAMMA) * i0
+    k1 *= -0.25 * z
+    k1 += lg * i1
+    k1 += 1.0 / z
+    hi = z > SEAM_K
+    if np.any(hi):
+        zhi = z[hi]
+        e = np.exp(-zhi)
+        k0_hi, k1_hi = _kv_cheb_scaled(zhi)
+        k0[hi] = k0_hi * e
+        k1[hi] = k1_hi * e
+    return i0, i1, k0, k1
 
 
 def _besseli_scaled(order: int, x: np.ndarray) -> np.ndarray:

@@ -309,6 +309,22 @@ def test_solve_rejects_bad_numbers(tmp_path, capsys, option):
     assert not list(tmp_path.glob("solve_*.json"))
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--branch", "kdv", "--epsilon", "0.1"],
+    ["dispersion"],
+], ids=lambda command: command[0])
+def test_custom_law_is_checked_before_any_output(tmp_path, capsys, command):
+    # checked only when a solve built the law, solve left run_metadata.json
+    # behind and dispersion, which reads no law, exited 0
+    rc = main([*command, "--gamma", "5", "--law", "custom", "--nu2", "nan",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError"
+    assert err["message"] == "law's nu2 must be finite: got nan"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("gamma", ["nan", "inf"])
 @pytest.mark.parametrize("command", [
     ["solve", "--branch", "kdv", "--epsilon", "0.1"],

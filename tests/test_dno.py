@@ -130,6 +130,7 @@ def _composite_rule_blocks(x, rgrid, points):
 @pytest.mark.parametrize("L,N,modes", [
     (8 * np.pi, 128, [0, 1, 7, 15, 31, 47, 63]),  # criterion 4: |k| = m/8 <= 8
     (np.pi, 512, [0, 7, 31, 63, 127, 199, 255]),  # |k| = m <= 256
+    (np.pi, 64, [0, 27, 28, 29, 30, 31]),  # |k| = 28, 29, 30 | 31, 32 across SEAM_I
 ])
 def test_operator_matches_the_shared_rule_with_32_points(L, N, modes):
     # the semi-separable build against the same breakpoints with twice the
@@ -145,6 +146,32 @@ def test_operator_matches_the_shared_rule_with_32_points(L, N, modes):
     want = _composite_rule_blocks(x[modes], rgrid, 32).reshape(shape)
     err = np.abs(operator.A[modes].reshape(shape) - want)
     assert np.all(np.max(err, axis=(2, 4)) <= 1e-12 * np.max(np.abs(want), axis=(2, 4)))
+
+
+@pytest.mark.parametrize("nr", [12, 16, 24, 48])
+def test_lattice_build_matches_the_scaled_build(nr, monkeypatch):
+    # modes up to SEAM_I = 30 build A from unscaled lattice sums; the scaled
+    # running sums, valid at any |k|, build every mode when the seam is 0.
+    # Per mode, to 1e-13 of its block's largest entry
+    zgrid = SpectralGrid.make(8.0, 128)  # |k| = m pi / 8 <= 25.1
+    rgrid = dno.RadialGrid.make(nr)
+    lattice = dno.SolutionOperator(zgrid, rgrid).A
+    monkeypatch.setattr(dno, "SEAM_I", 0.0)
+    scaled = dno.SolutionOperator(zgrid, rgrid).A
+    err = np.max(np.abs(lattice - scaled), axis=(1, 2))
+    assert np.all(err <= 1e-13 * np.max(np.abs(scaled), axis=(1, 2)))
+
+
+def test_oracle_solution_matches_the_scaled_build(linear_law, monkeypatch):
+    # the benchmark's oracle solve, (5, 0.1) on L = 400 and N = 1024 (|k| up to
+    # 4.02, all on the lattice), against the same solve with every mode built
+    # from scaled values
+    rep = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
+    monkeypatch.setattr(dno, "SEAM_I", 0.0)
+    ref = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
+    assert rep.converged and ref.converged
+    want = ref.solution.values
+    assert np.max(np.abs(rep.solution.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _per_node_panel_operator(zgrid, rgrid):
@@ -372,7 +399,7 @@ def _bc_residual(zgrid, rgrid, eta_hat, xi_hat, x):
     """max |D0 u - F1 - xi_z| at r = 1 for the nodal solution x = (u_z, D0 u)."""
     eta = zgrid.to_rvalues(eta_hat)
     eta_z = zgrid.to_rvalues(1j * zgrid.kr * eta_hat)
-    F1, _ = dno._forcing_terms(rgrid, eta, eta_z, *x)
+    F1, _ = dno._forcing_terms(dno._forcing_coefficients(rgrid, eta, eta_z), *x)
     bc_rhs = boundary_row(rgrid) @ F1 + zgrid.to_rvalues(1j * zgrid.kr * xi_hat)
     return np.max(np.abs(boundary_row(rgrid) @ x[1] - bc_rhs))
 
@@ -417,9 +444,10 @@ def test_bvp_contraction_factor(zgrid, rgrid):
         return zgrid.to_rvalues(profiles * np.stack([ik, np.ones_like(ik)])[:, None, :])
 
     uz, d0u = nodal(dno._operator_for(zgrid, rgrid.nr).flat(xi_hat)[0])
+    coeffs = dno._forcing_coefficients(rgrid, eta, eta_z)
     ratios, last = [], None
     for _ in range(60):
-        F1, F2 = dno._forcing_terms(rgrid, eta, eta_z, uz, d0u)
+        F1, F2 = dno._forcing_terms(coeffs, uz, d0u)
         profiles, trace_u = _solution(zgrid, rgrid, zgrid.to_rcoeffs(F1),
                                       zgrid.to_rcoeffs(F2), xi_hat)
         uz_new, d0u_new = nodal(profiles)
@@ -855,7 +883,7 @@ def test_criterion_9_oracle_certifies_on_one_build(linear_law, monkeypatch):
     rep = solver.solve_travelling_wave(5.0, linear_law, 0.1, dn_oracle=True, tol=1e-10)
     assert rep.converged and builds == [12] and grids == [12]
     # one BVP solve per residual evaluation: the flat-state preconditioner
-    # takes P = 0 from the expansion, with no oracle solve
+    # is closed form, with no oracle solve
     solves = rep.diagnostics["bvp_solves"]
     assert len(solves) == 4 and sum(e["sweeps"] for e in solves) <= 28
     assert all(e["nr"] == 12 and e["radial_tail"] <= 1e-12

@@ -145,10 +145,10 @@ def test_each_iterate_prepares_its_state_once(name, linear_law):
     problem.prepare, problem.residual = counted_prepare, counted_residual
     rep = solver._newton(problem, v, 1e-10, 20, epsilon=0.1, branch=name)
     assert rep.converged and rep.iterations >= 2
-    # the flat state (the preconditioner), then one per residual evaluation:
-    # the Newton step at an accepted point reuses its residual's context
-    assert len(prepared) == 1 + len(evaluated)
-    assert not np.any(prepared[0])
+    # one per residual evaluation: the preconditioner is the problem's closed
+    # form, and the Newton step at an accepted point reuses its residual's context
+    assert len(prepared) == len(evaluated)
+    assert np.array_equal(prepared[0], v)
 
 
 def test_jacobian_check_prepares_its_state_once(linear_law):
@@ -282,9 +282,23 @@ def test_gmres_stall_raises_with_its_record(linear_law):
     assert entry["relative_residual"] > solver.GMRES_RTOL
 
 
-@pytest.mark.parametrize("name", PROBLEMS)
+def _flat_state_problem(name, law):
+    """``make_problem``'s problem, or the travelling wave in the weak regime
+    or with the BVP oracle."""
+    if name == "gzcs-weak":
+        grid = SpectralGrid.commensurate(make_profile(15.0).omega, 100.0, 512)
+        return solver.travelling_wave_problem(15.0, law, 5.5, grid)
+    if name == "gzcs-oracle":
+        grid = SpectralGrid.make(200.0, 512)
+        return solver.travelling_wave_problem(5.0, law, 1.98, grid, dn_oracle=True)
+    return make_problem(name, law)[0]
+
+
+@pytest.mark.parametrize("name", PROBLEMS + ["gzcs-weak", "gzcs-oracle"])
 def test_flat_state_jacobian_is_diagonal(name, linear_law):
-    problem, _ = make_problem(name, linear_law)
+    # the preconditioner is each problem's closed form (the symbols, and
+    # gamma nu'(1) - 1 - D^2 - c^2 K0 for the travelling wave)
+    problem = _flat_state_problem(name, linear_law)
     J0 = problem.assemble_jacobian(np.zeros(problem.dim))
     diag = np.diag(J0)
     assert np.max(np.abs(J0 - np.diag(diag))) <= 1e-13 * np.max(np.abs(diag))

@@ -174,6 +174,37 @@ def test_series_stop_matches_the_every_element_test(monkeypatch):
             assert np.array_equal(a, b)
 
 
+def _rule_points(nr):
+    """The points of a ``SolutionOperator`` build's lattice on nr state nodes:
+    every point of its radial rule, then the nodes, then 1."""
+    from ferrojet import dno
+
+    r = dno.RadialGrid.make(nr).r
+    t = np.concatenate([[0.0], r, [1.0]])
+    s = 0.5 * (dno._gauss_rule(dno._RULE_POINTS)[0] + 1.0)
+    q = t[:-1, None] + np.diff(t)[:, None] * s
+    return np.concatenate([q.ravel(), r, [1.0]])
+
+
+@pytest.mark.parametrize("modes", [
+    np.pi * np.arange(1, 513) / 400.0,  # the benchmark grid's |k|, up to 4.02
+    np.linspace(0.5, 4.0, 33),
+    np.linspace(26.0, sf.SEAM_I, 9),
+], ids=["benchmark", "across-seam-k", "up-to-seam-i"])
+def test_lattice_matches_the_joint_evaluator(modes):
+    # every lattice has |k| s on both sides of SEAM_K.  Per mode, each
+    # function scaled as the joint evaluator scales it, to 2e-15 of its
+    # largest: the lattice's argument t = (|k|/2)^2 s^2 rounds apart from
+    # the joint evaluator's (|k| s / 2)^2, and I0, I1 feel a relative change
+    # of t about |k| s / 2 times (up to 1.3e-15 at |k| = 27)
+    s = _rule_points(12)
+    z = modes[:, None] * s
+    got = sf._bessel01_lattice(modes, s)
+    for n, (vals, want) in enumerate(zip(got, sf._bessel01_scaled(z))):
+        err = np.max(np.abs(vals * np.exp(-z if n < 2 else z) - want), axis=1)
+        assert np.all(err <= 2e-15 * np.max(np.abs(want), axis=1)), n
+
+
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_i_family_two_branch_seam(order):
     seam = np.array([sf.SEAM_I])
