@@ -35,28 +35,29 @@ Lagrange basis function and rt over (0, r_i), and S_i integrates b (or b')
 over (r_i, 1).  One composite rule serves every row and every mode: its
 breakpoints 0, r_1, ..., r_nr, 1 are exactly the kernel's kinks (and the
 log point of K0 at rt = 0 is an end), each panel has 16 Gauss points, and
-P_i, S_i are sums of the panels' integrals.  The build takes 32 modes at a
-time.  For |k| <= SEAM_I = 30, which covers every grid ``solver.wave_grid``
-makes, the factors are unscaled: I0, I1 and the K0/K1 log-series sums at
-|k| rt are power series in (|k|/2)^2 rt^2, so a chunk's four factors at
-every panel point and state node are one matrix product of a
+P_i, S_i are sums of the panels' integrals.  The build is one loop over
+chunks of 32 modes, and its only branch is where a chunk's four factors at
+every panel point, state node and r = 1 come from.  Up to SEAM_I = 30 they
+are unscaled: I0, I1 and the K0/K1 log-series sums at |k| rt are power
+series in (|k|/2)^2 rt^2, so they are one matrix product of a
 (modes x terms) power table with a (terms x points) table
-(``specfun._bessel01_lattice``; K above SEAM_K is its Chebyshev series),
-and P_i, S_i are cumulative sums of the panel integrals: no scaling
-exponentials and no recurrence from node to node.  Above SEAM_I, where those
-series stop and unscaled factors would overflow at large |k|, the sums are
-kept scaled by e^{-|k| r_i} and e^{|k| r_i}, each step multiplying by
-e^{-|k| h}, with every factor from scaled Bessel values
-(``specfun._bessel01_scaled``), so no |k| overflows.  Where both apply the
-two builds agree to 2e-15 of each mode's block (tested through nr = 48).
-At (L, N, nr) = (400, 1024, 12), the benchmark's oracle grid, the build
-takes about 12 ms on one thread of a 2-vCPU x86_64 guest, where the scaled
-build of every mode took 23 ms.
+(``specfun._bessel01_lattice``; K above SEAM_K is its Chebyshev series).
+Above it, where those series stop and unscaled factors would overflow,
+they are scaled Bessel values (``specfun._bessel01_scaled``), a and a'
+carrying e^{-|k| rt} and b and b' e^{|k| rt}, moved to the panel's right and
+left ends.  The rest is shared: the panel integrals are one batched matmul;
+P_i and S_i are one triangular product whose entries are e^{-xs d}, with d
+the distance from r_i to each panel's end and xs = 0 for unscaled modes
+(0/1 triangles) or |k| for scaled ones, so no |k| overflows; and the
+boundary kernels (a, a')(r_i)/a'(1) and G(1, 1) = -a(1)/a'(1) are read from
+the same values.  Where both sources apply the two builds agree to 2e-15 of
+each mode's block (tested through nr = 48).  Solver grids do pass SEAM_I:
+``solver.wave_grid`` ends at |k| = 32.15 at gamma = 60, eps = 0.2 (L = 200.1,
+N = 4096) and at 128.7 at gamma = 1e3.
 Against the same rule with 32 points per panel
 the operator agrees to about 1e-14 through |k| = 256 (tested) and 1e-13 at
 |k| = 1024; above |k| ~ 2000 sixteen points no longer resolve
-e^{-|k| |r - rt|} across a panel (3e-8 at |k| = 2048, 3e-2 at 8192).  The
-solver's grids stay near |k| = 10.
+e^{-|k| |r - rt|} across a panel (3e-8 at |k| = 2048, 3e-2 at 8192).
 
 Per mode the four kernel matrices form one real block operator
 A = [[G, H2], [H1, H3]] acting on (i k F2_hat, -F1_hat) and giving
@@ -107,7 +108,6 @@ from .specfun import (
     SEAM_I,
     _bessel01_lattice,
     _bessel01_scaled,
-    _besseli_scaled,
     _iv_scaled,
     _lattice_table,
     _series_terms,
@@ -235,105 +235,6 @@ _RULE_POINTS = 16
 _BUILD_MODES = 32
 
 
-def _flat_profiles(x: np.ndarray, r: np.ndarray):
-    """I0(xr)/(x I1(x)) and I1(xr)/I1(x) on (x, r), and I0(x)/(x I1(x)).
-
-    The eta = 0 radial profiles per unit i k xi_hat, from scaled values.
-    """
-    i1x = _besseli_scaled(1, x)
-    xr = x[:, None] * r[None, :]
-    e_r1 = np.exp(x[:, None] * (r[None, :] - 1.0))
-    prof0 = _besseli_scaled(0, xr) * e_r1 / (x * i1x)[:, None]
-    prof1 = _besseli_scaled(1, xr) * e_r1 / i1x[:, None]
-    return prof0, prof1, _besseli_scaled(0, x) / (x * i1x)
-
-
-def _factor_values(x: np.ndarray, ratio: np.ndarray, s: np.ndarray):
-    """Scaled kernel factors at |k| s: (e^-xs a, e^-xs a', e^xs b, e^xs b').
-
-    a = I0(x s), a' = x I1(x s), b = K0(x s) + ratio I0(x s) and
-    b' = x (ratio I1(x s) - K1(x s)) with ratio = K1(x)/I1(x); x and ratio
-    broadcast against s.  The wall term of b carries e^{2x(s-1)} <= 1.
-    """
-    i0, i1, k0, k1 = _bessel01_scaled(x * s)
-    wall = ratio * np.exp(2.0 * x * (s - 1.0))
-    return i0, x * i1, k0 + wall * i0, x * (wall * i1 - k1)
-
-
-def _scaled_chunks(x, q, h, s, B, r):
-    """Running sums P, S and node factors (4, modes, nr) of the modes x by
-    scaled values, one chunk of _BUILD_MODES modes at a time (see
-    ``_lattice_chunks``).
-
-    Valid for any |k|.  P_i and S_i are kept scaled by e^{-x r_i} and
-    e^{x r_i}, each step multiplying by e^{-x h}, and the node factors by
-    the inverse exponentials, so their products are A's entries.
-    """
-    nint, p, nr = B.shape
-    if not x.size:
-        return
-    _, i1_x, _, k1_x = _bessel01_scaled(x)
-    ratio = (k1_x / i1_x)[:, None]
-    nodes = np.stack(_factor_values(x[:, None], ratio, r))
-    for c in range(0, x.size, _BUILD_MODES):
-        modes = slice(c, c + _BUILD_MODES)
-        xc = x[modes, None]
-        nc = xc.shape[0]
-        F = np.stack(_factor_values(xc, ratio[modes], q[:, None, :]), axis=2)
-        # scaled toward the panel's right end (P) or its left end (S)
-        xh = h[:, None, None] * xc
-        F[:, :, :2] *= np.exp(-xh * (1.0 - s))[:, :, None]
-        F[:, :, 2:] *= np.exp(-xh * s)[:, :, None]
-        # J[m, :, 0]: panel m's integrals of [a, a'] l_j rt; J[m, :, 1]: of [b, b']
-        J = np.matmul(F.reshape(nint, 4 * nc, p), B).reshape(nint, nc, 2, 2 * nr)
-        decay = np.exp(-xh)
-        P = np.empty((nr, nc, 2 * nr))
-        S = np.empty_like(P)
-        P[0] = J[0, :, 0]
-        for i in range(1, nr):  # node i closes panel i
-            np.multiply(P[i - 1], decay[i], out=P[i])
-            P[i] += J[i, :, 0]
-        S[nr - 1] = J[nr, :, 1]
-        for i in range(nr - 2, -1, -1):  # node i opens panel i + 1
-            np.multiply(S[i + 1], decay[i + 1], out=S[i])
-            S[i] += J[i + 1, :, 1]
-        yield modes, P, S, nodes[:, modes]
-
-
-def _lattice_chunks(x, q, r, B):
-    """Running sums P, S (nr, modes, 2 nr) and node factors a, a', b, b'
-    (4, modes, nr) of the modes x, all unscaled, one chunk of _BUILD_MODES
-    modes at a time.
-
-    For |k| <= SEAM_I.  The four factors at every point of the rule, every
-    state node and r = 1 (for K1(x)/I1(x)) come from one
-    ``_bessel01_lattice`` per chunk on one ``_lattice_table``.  Panel m's
-    integrals J_m of [a, a'] and [b, b'] against l_j rt are one batched
-    matmul, and the cumulative sums P_i = J_0 + ... + J_i and
-    S_i = J_{i+1} + ... + J_nr are products of 0/1 triangles with J.
-    """
-    nint, p, nr = B.shape
-    if not x.size:
-        return
-    pts = np.concatenate([q.ravel(), r, [1.0]])
-    table = _lattice_table(pts, _series_terms(float(x[-1])))
-    tri_P, tri_S = np.tri(nr, nint), 1.0 - np.tri(nr, nint, 0)
-    for c in range(0, x.size, _BUILD_MODES):
-        modes = slice(c, c + _BUILD_MODES)
-        xc = x[modes]
-        nc = xc.size
-        i0, i1, k0, k1 = _bessel01_lattice(xc, pts, table)
-        ratio = (k1[:, -1] / i1[:, -1])[:, None]
-        F = np.stack([i0, xc[:, None] * i1, k0 + ratio * i0,
-                      xc[:, None] * (ratio * i1 - k1)])
-        panel = F[..., :nint * p].reshape(4, nc, nint, p).transpose(2, 0, 1, 3)
-        J = np.matmul(panel.reshape(nint, 4 * nc, p), B).reshape(nint, 2, 2, nc, nr)
-        J = J.transpose(0, 1, 3, 2, 4).reshape(nint, 2, nc * 2 * nr)
-        P = (tri_P @ J[:, 0]).reshape(nr, nc, 2 * nr)
-        S = (tri_S @ J[:, 1]).reshape(nr, nc, 2 * nr)
-        yield modes, P, S, F[:, :, nint * p:-1]
-
-
 class SolutionOperator:
     """Precomputed per-mode quadrature of the Green's-kernel representation."""
 
@@ -357,33 +258,68 @@ class SolutionOperator:
         q = t[:-1, None] + h[:, None] * s
         wq = 0.5 * h[:, None] * wg * q
         B = rgrid.interp_to(q.ravel()).reshape(q.shape + (nr,)) * wq[..., None]
+        nint, p = q.shape
+        # a chunk's factors at every rule point, the state nodes and r = 1,
+        # and the distance by which each factor's scaling moves to its panel's
+        # end: the right end for a, a' (P side), the left for b, b' (S side)
+        pts = np.concatenate([q.ravel(), r, [1.0]])
+        shift = np.zeros((4, 1, pts.size))
+        shift[:2, 0, :q.size] = (h[:, None] * (1.0 - s)).ravel()
+        shift[2:, 0, :q.size] = (h[:, None] * s).ravel()
+        # P_i sums panels m <= i over the distance r_i - t_{m+1}, S_i panels
+        # m > i over t_m - r_i; the triangles are where the distance is >= 0
+        dist = np.stack([r[:, None] - t[1:], t[:-1] - r[:, None]])
+        tri = dist >= 0.0
+        dist = np.maximum(dist, 0.0)
 
         # one block operator per mode: rows give (u, D0 u), columns act on
         # (i k F2_hat, -F1_hat).  Row i of each block is -b(r_i) P_i - a(r_i) S_i
-        # (primed factors where the kernel differentiates), with P_i the
-        # integral of [a, a'] l_j rt over (0, r_i) and S_i that of [b, b'] over
-        # (r_i, 1).  Modes up to SEAM_I take the lattice sums, the rest the
-        # scaled ones; both give P, S and the node factors per chunk.
+        # (primed factors where the kernel differentiates).  The one branch
+        # is the factor source: modes up to SEAM_I take unscaled lattice
+        # values (xs = 0), the rest scaled values, a and a' times e^{-xs rt}
+        # and b and b' times e^{xs rt} (xs = |k|), moved to the panel ends.
+        # With the sums weighted by e^{-xs distance}, the scalings cancel in
+        # every product of a sum with a node factor.
         A = np.empty((nk, 2 * nr, 2 * nr))
+        self.b_xi = np.empty((nk, 2 * nr))
+        self.G11 = np.empty(nk)
         n = int(np.searchsorted(x, SEAM_I, side="right"))
-        for block, chunks in ((A[:n], _lattice_chunks(x[:n], q, r, B)),
-                              (A[n:], _scaled_chunks(x[n:], q, h, s, B, r))):
-            for modes, P, S, nodes in chunks:
-                # the node factors, negated: a row is then f_P P_i + f_S S_i
-                a, da, b, db = -nodes
-                P, S = P.transpose(1, 0, 2), S.transpose(1, 0, 2)
-                for rows, f_P, f_S in ((slice(0, nr), b, a), (slice(nr, None), db, da)):
-                    out = block[modes, rows]
-                    np.multiply(f_P[:, :, None], P, out=out)
-                    out += f_S[:, :, None] * S
+        table = _lattice_table(pts, _series_terms(float(x[n - 1]))) if n else None
+        starts = [*range(0, n, _BUILD_MODES), *range(n, nk, _BUILD_MODES)]
+        for lo, hi in zip(starts, starts[1:] + [nk]):
+            xc = x[lo:hi, None]
+            nc = hi - lo
+            if lo < n:
+                i0, i1, k0, k1 = _bessel01_lattice(xc[:, 0], pts, table)
+                wall, xs = 1.0, np.zeros((1, 1))
+            else:
+                i0, i1, k0, k1 = _bessel01_scaled(xc * pts)
+                wall, xs = np.exp(2.0 * xc * (pts - 1.0)), xc
+            # a = I0, a' = x I1, b = K0 + ratio I0, b' = x (ratio I1 - K1),
+            # ratio = K1(x)/I1(x) from the values at r = 1 (times e^{2x(rt-1)}
+            # against the scaled K0)
+            wall = wall * (k1[:, -1:] / i1[:, -1:])
+            F = np.stack([i0, xc * i1, k0 + wall * i0, xc * (wall * i1 - k1)])
+            F *= np.exp(-xs * shift)
+            # J[c, side, m]: panel m's integrals of [a, a'] (side 0) or
+            # [b, b'] (side 1) against l_j rt; one batched matmul
+            panel = F[..., :q.size].reshape(4, nc, nint, p).transpose(2, 1, 0, 3)
+            J = np.matmul(panel.reshape(nint, nc * 4, p), B)
+            J = J.reshape(nint, nc, 2, 2 * nr).transpose(1, 2, 0, 3)
+            weights = tri * np.exp(-xs[..., None, None] * dist)
+            P, S = np.moveaxis(np.matmul(weights, J), 1, 0)
+            a, da, b, db = F[..., q.size:-1, None]
+            A[lo:hi, :nr] = -(b * P + a * S)
+            A[lo:hi, nr:] = -(db * P + da * S)
+            # the boundary (xi) kernels and G(1, 1): (a, a')(r_i) and a(1)
+            # over a'(1), each factor unscaled by e^{xs (r - 1)}
+            self.b_xi[lo:hi] = -np.hstack(
+                F[:2, :, q.size:-1] * (np.exp(xs * (r - 1.0)) / F[1, :, -1:]))
+            self.G11[lo:hi] = -F[0, :, -1] / F[1, :, -1]
         self.A = A
 
-        # boundary (xi) kernels and trace rows at r = 1, closed form (the
-        # trace integrands are smooth: state-node quadrature), in the same
-        # (u, D0 u) / (i k F2_hat, -F1_hat) layout as A
-        prof0, prof1, prof0_wall = _flat_profiles(x, r)
-        self.b_xi = -np.concatenate([prof0, prof1], axis=1)
-        self.G11 = -prof0_wall
+        # trace rows at r = 1 (the trace integrands are smooth: state-node
+        # quadrature), in the same (u, D0 u) / (i k F2_hat, -F1_hat) layout as A
         self.trace_row = (self.b_xi * np.tile(rgrid.w * r, 2))[:, None, :]
 
     def _columns(self, F1_hat: np.ndarray, F2_hat: np.ndarray) -> np.ndarray:

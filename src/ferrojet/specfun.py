@@ -17,18 +17,23 @@ Green's-kernel code are formed from scaled values, so nothing overflows for
 arguments up to 1e4 and beyond.
 
 I0, I1, K0 and K1 are evaluated jointly (``_bessel01_scaled``): one pass of
-the I0/I1 series, then below SEAM_K one pass of the K0/K1 log series that
-reuses those I values, or above it one 26-term Chebyshev sum for K0 and K1
-together.  Every power series stops at the first term below 1e-17 of its
-partial sum in every element; the term counts are only caps.  I2 keeps its
-own series (no recurrence from I0, I1, whose cancellation f' would feel).
+the I0/I1 series, then below SEAM_K the K0/K1 log series that reuses those
+I values, or above it one 26-term Chebyshev sum for K0 and K1 together.
+The I series stop at the first term below 1e-17 of the partial sum in
+every element; the term counts are only caps.  I2 keeps its own series (no
+recurrence from I0, I1, whose cancellation f' would feel).
 
-On a lattice of arguments z = x_j s_p with x s <= SEAM_I, the Green's-kernel
-build's (mode x radial point) grid, ``_bessel01_lattice`` gives the four
-unscaled: the I series and the K log-series sums are power series in
-(x/2)^2 s^2, so all four sums are one matrix product of a (modes x terms)
-table with a (terms x points) table, the term count set by the same 1e-17
-rule at the largest argument; K above SEAM_K is the same Chebyshev series.
+The K0/K1 log series is written once.  Its sums are power series in
+t = (z/2)^2 with the K rows of one coefficient table (``_LATTICE_COEFFS``),
+taken to the term count ``_series_terms`` gives by the same 1e-17 rule at
+the largest argument, and one step (``_k01_from_log_sums``) adds the log
+and 1/z terms.  The elementwise K (``_kv_series_scaled``) and the lattice
+evaluator ``_bessel01_lattice`` both go through it.  That evaluator serves
+the Green's-kernel build's (mode x radial point) grid z = x_j s_p with
+x s <= SEAM_I and gives the four unscaled: the I series and the K log
+sums are power series in (x/2)^2 s^2, so all four are one matrix product
+of a (modes x terms) table with a (terms x points) table; K above SEAM_K
+is the same Chebyshev series.
 
 Everything is vectorised over numpy arrays; scalars in give scalars out.
 The modified Struve functions L0, L1, which only the kernel identities need,
@@ -91,10 +96,10 @@ def _probe(x: np.ndarray) -> tuple:
 def _converged(term: np.ndarray, total: np.ndarray, probe: tuple) -> bool:
     """Every element's newest term is below _SERIES_RTOL of its partial sum.
 
-    Both are nonnegative: pass |total| for a sum that can change sign.  The
-    test over every element runs only once the probe element (``_probe``)
-    has passed, so each term costs a scalar comparison until the series is
-    nearly done, and the answer is the full test's.
+    Both are nonnegative.  The test over every element runs only once the
+    probe element (``_probe``) has passed, so each term costs a scalar
+    comparison until the series is nearly done, and the answer is the full
+    test's.
     """
     return bool(term[probe] <= _SERIES_RTOL * total[probe]
                 and np.all(term <= _SERIES_RTOL * total))
@@ -153,33 +158,78 @@ _K1_COEFFS = ((_HARMONIC[:-1] + _HARMONIC[1:] - 2.0 * _EULER_GAMMA)
               / np.arange(1, _K_SERIES_TERMS + 1))
 
 
+def _lattice_coeffs() -> np.ndarray:
+    # per term m, the coefficients of t^m in the four power-series sums: I0,
+    # 2 I1 / z, the K0 log-series sum and the K1 one (K terms beyond the K
+    # cap are zero)
+    m = np.arange(_I_SERIES_TERMS)
+    fac = np.array([float(math.factorial(j)) for j in range(_I_SERIES_TERMS + 1)])
+    k = np.zeros((2, _I_SERIES_TERMS))
+    k[:, :_K_SERIES_TERMS] = _K0_COEFFS, _K1_COEFFS
+    return np.stack([1.0 / fac[m] ** 2, 1.0 / (fac[m] * fac[m + 1]), *(k / fac[m] ** 2)])
+
+
+_LATTICE_COEFFS = _lattice_coeffs()  # (4, terms)
+
+
+def _series_terms(z: float) -> int:
+    """Terms the power-series sums take for arguments up to z <= SEAM_I.
+
+    The rule of the elementwise series at the largest argument, where every
+    series stops last: the I0/I1 pass and, at min(z, SEAM_K), the K0/K1
+    log-series pass each run to their first terms below _SERIES_RTOL of the
+    partial sums, or to their caps.
+    """
+    t = 0.25 * z * z
+    term0, term1 = 1.0, 0.5 * z
+    total0, total1 = term0, term1
+    n_i = _I_SERIES_TERMS
+    for m in range(1, _I_SERIES_TERMS):
+        term0 *= t / (m * m)
+        term1 *= t / (m * (m + 1))
+        total0 += term0
+        total1 += term1
+        if term0 <= _SERIES_RTOL * total0 and term1 <= _SERIES_RTOL * total1:
+            n_i = m + 1
+            break
+    t = min(t, 0.25 * SEAM_K**2)
+    term, s0, s1 = 1.0, 0.0, float(_K1_COEFFS[0])
+    n_k = _K_SERIES_TERMS
+    for m in range(1, _K_SERIES_TERMS):
+        term *= t / (m * m)
+        d0, d1 = term * _K0_COEFFS[m], term * _K1_COEFFS[m]
+        s0 += d0
+        s1 += d1
+        if d0 <= _SERIES_RTOL * s0 and d1 <= _SERIES_RTOL * abs(s1):
+            n_k = m + 1
+            break
+    return max(n_i, n_k)
+
+
+def _k01_from_log_sums(z, i0, i1, s0, s1):
+    """Unscaled (K0, K1) at z from unscaled I0, I1 and the log-series sums.
+
+        K0 = s0 - (log(z/2) + gamma) I0,  K1 = 1/z + log(z/2) I1 - (z/4) s1,
+
+    with s0, s1 the sums of the K rows of _LATTICE_COEFFS in t = (z/2)^2.
+    """
+    lg = np.log(0.5 * z)
+    return s0 - (lg + _EULER_GAMMA) * i0, 1.0 / z + lg * i1 - 0.25 * z * s1
+
+
 def _kv_series_scaled(x: np.ndarray, i0: np.ndarray, i1: np.ndarray):
     """(e^x K0, e^x K1) from the log series; valid for 0 < x <= SEAM_K.
 
-    i0, i1 are e^-x I0(x) and e^-x I1(x) at the same points, so both log
-    series share one pass and reuse the I sums.
+    i0, i1 are e^-x I0(x) and e^-x I1(x) at the same points.  The log sums
+    are the polynomials in t = (x/2)^2 whose coefficients are the K rows of
+    _LATTICE_COEFFS, to the term count ``_series_terms`` gives at the
+    largest x.
     """
-    # K0 = -(log(x/2) + gamma) I0 + sum_{m>=1} H_m t^m / (m!)^2
-    # K1 = 1/x + log(x/2) I1 - (x/4) sum_m (H_m + H_{m+1} - 2 gamma) t^m / (m! (m+1)!)
-    t = 0.25 * x * x
-    probe = _probe(x)
-    term = np.ones_like(x)  # t^m / (m!)^2
-    s0 = np.zeros_like(x)
-    s1 = np.full_like(x, _K1_COEFFS[0])
-    for m in range(1, _K_SERIES_TERMS):
-        term *= t
-        term *= 1.0 / (m * m)
-        d0 = term * _K0_COEFFS[m]
-        d1 = term * _K1_COEFFS[m]
-        s0 += d0
-        s1 += d1
-        if _converged(d0, s0, probe) and _converged(d1, np.abs(s1), probe):
-            break
+    terms = _series_terms(float(np.max(x)))
+    s0, s1 = np.polynomial.polynomial.polyval(0.25 * x * x, _LATTICE_COEFFS[2:, :terms].T)
     e = np.exp(x)
-    lg = np.log(0.5 * x)
-    k0 = (s0 - (lg + _EULER_GAMMA) * i0 * e) * e
-    k1 = (1.0 / x + lg * i1 * e - 0.25 * x * s1) * e
-    return k0, k1
+    k0, k1 = _k01_from_log_sums(x, i0 * e, i1 * e, s0, s1)
+    return k0 * e, k1 * e
 
 
 # Chebyshev coefficients of sqrt(x) e^x K_n(x) in t = 4/x - 1 on x >= SEAM_K,
@@ -264,54 +314,6 @@ def _bessel01_scaled(x: np.ndarray):
     return (i0, i1) + _k01_scaled(x, (i0, i1))
 
 
-def _series_terms(z: float) -> int:
-    """Terms the lattice sums take for arguments up to z <= SEAM_I.
-
-    The rule of the elementwise series at the largest argument, where every
-    series stops last: the I0/I1 pass and, at min(z, SEAM_K), the K0/K1
-    log-series pass each run to their first terms below _SERIES_RTOL of the
-    partial sums, or to their caps.
-    """
-    t = 0.25 * z * z
-    term0, term1 = 1.0, 0.5 * z
-    total0, total1 = term0, term1
-    n_i = _I_SERIES_TERMS
-    for m in range(1, _I_SERIES_TERMS):
-        term0 *= t / (m * m)
-        term1 *= t / (m * (m + 1))
-        total0 += term0
-        total1 += term1
-        if term0 <= _SERIES_RTOL * total0 and term1 <= _SERIES_RTOL * total1:
-            n_i = m + 1
-            break
-    t = min(t, 0.25 * SEAM_K**2)
-    term, s0, s1 = 1.0, 0.0, float(_K1_COEFFS[0])
-    n_k = _K_SERIES_TERMS
-    for m in range(1, _K_SERIES_TERMS):
-        term *= t / (m * m)
-        d0, d1 = term * _K0_COEFFS[m], term * _K1_COEFFS[m]
-        s0 += d0
-        s1 += d1
-        if d0 <= _SERIES_RTOL * s0 and d1 <= _SERIES_RTOL * abs(s1):
-            n_k = m + 1
-            break
-    return max(n_i, n_k)
-
-
-def _lattice_coeffs() -> np.ndarray:
-    # per term m, the coefficients of t^m in the four lattice sums: I0,
-    # 2 I1 / z, the K0 log-series sum and the K1 one (K terms beyond the K
-    # cap are zero)
-    m = np.arange(_I_SERIES_TERMS)
-    fac = np.array([float(math.factorial(j)) for j in range(_I_SERIES_TERMS + 1)])
-    k = np.zeros((2, _I_SERIES_TERMS))
-    k[:, :_K_SERIES_TERMS] = _K0_COEFFS, _K1_COEFFS
-    return np.stack([1.0 / fac[m] ** 2, 1.0 / (fac[m] * fac[m + 1]), *(k / fac[m] ** 2)])
-
-
-_LATTICE_COEFFS = _lattice_coeffs()  # (4, terms)
-
-
 def _lattice_table(s: np.ndarray, terms: int) -> np.ndarray:
     """The (terms, 4 * s.size) table c_m s^(2m) of the four lattice sums."""
     powers = (s * s) ** np.arange(terms)[:, None]
@@ -337,11 +339,7 @@ def _bessel01_lattice(x: np.ndarray, s: np.ndarray, table=None):
     z = x[:, None] * s
     i1 *= 0.5 * z
     # the log series everywhere, then K above SEAM_K replaced
-    lg = np.log(0.5 * z)
-    k0 -= (lg + _EULER_GAMMA) * i0
-    k1 *= -0.25 * z
-    k1 += lg * i1
-    k1 += 1.0 / z
+    k0, k1 = _k01_from_log_sums(z, i0, i1, k0, k1)
     hi = z > SEAM_K
     if np.any(hi):
         zhi = z[hi]

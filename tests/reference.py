@@ -112,3 +112,24 @@ def oracle_k0_completion(grid, eta_hat, xi_hat) -> np.ndarray:
     out = lost[1]
     out[0] += lost[0, 0]
     return out
+
+
+def harmonic_solution(z, eta, eta_z, W, waves):
+    """(xi, K(eta) xi) in nodal values from an exact axisymmetric potential.
+
+    U(R, Z) = W Z + sum_j a_j I0(k_j R) cos(k_j Z), for (k_j, a_j) in
+    ``waves``, is harmonic, and its Stokes stream function
+    psi = W R^2/2 - sum_j a_j R I1(k_j R) sin(k_j Z) vanishes on the axis.  On
+    the surface R = 1 + eta(z), xi = -psi gives the surface flux, so
+    K(eta) xi = -d/dz U(1 + eta(z), z), the chain rule with eta_z.
+    """
+    from scipy.special import iv
+
+    R = 1.0 + eta
+    psi = W * R**2 / 2.0
+    dU = np.full_like(z, W)  # d/dz of U(R(z), z)
+    for k, a in waves:
+        c, s = np.cos(k * z), np.sin(k * z)
+        psi -= a * R * iv(1, k * R) * s
+        dU += a * k * (iv(1, k * R) * c * eta_z - iv(0, k * R) * s)
+    return -psi, -dU

@@ -77,6 +77,23 @@ def _imported_modules(module) -> set:
     return names
 
 
+def _names_imported_from(module, source: str) -> set:
+    """The names ``module``'s source imports from module ``source``."""
+    return {alias.name for node in ast.walk(ast.parse(inspect.getsource(module)))
+            if isinstance(node, ast.ImportFrom) and node.module == source
+            for alias in node.names}
+
+
+def test_operator_build_is_one_chunk_loop():
+    # the SolutionOperator build takes its factors from one source per chunk
+    # (lattice or scaled Bessel values) and reads the boundary kernels from
+    # the same values: no second build path and no flat-profile evaluation
+    for name in ("_flat_profiles", "_lattice_chunks", "_scaled_chunks",
+                 "_factor_values"):
+        assert not hasattr(dno, name), name
+    assert "_besseli_scaled" not in _names_imported_from(dno, "specfun")
+
+
 def test_dno_does_not_import_operators():
     # the oracle completes k = 0 in closed form with K0's symbol from specfun,
     # not through the expansion it is meant to check

@@ -159,12 +159,7 @@ def test_series_stop_matches_the_every_element_test(monkeypatch):
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         i_vals = sf._iv_series_scaled(x, (0, 1, 2))
-        l_vals = [checks._lv_series(n, np.atleast_1d(x)) for n in (0, 1)]
-        small = x[(x > 0.0) & (x <= sf.SEAM_K)]  # the K series' range, if any
-        if small.size == 0:
-            return i_vals + l_vals
-        k_vals = sf._kv_series_scaled(small, *sf._iv_series_scaled(small, (0, 1)))
-        return i_vals + l_vals + list(k_vals)
+        return i_vals + [checks._lv_series(n, np.atleast_1d(x)) for n in (0, 1)]
 
     fast = [evaluate(x) for x in sets]
     monkeypatch.setattr(sf, "_converged", _every_element_stop)
