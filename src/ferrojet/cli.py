@@ -44,6 +44,7 @@ from .errors import (
     RegimeError,
 )
 from .operators import extract_wnl_coefficients
+from .specfun import f_ratio
 from .spectral import SpectralField, SpectralGrid
 from .wnl import MagnetizationLaw, wnl_coeffs
 
@@ -233,7 +234,7 @@ def cmd_dispersion(cfg: RunConfig) -> int:
     k_hi = max(10.0, 3.0 * profile.omega + 5.0)
     k = np.linspace(0.0, k_hi, 2001)
     _write_csv(cfg.out / "dispersion.csv", ["k", "f", "c2", "g"],
-               [k, profile.f(k), profile.c2(k), profile.g(k)])
+               [k, f_ratio(k), profile.c2(k), profile.g(k)])
     _write_json(cfg.out / "dispersion_summary.json", {
         "gamma": cfg.gamma,
         "regime": profile.regime.value,

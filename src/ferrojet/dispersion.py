@@ -18,6 +18,9 @@ travelling-wave problem at the bifurcation speed is
 vanishing exactly at k = +-omega (k = 0 in the strong regime).  Its
 derivatives are the closed forms g'(k) = 2k - c0^2 f'(k) and
 g''(k) = 2 - c0^2 f''(k).
+
+f, f - 2, f' and f'' are evaluated in ``specfun``, their one owner;
+``f_prime`` and ``f_second`` are re-exported here.
 """
 
 from __future__ import annotations
@@ -26,17 +29,9 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import ConvergenceError, ParameterError, RegimeError
-from .specfun import (
-    F_COEFFS,
-    F_SERIES_CUT,
-    _besseli_scaled,
-    _vectorise,
-    f_ratio,
-    f_ratio_minus2,
-)
+from .specfun import _vectorise, f_prime, f_ratio, f_ratio_minus2, f_second
 
 __all__ = [
     "Regime",
@@ -51,11 +46,6 @@ __all__ = [
 
 GAMMA_CRITICAL = 9.0
 OMEGA_TOL = 1e-12  # the bisection's final bracket width for omega
-
-# d/dk of the f Taylor series: f' = (k/2) * sum_j j C_j t^(j-1), t = k^2/4
-_FPRIME_COEFFS = F_COEFFS[1:] * np.arange(1, len(F_COEFFS))
-# and again: f'' = sum_m (m + 1)(m + 1/2) C_(m+1) t^m
-_FSECOND_COEFFS = _FPRIME_COEFFS * (np.arange(len(_FPRIME_COEFFS)) + 0.5)
 
 
 class Regime(enum.Enum):
@@ -73,49 +63,6 @@ def c_squared(k, gamma: float):
         return (gamma - 1.0 + a * a) / f_ratio(a)
 
     return _vectorise(k, fn)
-
-
-def _taylor_or_bessel(a, taylor, bessel):
-    """taylor(|a|) where |a| <= ``F_SERIES_CUT``, whose Bessel forms are 0/0
-    at a = 0, and bessel(|a|, I0, I1, I2), the I's exponentially scaled,
-    elsewhere."""
-    ak = np.abs(a)
-    out = np.empty_like(ak)
-    small = ak <= F_SERIES_CUT
-    if np.any(small):
-        out[small] = taylor(ak[small])
-    if np.any(~small):
-        x = ak[~small]
-        out[~small] = bessel(x, *(_besseli_scaled(n, x) for n in (0, 1, 2)))
-    return out
-
-
-def f_prime(k):
-    """Derivative of the dispersion ratio, f'(k) = k - k I0(k) I2(k) / I1(k)^2;
-    odd in k, with f'(0) = 0."""
-
-    def fn(a):
-        return np.sign(a) * _taylor_or_bessel(
-            a, lambda x: 0.5 * x * polyval(0.25 * x**2, _FPRIME_COEFFS),
-            lambda x, i0, i1, i2: x * (1.0 - i0 * i2 / (i1 * i1)))
-
-    return _vectorise(k, fn)
-
-
-def f_second(k):
-    """Second derivative of the dispersion ratio, even in k, with f''(0) = 1/2:
-
-        f''(k) = 1 - a b - k (a + b - 2 a^2 b),   a = I0/I1, b = I2/I1,
-
-    from f' = k (1 - a b), a' = 1 - a^2 + a/k and b' = 1 - b/k - a b.
-    """
-
-    def bessel(x, i0, i1, i2):
-        a, b = i0 / i1, i2 / i1
-        return 1.0 - a * b - x * (a + b - 2.0 * a * a * b)
-
-    return _vectorise(k, lambda a: _taylor_or_bessel(
-        a, lambda x: polyval(0.25 * x**2, _FSECOND_COEFFS), bessel))
 
 
 def h_function(k):
@@ -164,7 +111,7 @@ def omega_of_gamma(gamma: float) -> float:
 
 @dataclass(frozen=True)
 class DispersionProfile:
-    """Regime classification plus evaluators for f, c^2 and g.
+    """Regime classification plus evaluators for c^2, g, g' and g''.
 
     In the weak regime c0^2 = 2 omega / f'(omega), which makes g'(omega)
     vanish identically; the strong/critical value is c^2(0) = (gamma-1)/2.
@@ -175,9 +122,6 @@ class DispersionProfile:
     omega: float
     c0_squared: float
     _g0: float = field(repr=False, default=0.0)
-
-    def f(self, k):
-        return f_ratio(k)
 
     def c2(self, k):
         return c_squared(k, self.gamma)

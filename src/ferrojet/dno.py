@@ -111,7 +111,6 @@ from .specfun import (
     _iv_scaled,
     _lattice_table,
     _series_terms,
-    f_ratio,
 )
 
 __all__ = [
@@ -499,11 +498,11 @@ def _constant_response(zgrid: SpectralGrid, eta_hat: np.ndarray) -> np.ndarray:
 
         2 - 2 K0 eta + (eta^2)_zz - K0 eta^2 + 2 K0 (eta K0 eta),
 
-    with K0 = f(D) (``specfun.f_ratio``).  eta and K0 eta are refined to the
-    padded grid in one transform and their two products projected back in
-    one, so the products are exact."""
-    f = f_ratio(zgrid.kr)
-    d2 = (zgrid.ik[: zgrid.kr.size] ** 2).real  # Nyquist zeroed, as d/dz
+    with K0 = f(D) and d^2/dz^2 from the grid's half-spectrum table
+    (``SpectralGrid.half_symbols``, Nyquist's d^2/dz^2 zeroed, as d/dz).  eta
+    and K0 eta are refined to the padded grid in one transform and their two
+    products projected back in one, so the products are exact."""
+    f, _, d2 = zgrid.half_symbols
     eta, k0_eta = zgrid.refine_to_values(np.stack([eta_hat, f * eta_hat]))
     eta2, eta_k0_eta = zgrid.project_to_coeffs(np.stack([eta * eta, eta * k0_eta]))
     out = (d2 - f) * eta2 + 2.0 * f * (eta_k0_eta - eta_hat)

@@ -26,7 +26,8 @@ pair), ``pressure_exact``, ``kinetic_exact`` and ``wave_residual``.
 The Newton path works in real half spectra on one padded grid of 2N points
 (power-of-two N), where every product of the expansion (two or three
 factors) and the pointwise nonlinearities live; every symbol is a multiply
-on coefficients, and every refine or projection is one batched transform
+on coefficients by the grid's own table (``SpectralGrid.half_symbols``:
+K0, d/dz and d^2/dz^2), and every refine or projection is one batched transform
 (``SpectralGrid.refine_to_values``/``project_to_coeffs``).  Like every
 Newton problem, the travelling-wave problem prepares its state once per
 iterate and works from coordinates to coordinates: one
@@ -52,7 +53,6 @@ import numpy as np
 from .dispersion import make_profile
 from .errors import GeometryError, ParameterError, RegimeError
 from .spectral import SpectralGrid
-from .specfun import f_ratio
 from .wnl import (
     MagnetizationLaw,
     cap_a,
@@ -83,15 +83,9 @@ __all__ = [
     "KineticLinearization",
 ]
 
-def dn0_symbol(grid: SpectralGrid) -> np.ndarray:
-    if "dn0" not in grid._cache:
-        grid._cache["dn0"] = f_ratio(grid.k)
-    return grid._cache["dn0"]
-
-
 def dn0_apply(grid: SpectralGrid, xi: np.ndarray) -> np.ndarray:
     """K0 xi = f(D) xi."""
-    return grid.apply_symbol(xi, dn0_symbol(grid))
+    return grid.apply_symbol(xi, grid.k0)
 
 
 def dn1_apply(grid: SpectralGrid, eta, xi) -> np.ndarray:
@@ -141,13 +135,6 @@ def dn_expansion(grid: SpectralGrid, eta, xi, order: int) -> np.ndarray:
 # -- pressure functional (local) ---------------------------------------------
 
 
-def _half_symbols(grid: SpectralGrid):
-    """K0, d/dz and d^2/dz^2 as multipliers on half spectra."""
-    h = grid.N // 2 + 1
-    D = grid.ik[:h]
-    return dn0_symbol(grid)[:h], D, (D * D).real
-
-
 def _refine_rows(grid: SpectralGrid, rows):
     """Padded-grid values of each half spectrum in rows, by one transform."""
     fine = grid.refine_to_values(np.stack(rows, axis=-2))
@@ -157,7 +144,7 @@ def _refine_rows(grid: SpectralGrid, rows):
 def _refined_jet(grid: SpectralGrid, rcoeffs):
     """Padded-grid values of f, f_z and f_zz from real f's half spectrum
     (batched, last axis): the derivatives are multiplies, then one refine."""
-    _, D, D2 = _half_symbols(grid)
+    _, D, D2 = grid.half_symbols
     return _refine_rows(grid, [rcoeffs, D * rcoeffs, D2 * rcoeffs])
 
 
@@ -345,7 +332,7 @@ class KineticLinearization:
     def __init__(self, grid: SpectralGrid, eta,
                  dn_apply: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.grid = grid
-        S, D, D2 = self.symbols = _half_symbols(grid)
+        S, D, D2 = self.symbols = grid.half_symbols
 
         eta_hat = np.asarray(eta)
         self.surface = eta_f, ez_f, _ = _refined_surface(grid, eta_hat)

@@ -454,7 +454,7 @@ def travelling_wave_problem(gamma: float, law: MagnetizationLaw, c2: float,
     def geometry_ok(v):
         return bool(np.min(1.0 + basis.to_values(v)) > 0.0)
 
-    S, _, D2 = op._half_symbols(grid)
+    S, _, D2 = grid.half_symbols
     flat = gamma * law.nu_prime(1.0) - 1.0 - D2 - c2 * S
     return SolverProblem(basis=basis, prepare=prepare, residual=lambda ctx: ctx[0],
                          jv_batch=jv_batch, flat_diagonal=flat,
@@ -532,21 +532,18 @@ def solve_full_dispersion_nls(gamma: float, law: MagnetizationLaw,
 def wave_grid(profile: DispersionProfile, epsilon: float,
               min_box: float) -> SpectralGrid:
     """The travelling-wave solver's default grid at eps: L >= max(min_box / eps,
-    min_box), on the omega lattice in the weak regime, and N >= 256."""
-    if profile.regime is Regime.STRONG:
-        L = max(min_box / epsilon, min_box)
-        k_target = 4.0
-        n = 1 << int(np.ceil(np.log2(2.0 * L * k_target / np.pi)))
-        return SpectralGrid.make(L, max(n, 256))
-    omega = profile.omega
-    min_L = max(min_box / epsilon, min_box)
-    # resolve the second carrier harmonic with margin.  The grid then ends
-    # near the 3 omega band, not beyond it: at gamma = 15, 3 omega = 8.026
-    # sits at the Nyquist wavenumber 8.034 (eps <= 0.1), so that band is cut
-    k_target = 2.0 * omega + 2.5
-    grid = SpectralGrid.commensurate(omega, min_L, 256)
-    n = 1 << int(np.ceil(np.log2(2.0 * grid.L * k_target / np.pi)))
-    return SpectralGrid.commensurate(omega, min_L, max(n, 256))
+    min_box), on the omega lattice in the weak regime, and the smallest
+    N >= 256 whose Nyquist wavenumber reaches k_target."""
+    L = max(min_box / epsilon, min_box)
+    k_target = 4.0
+    if profile.regime is not Regime.STRONG:
+        # resolve the second carrier harmonic with margin.  The grid then ends
+        # near the 3 omega band, not beyond it: at gamma = 15, 3 omega = 8.026
+        # sits at the Nyquist wavenumber 8.034 (eps <= 0.1), so that band is cut
+        L = SpectralGrid.commensurate_length(profile.omega, L)
+        k_target = 2.0 * profile.omega + 2.5
+    n = 1 << int(np.ceil(np.log2(2.0 * L * k_target / np.pi)))
+    return SpectralGrid.make(L, max(n, 256))
 
 
 def reconstruct_eta(zeta: SpectralField, epsilon: float, regime: Regime,

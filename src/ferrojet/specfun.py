@@ -5,7 +5,12 @@ Provides I0, I1, I2, K0, K1 together with exponentially scaled variants
 
     f(k) = |k| I0(|k|) / I1(|k|),
 
-which is the Fourier symbol of the order-zero surface-to-velocity operator.
+which is the Fourier symbol of the order-zero surface-to-velocity operator,
+with f - 2 and the derivatives f', f''.  These four are the one owner of
+the symbol: each goes through one split (``_taylor_or_bessel``), the Taylor
+series in t = k^2/4 for |k| <= F_SERIES_CUT, where the Bessel forms are 0/0
+at k = 0, and ratios of scaled I values above it, from one single-order
+series pass per order (I0, I1 for f and f - 2; I0, I1, I2 for f', f'').
 
 Evaluation is two-regime: ascending power series below a seam, and an
 asymptotic series (I family) or a fixed Chebyshev series for sqrt(x) e^x K_n
@@ -46,6 +51,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainError
 
@@ -54,6 +60,8 @@ __all__ = [
     "besselk",
     "f_ratio",
     "f_ratio_minus2",
+    "f_prime",
+    "f_second",
     "SEAM_I",
     "SEAM_K",
 ]
@@ -226,7 +234,7 @@ def _kv_series_scaled(x: np.ndarray, i0: np.ndarray, i1: np.ndarray):
     largest x.
     """
     terms = _series_terms(float(np.max(x)))
-    s0, s1 = np.polynomial.polynomial.polyval(0.25 * x * x, _LATTICE_COEFFS[2:, :terms].T)
+    s0, s1 = polyval(0.25 * x * x, _LATTICE_COEFFS[2:, :terms].T)
     e = np.exp(x)
     k0, k1 = _k01_from_log_sums(x, i0 * e, i1 * e, s0, s1)
     return k0 * e, k1 * e
@@ -414,41 +422,68 @@ _F_Q = _f_series_fractions()
 #: Taylor coefficients of f in t = k^2/4:  f = sum_j F_COEFFS[j] t^j
 F_COEFFS = np.array([2.0 * float(q) for q in _F_Q])
 
-#: |k| below which the Taylor series is used for f (and its small-k variants).
+#: |k| below which the Taylor series is used for f, f - 2, f' and f''.
 F_SERIES_CUT = 0.5
+
+
+# d/dk of the f Taylor series: f' = (k/2) sum_j j C_j t^(j-1), t = k^2/4
+_FPRIME_COEFFS = F_COEFFS[1:] * np.arange(1, len(F_COEFFS))
+# and again: f'' = sum_m (m + 1)(m + 1/2) C_(m+1) t^m
+_FSECOND_COEFFS = _FPRIME_COEFFS * (np.arange(len(_FPRIME_COEFFS)) + 0.5)
+
+
+def _taylor_or_bessel(k, taylor, bessel, orders):
+    """taylor(x, x^2/4) at x = |k| <= F_SERIES_CUT, where the Bessel forms
+    are 0/0 as k -> 0, and bessel(x, *(e^-x I_n(x) for n in orders)) above
+    it, one single-order series pass per order."""
+
+    def fn(a):
+        ak = np.abs(a)
+        out = np.empty_like(ak)
+        small = ak <= F_SERIES_CUT
+        if np.any(small):
+            x = ak[small]
+            out[small] = taylor(x, 0.25 * x**2)
+        if np.any(~small):
+            x = ak[~small]
+            out[~small] = bessel(x, *(_besseli_scaled(n, x) for n in orders))
+        return out
+
+    return _vectorise(k, fn)
 
 
 def f_ratio(k):
     """f(k) = |k| I0(|k|) / I1(|k|), even, f(0) = 2; total on the real line."""
-
-    def fn(a):
-        ak = np.abs(a)
-        out = np.empty_like(ak)
-        small = ak <= F_SERIES_CUT
-        if np.any(small):
-            t = 0.25 * ak[small] ** 2
-            out[small] = np.polynomial.polynomial.polyval(t, F_COEFFS)
-        if np.any(~small):
-            x = ak[~small]
-            out[~small] = x * _besseli_scaled(0, x) / _besseli_scaled(1, x)
-        return out
-
-    return _vectorise(k, fn)
+    return _taylor_or_bessel(k, lambda x, t: polyval(t, F_COEFFS),
+                             lambda x, i0, i1: x * i0 / i1, (0, 1))
 
 
 def f_ratio_minus2(k):
     """f(k) - 2, computed without cancellation near k = 0."""
+    return _taylor_or_bessel(k, lambda x, t: t * polyval(t, F_COEFFS[1:]),
+                             lambda x, i0, i1: x * i0 / i1 - 2.0, (0, 1))
 
-    def fn(a):
-        ak = np.abs(a)
-        out = np.empty_like(ak)
-        small = ak <= F_SERIES_CUT
-        if np.any(small):
-            t = 0.25 * ak[small] ** 2
-            out[small] = t * np.polynomial.polynomial.polyval(t, F_COEFFS[1:])
-        if np.any(~small):
-            x = ak[~small]
-            out[~small] = x * _besseli_scaled(0, x) / _besseli_scaled(1, x) - 2.0
-        return out
 
-    return _vectorise(k, fn)
+def f_prime(k):
+    """Derivative of the dispersion ratio, f'(k) = k - k I0(k) I2(k) / I1(k)^2;
+    odd in k, with f'(0) = 0."""
+    even = _taylor_or_bessel(k, lambda x, t: 0.5 * x * polyval(t, _FPRIME_COEFFS),
+                             lambda x, i0, i1, i2: x * (1.0 - i0 * i2 / (i1 * i1)),
+                             (0, 1, 2))
+    return _vectorise(k, np.sign) * even
+
+
+def f_second(k):
+    """Second derivative of the dispersion ratio, even in k, with f''(0) = 1/2:
+
+        f''(k) = 1 - a b - k (a + b - 2 a^2 b),   a = I0/I1, b = I2/I1,
+
+    from f' = k (1 - a b), a' = 1 - a^2 + a/k and b' = 1 - b/k - a b.
+    """
+
+    def bessel(x, i0, i1, i2):
+        a, b = i0 / i1, i2 / i1
+        return 1.0 - a * b - x * (a + b - 2.0 * a * a * b)
+
+    return _taylor_or_bessel(k, lambda x, t: polyval(t, _FSECOND_COEFFS), bessel,
+                             (0, 1, 2))

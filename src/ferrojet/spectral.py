@@ -17,6 +17,11 @@ input's dtype: real arrays go through rfft/irfft and stay real, complex
 arrays (the NLS envelope) through the full FFT.  A symbol applied to a real
 field must satisfy s(-k) = conj s(k), so that its output is real too.
 
+Each grid owns one table of the linear symbols the solves apply, built on
+first use and shared (no caller writes into it): ``ik`` and ``k0``, the
+flat jet's Dirichlet-Neumann multiplier K0 = f(k) (``specfun.f_ratio``), in
+FFT order, and ``half_symbols``, (K0, d/dz, d^2/dz^2) on half spectra.
+
 Products of band-limited fields are computed exactly by zero-padding onto
 one grid of 2N points and truncating back.  A product of p factors aliases
 onto the retained N coefficients unless M >= (p+1) N / 2, so the 2N grid is
@@ -39,11 +44,13 @@ measures how far real values are from even, u(z) = u(-z).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import GridError, ParameterError
+from .specfun import f_ratio
 
 __all__ = [
     "SpectralGrid",
@@ -81,9 +88,8 @@ class SpectralGrid:
     def make(cls, L: float, N: int) -> "SpectralGrid":
         return cls(L=float(L), N=int(N))
 
-    @classmethod
-    def commensurate(cls, omega: float, min_half_length: float,
-                     N: int) -> "SpectralGrid":
+    @staticmethod
+    def commensurate_length(omega: float, min_half_length: float) -> float:
         """Smallest box L = m pi / omega >= min_half_length.
 
         Puts omega (and its harmonics) exactly on the wavenumber lattice,
@@ -91,8 +97,13 @@ class SpectralGrid:
         """
         if omega <= 0:
             raise ParameterError("commensurate grid needs omega > 0")
-        m = int(np.ceil(min_half_length * omega / np.pi))
-        return cls(L=m * np.pi / omega, N=int(N))
+        return int(np.ceil(min_half_length * omega / np.pi)) * np.pi / omega
+
+    @classmethod
+    def commensurate(cls, omega: float, min_half_length: float,
+                     N: int) -> "SpectralGrid":
+        """N nodes on the box of ``commensurate_length``."""
+        return cls(L=cls.commensurate_length(omega, min_half_length), N=int(N))
 
     # -- transforms ---------------------------------------------------------
 
@@ -127,21 +138,31 @@ class SpectralGrid:
         self._check_length(rcoeffs, h)
         return np.fft.irfft(rcoeffs * self.phase[:h] * self.N, n=self.N, axis=-1)
 
-    @property
+    @cached_property
     def kr(self) -> np.ndarray:
         """Nonnegative wavenumbers pi m / L, m = 0 .. N/2 (half-spectrum order)."""
-        if "kr" not in self._cache:
-            self._cache["kr"] = np.pi * np.arange(self.N // 2 + 1) / self.L
-        return self._cache["kr"]
+        return np.pi * np.arange(self.N // 2 + 1) / self.L
 
-    @property
+    @cached_property
     def ik(self) -> np.ndarray:
         """Derivative multiplier i k_m with the Nyquist mode zeroed."""
-        if "ik" not in self._cache:
-            v = 1j * self.k
-            v[self.N // 2] = 0.0
-            self._cache["ik"] = v
-        return self._cache["ik"]
+        v = 1j * self.k
+        v[self.N // 2] = 0.0
+        return v
+
+    @cached_property
+    def k0(self) -> np.ndarray:
+        """The flat jet's Dirichlet-Neumann multiplier K0 = f(k_m)
+        (``specfun.f_ratio``), FFT order."""
+        return f_ratio(self.k)
+
+    @cached_property
+    def half_symbols(self) -> tuple:
+        """(K0, d/dz, d^2/dz^2) as multipliers on half spectra, the
+        derivatives' Nyquist mode zeroed."""
+        h = self.N // 2 + 1
+        D = self.ik[:h]
+        return self.k0[:h], D, (D * D).real
 
     def apply_symbol(self, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Multiplier symbol(k) (FFT order) applied to nodal values (last axis)."""

@@ -89,7 +89,8 @@ class MagnetizationLaw:
 
     def validate(self) -> None:
         """Finite-difference check of nu'(1) = 1 to 1e-8 and of the stored
-        nu'', nu''' to 1e-6 relative (absolute below 1)."""
+        nu'', nu''' to 1e-6 relative (absolute below 1), each tolerance raised
+        to the stencil's rounding bound where that is larger."""
         # a non-finite nu2 or nu3 would poison every stencil value, nu(1) too
         for name, value in (("nu2", self.nu2), ("nu3", self.nu3)):
             if not np.isfinite(value):
@@ -104,12 +105,21 @@ class MagnetizationLaw:
             d1 = (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h)
             d2 = (v[3] - 2 * v[2] + v[1]) / h**2
             d3 = (v[4] - 2 * v[3] + 2 * v[1] - v[0]) / (2 * h**3)
-        # written as "not <=" so that NaN fails too
-        if not abs(d1 - 1.0) <= 1e-8:
+            # rounding: each value is off by a few eps of |nu| and of
+            # |s nu'(s)| (its node s is rounded too), and a difference
+            # quotient scales that by its weights' absolute sum over its
+            # denominator: 18 / (12 h), 4 / h^2 and 6 / (2 h^3)
+            noise = 4.0 * np.finfo(float).eps * (
+                np.max(np.abs(v)) + np.max(s) * np.max(np.abs(np.diff(v))) / h)
+        # written as "not <=" so that NaN fails too; a NaN bound leaves max()
+        # its first, fixed tolerance
+        if not abs(d1 - 1.0) <= max(1e-8, 1.5 / h * noise):
             raise ParameterError(f"law violates nu'(1) = 1: got {d1}")
-        if not abs(d2 - self.nu2) <= 1e-6 * max(1.0, abs(self.nu2)):
+        if not abs(d2 - self.nu2) <= max(1e-6 * max(1.0, abs(self.nu2)),
+                                         4.0 / h**2 * noise):
             raise ParameterError(f"nu''(1) mismatch: {d2} vs stored {self.nu2}")
-        if not abs(d3 - self.nu3) <= 1e-6 * max(1.0, abs(self.nu3)):
+        if not abs(d3 - self.nu3) <= max(1e-6 * max(1.0, abs(self.nu3)),
+                                         3.0 / h**3 * noise):
             raise ParameterError(f"nu'''(1) mismatch: {d3} vs stored {self.nu3}")
 
 

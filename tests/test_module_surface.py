@@ -9,15 +9,15 @@ import pkgutil
 import pytest
 
 import ferrojet
-from ferrojet import checks, dno, operators, solver, specfun, spectral
+from ferrojet import checks, dispersion, dno, operators, solver, specfun, spectral
 
 import reference
 
 EXPORTS = {
     dno: ["RadialGrid", "greens_kernel", "SolutionOperator",
           "solve_flattened_bvp", "dn_oracle_apply"],
-    specfun: ["besseli", "besselk", "f_ratio", "f_ratio_minus2", "SEAM_I",
-              "SEAM_K"],
+    specfun: ["besseli", "besselk", "f_ratio", "f_ratio_minus2", "f_prime",
+              "f_second", "SEAM_I", "SEAM_K"],
     operators: ["dn0_apply", "dn1_apply", "dn2_apply", "dn_expansion",
                 "pressure_exact", "pressure_term", "kinetic_term",
                 "kinetic_exact", "wave_residual", "ExtractionRecord",
@@ -95,11 +95,49 @@ def test_operator_build_is_one_chunk_loop():
 
 
 def test_dno_does_not_import_operators():
-    # the oracle completes k = 0 in closed form with K0's symbol from specfun,
-    # not through the expansion it is meant to check
+    # the oracle completes k = 0 in closed form with K0's symbol from the
+    # grid's table, not through the expansion it is meant to check
     imported = _imported_modules(dno)
     assert "specfun" in imported and "solver" in imported
     assert "operators" not in imported
+
+
+def _names_read(module) -> set:
+    """Every name and attribute ``module``'s source reads or imports."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_each_linear_symbol_has_one_owner():
+    # f, f - 2, f' and f'' share specfun's one Taylor/Bessel split; K0, D and
+    # D^2 are the grid's own tables
+    for name in ("dn0_symbol", "_half_symbols"):
+        assert not hasattr(operators, name), name
+    assert "_cache" not in _names_read(operators)
+    assert not ({"F_COEFFS", "F_SERIES_CUT", "_besseli_scaled"}
+                & _names_imported_from(dispersion, "specfun"))
+    assert not hasattr(dispersion, "_taylor_or_bessel")
+    assert not hasattr(dispersion.DispersionProfile, "f")
+    assert dispersion.f_prime is specfun.f_prime
+    assert dispersion.f_second is specfun.f_second
+    # solver imports operators as op: no op._name, and no private name imported
+    private = {node.attr for node in ast.walk(ast.parse(inspect.getsource(solver)))
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "op" and node.attr.startswith("_")}
+    private |= {name for name in _names_imported_from(solver, "operators")
+                if name.startswith("_")}
+    assert not private
+    for info in pkgutil.iter_modules(ferrojet.__path__):
+        if info.name != "specfun":
+            module = importlib.import_module(f"ferrojet.{info.name}")
+            assert "F_SERIES_CUT" not in _names_read(module), info.name
 
 
 # parameters every caller left at one value, now module constants

@@ -214,6 +214,41 @@ def test_travelling_wave_rejects_critical_and_zero_eps(linear_law):
         solver.solve_travelling_wave(5.0, linear_law, 0.0)
 
 
+# (gamma, eps, min_box) -> (L, N), as the two regimes' separate size rules
+# gave them before they became one
+WAVE_GRIDS = [
+    ((5.0, 0.05, 40.0), (800.0, 2048)),
+    ((5.0, 0.2, 40.0), (200.0, 512)),
+    ((5.0, 0.5, 40.0), (80.0, 256)),
+    ((5.0, 0.1, 3.0), (30.0, 256)),
+    ((3.0, 1.0, 40.0), (40.0, 256)),
+    ((15.0, 0.1, 40.0), (400.44370393159886, 2048)),
+    ((15.0, 0.2, 40.0), (200.80901282200415, 1024)),
+    ((15.0, 0.025, 40.0), (1600.6004940139862, 8192)),
+    ((15.0, 0.2, 100.0), (500.2610494863963, 4096)),
+    ((10.0, 0.1, 40.0), (400.2196128180977, 2048)),
+    ((30.0, 0.05, 40.0), (800.2701168445542, 8192)),
+    ((60.0, 0.2, 40.0), (200.13137122060283, 4096)),
+    ((1e3, 0.1, 40.0), (400.0039633406871, 32768)),
+    ((1e3, 0.2, 40.0), (200.00198167034355, 16384)),
+]
+
+
+@pytest.mark.parametrize("args, expected", WAVE_GRIDS, ids=lambda v: str(v))
+def test_wave_grid_sizes_are_unchanged(args, expected):
+    gamma, eps, min_box = args
+    profile = make_profile(gamma)
+    grid = solver.wave_grid(profile, eps, min_box)
+    assert (grid.L, grid.N) == expected
+    if profile.regime is Regime.WEAK:
+        grid.mode_index(profile.omega)  # omega stays on the lattice
+
+
+def test_wave_grid_needs_a_carrier_off_the_strong_regime():
+    with pytest.raises(ParameterError, match="omega > 0"):
+        solver.wave_grid(make_profile(9.0), 0.1, 40.0)
+
+
 def test_failed_newton_keeps_its_history(linear_law):
     # gamma = 5, eps = 0.5 fails after some accepted steps: at an iterate
     # whose GMRES solve stalls near its tolerance, so by stagnation or by the

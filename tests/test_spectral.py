@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from ferrojet.dispersion import make_profile
 from ferrojet.errors import GridError, ParameterError
-from ferrojet.operators import dn0_symbol
+from ferrojet.solver import wave_grid
+from ferrojet.specfun import f_ratio
 from ferrojet.spectral import CutoffSpec, SpectralField, SpectralGrid
 
 
@@ -193,9 +195,29 @@ def test_real_refine_and_project_match_complex_path(grid, rows):
 
 @pytest.mark.parametrize("which", ["ik", "ik2", "dn0"])
 def test_real_apply_symbol_matches_complex_path(grid, rows, which):
-    symbol = {"ik": grid.ik, "ik2": grid.ik**2, "dn0": dn0_symbol(grid)}[which]
+    symbol = {"ik": grid.ik, "ik2": grid.ik**2, "dn0": grid.k0}[which]
     assert_close(grid.apply_symbol(rows, symbol),
                  grid.apply_symbol(rows.astype(complex), symbol))
+
+
+@pytest.mark.parametrize("gamma", [5.0, 15.0], ids=["strong", "weak"])
+def test_symbol_table_is_the_old_construction(gamma):
+    # K0 = f(k) in FFT order and the half-spectrum (K0, D, D^2), bit for bit
+    # as operators built them, Nyquist included
+    grid = wave_grid(make_profile(gamma), 0.1, 40.0)
+    h = grid.N // 2 + 1
+    k0 = f_ratio(grid.k)
+    D = grid.ik[:h]
+    S, D_table, D2 = grid.half_symbols
+    assert np.array_equal(grid.k0, k0)
+    assert np.array_equal(S, k0[:h]) and np.array_equal(S, f_ratio(grid.kr))
+    assert np.array_equal(D_table, D) and D_table[-1] == 0.0
+    assert np.array_equal(D2, (D * D).real) and D2[-1] == 0.0
+    assert np.array_equal(D2, (D**2).real)  # the oracle's old d^2/dz^2
+    assert D2.dtype == S.dtype == np.float64
+    # a second access returns the cached arrays themselves
+    assert grid.k0 is grid.k0
+    assert all(a is b for a, b in zip(grid.half_symbols, grid.half_symbols))
 
 
 def test_half_spectrum_refine_and_project_match_the_value_routes(grid, rows):

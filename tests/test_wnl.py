@@ -5,7 +5,8 @@ import pytest
 
 from ferrojet.dispersion import make_profile
 from ferrojet.errors import ExistenceError, ParameterError, RegimeError
-from ferrojet.solver import default_scaled_grid
+from ferrojet.solver import default_scaled_grid, solve_full_dispersion_kdv
+from ferrojet.specfun import f_ratio
 from ferrojet.spectral import SpectralGrid
 from ferrojet.wnl import (
     MagnetizationLaw,
@@ -24,6 +25,25 @@ def test_law_validation(linear_law):
                            nu_prime=lambda s: 2.0 * np.asarray(s), nu2=2.0, nu3=0.0)
     with pytest.raises(ParameterError):
         bad.validate()  # nu'(1) = 2 breaks the normalisation
+
+
+@pytest.mark.parametrize("nu2, nu3", [(3e5, 0.0), (1.0, 1e11)])
+def test_law_validation_accepts_exact_large_laws(nu2, nu3):
+    # the stencil's own rounding (nu''' off by 1.3e-6 at nu2 = 3e5, nu'(1) by
+    # 1.9e-8 at nu3 = 1e11) used to reject these exact cubic laws, which the
+    # solvers accept
+    law = MagnetizationLaw.from_derivatives(nu2, nu3)
+    law.validate()
+    rep = solve_full_dispersion_kdv(5.0, law, 0.1)
+    assert rep.converged
+
+
+@pytest.mark.parametrize("stored", [3.01e5, 2.99e5])
+def test_law_validation_still_rejects_a_wrong_stored_nu2(stored):
+    exact = MagnetizationLaw.from_derivatives(3e5, 0.0)
+    law = MagnetizationLaw(nu=exact.nu, nu_prime=exact.nu_prime, nu2=stored, nu3=0.0)
+    with pytest.raises(ParameterError, match=r"^nu''\(1\) mismatch"):
+        law.validate()
 
 
 @pytest.mark.parametrize("nu2, nu3", [(np.nan, 0.0), (np.inf, 0.0),
@@ -58,7 +78,7 @@ def test_nls_coeffs_positive(linear_law):
         assert n.a1 > 0 and n.a2 > 0 and n.a3 > 0
         # a2 = c0^2 f(omega)
         p = make_profile(gamma)
-        assert n.a2 == pytest.approx(p.c0_squared * p.f(p.omega), rel=1e-14)
+        assert n.a2 == pytest.approx(p.c0_squared * f_ratio(p.omega), rel=1e-14)
     with pytest.raises(RegimeError):
         nls_coeffs(5.0, linear_law)
     with pytest.raises(RegimeError):
@@ -70,7 +90,7 @@ def test_zeta0_coefficient_formula(linear_law):
     n = nls_coeffs(15.0, linear_law)
     p = make_profile(15.0)
     omega, c0sq = n.omega, n.c0_squared
-    fw = p.f(omega)
+    fw = f_ratio(omega)
     capB = omega**2 - fw**2 - 4.0 * fw + 2.0
     expect = (omega**2 - 2.0 * n.A0 + c0sq * capB) / p.g(0.0)
     assert abs(n.zeta0_coeff - expect) <= 1e-12 * abs(expect)
@@ -85,7 +105,7 @@ def test_a1_two_stencils_agree(linear_law):
     w = p.omega
 
     def g_alt(k):
-        return p.f(k) * (p.c2(k) - p.c0_squared)
+        return f_ratio(k) * (p.c2(k) - p.c0_squared)
 
     second = (g_alt(w + step) - 2.0 * g_alt(w) + g_alt(w - step)) / step**2
     assert abs(n.a1 - 0.5 * second) <= 1e-5 * max(1.0, abs(n.a1))
