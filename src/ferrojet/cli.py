@@ -283,8 +283,11 @@ def _solve_one(cfg: RunConfig, branch: str, eps: float):
     law = cfg.law()
     grid = None
     if cfg.grid_l is not None or cfg.grid_n is not None:
-        # each flag replaces its own dimension of the grid the solver would choose
-        auto = (solver.wave_grid(make_profile(cfg.gamma), eps, solver.DEFAULT_SCALED_L)
+        # each flag replaces its own dimension of the grid the solver would
+        # choose; the solver's regime check runs first, so gamma = 9 reports
+        # its RegimeError, not wave_grid's missing carrier
+        auto = (solver.wave_grid(solver.travelling_wave_profile(cfg.gamma), eps,
+                                 solver.DEFAULT_SCALED_L)
                 if branch == "gzcs" else solver.default_scaled_grid())
         grid = SpectralGrid.make(cfg.grid_l or auto.L, cfg.grid_n or auto.N)
     if branch == "kdv":

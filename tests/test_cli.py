@@ -401,6 +401,20 @@ def test_lone_grid_n_keeps_the_weak_regime_box_commensurate(tmp_path):
     assert report["grid"]["L"] >= 400.0 and abs(m - round(m)) <= 1e-9
 
 
+@pytest.mark.parametrize("flag", [["--grid-n", "1024"], ["--grid-l", "400"]],
+                         ids=["grid-n", "grid-l"])
+def test_lone_grid_flag_at_gamma_9_reports_the_regime(tmp_path, capsys, flag):
+    # the solver's regime check runs before wave_grid fills the other
+    # dimension: wave_grid's ParameterError (no carrier at gamma = 9) names
+    # an internal step, not the input
+    rc = main(["solve", "--branch", "gzcs", "--gamma", "9", "--epsilon", "0.1",
+               *flag, "--out", str(tmp_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == {"error": "RegimeError",
+                   "message": "gamma = 9 admits no solitary-wave continuation"}
+
+
 def test_gzcs_epsilon_bound_is_wider():
     RunConfig(branch="gzcs", epsilon=[0.4]).validate()
     RunConfig(branch="gzcs", epsilon=[solver.TRAVELLING_WAVE_EPS_MAX]).validate()

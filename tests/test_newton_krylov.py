@@ -307,6 +307,62 @@ def test_flat_state_jacobian_is_diagonal(name, linear_law):
     assert np.max(np.abs(precond - diag)) <= 1e-13 * np.max(np.abs(diag))
 
 
+def _iterate(name, problem, law):
+    """An iterate with a real residual for ``_flat_state_problem``'s problem."""
+    if name == "gzcs-weak":
+        profile = make_profile(15.0)
+        n = nls_coeffs(15.0, law, profile)
+        z = problem.basis.grid.z
+        return problem.basis.to_coords(
+            0.1 * zeta_nls(0.1 * z, n) * np.cos(profile.omega * z))
+    return make_problem("gzcs" if name == "gzcs-oracle" else name, law)[1]
+
+
+@pytest.mark.parametrize("name", PROBLEMS + ["gzcs-weak", "gzcs-oracle"])
+def test_newton_step_meets_its_problems_linear_rtol(name, linear_law):
+    # only the oracle's J.v is a model of its residual's derivative (the
+    # expansion's dK/deta), so only its steps take the quasi-Newton forcing
+    problem = _flat_state_problem(name, linear_law)
+    want = solver.QUASI_NEWTON_RTOL if name == "gzcs-oracle" else solver.GMRES_RTOL
+    assert problem.linear_rtol == want
+    v = _iterate(name, problem, linear_law)
+    r = problem.residual_at(v)
+    assert np.max(np.abs(r)) > 1e-8
+    step, trace = solver._newton_step(problem, v, r, solver._flat_diagonal(problem))
+    assert trace["rtol"] == want
+    assert 0 < trace["iterations"] < solver.GMRES_MAX_ITER
+    assert trace["relative_residual"] <= want
+    jac = problem.linearize(v)
+    true_rel = np.linalg.norm(r - jac(step[None, :])[0]) / np.linalg.norm(r)
+    assert true_rel <= want
+
+
+@pytest.mark.parametrize("epsilon, bound", [(0.1, 1e-10), (0.05, 1e-9)])
+def test_quasi_newton_forcing_keeps_the_oracle_iterates(epsilon, bound,
+                                                        linear_law, monkeypatch):
+    # the oracle solve against the same solve with every step solved to
+    # GMRES_RTOL: the same Newton iterations and BVP solves on at most 6
+    # GMRES iterations a step (11 with exact steps), and the solution moves
+    # far less than its distance to a tol = 1e-14 re-solve (9.1e-12 against
+    # 2.2e-9 at eps = 0.1, 4.7e-10 against 1.2e-8 at eps = 0.05)
+    rtol = solver.QUASI_NEWTON_RTOL
+    rep = solver.solve_travelling_wave(5.0, linear_law, epsilon, dn_oracle=True)
+    monkeypatch.setattr(solver, "QUASI_NEWTON_RTOL", solver.GMRES_RTOL)
+    ref = solver.solve_travelling_wave(5.0, linear_law, epsilon, dn_oracle=True)
+    assert rep.converged and ref.converged
+    assert rep.iterations == ref.iterations
+    assert (len(rep.diagnostics["bvp_solves"])
+            == len(ref.diagnostics["bvp_solves"]) == rep.iterations)
+    steps = rep.diagnostics["linear_solves"]
+    assert len(steps) == rep.iterations - 1
+    assert all(e["iterations"] <= 6 and e["rtol"] == rtol
+               and e["relative_residual"] <= rtol for e in steps)
+    assert all(e["rtol"] == solver.GMRES_RTOL
+               for e in ref.diagnostics["linear_solves"])
+    eta, eta_ref = rep.solution.values, ref.solution.values
+    assert np.max(np.abs(eta - eta_ref)) <= bound * np.max(np.abs(eta_ref))
+
+
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_newton_step_matches_dense_step(name, linear_law):
     problem, v = make_problem(name, linear_law)
