@@ -31,12 +31,11 @@ from .specfun import (
     SEAM_K,
     _besseli_scaled,
     _besselk_scaled,
-    _converged,
     _iv_asym_scaled,
     _iv_series_scaled,
     _kv_cheb_scaled,
     _kv_series_scaled,
-    _probe,
+    _series,
     _vectorise,
     besseli,
     besselk,
@@ -93,24 +92,17 @@ def _sign_row(suite, name, value, passed, tol=0.0, sign=1.0) -> CheckRow:
 # series below SEAM_L (_L_SERIES_TERMS is a cap), L - I asymptotics above
 SEAM_L = 60.0
 _L_SERIES_TERMS = 130
+# L_nu(x) / (x/2)^(nu + 1) = sum_m t^m / (Gamma(m + 3/2) Gamma(m + nu + 3/2)),
+# t = (x/2)^2, one row per order nu = 0, 1 (DLMF 11.2.2; the terms past the
+# product's overflow, which no series reaches, are zero)
+_L_ROWS = np.array([[1.0 / (math.gamma(m + 1.5) * math.gamma(m + nu + 1.5))
+                     for m in range(_L_SERIES_TERMS)] for nu in (0, 1)])
 
 
 def _lv_series(order: int, x: np.ndarray) -> np.ndarray:
     """L_order(x) by the ascending series; positive terms, x <= SEAM_L."""
-    t = 0.25 * x * x
-    # term0 = (x/2)^(order+1) / (Gamma(3/2) Gamma(order + 3/2))
-    if order == 0:
-        term = (0.5 * x) / (0.25 * np.pi)
-    else:
-        term = (0.5 * x) ** 2 / (0.375 * np.pi)
-    total = term.copy()
-    probe = _probe(x)
-    for m in range(1, _L_SERIES_TERMS):
-        term = term * t / ((m + 0.5) * (m + order + 0.5))
-        total += term
-        if _converged(term, total, probe):
-            break
-    return total
+    sums, _ = _series(0.25 * x * x, _L_ROWS[order:order + 1])
+    return (0.5 * x) ** (order + 1) * sums[0]
 
 
 def _lv_minus_iv_asym(order: int, x: np.ndarray) -> np.ndarray:

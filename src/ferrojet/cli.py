@@ -95,10 +95,14 @@ class RunConfig:
                                      f"{', '.join(choices)}; got {value!r}")
         if not 1.0 < self.gamma < np.inf:  # NaN fails too
             raise ParameterError(f"gamma must be finite and exceed 1, got {self.gamma}")
-        # a custom law is checked here, before any output, whether or not the
-        # command reads it
+        # a law is checked here, before any output, whether or not the
+        # command reads it; the linear law has nu2 = 1 and nu3 = 0 only
         if self.law_kind == "custom":
             self.law().validate()
+        elif (self.nu2, self.nu3) != (1.0, 0.0):  # NaN differs too
+            raise ParameterError(
+                f"the linear law has nu2 = 1 and nu3 = 0, got nu2 = {self.nu2}, "
+                f"nu3 = {self.nu3}; use --law custom")
         eps_max = (solver.TRAVELLING_WAVE_EPS_MAX if self.branch == "gzcs"
                    else solver.ENVELOPE_EPS_MAX)
         if len(set(self.epsilon)) != len(self.epsilon):
@@ -117,10 +121,10 @@ class RunConfig:
         # written as "not > 0" so that NaN fails too
         if self.delta is not None and not self.delta > 0.0:
             raise ParameterError("delta must be positive")
-        for name, value in (("tol", self.tol), ("grid L", self.grid_l)):
-            if value is not None and not (np.isfinite(value) and value > 0.0):
-                raise ParameterError(
-                    f"{name} must be finite and positive, got {value}")
+        solver._check_tol(self.tol)
+        if self.grid_l is not None and not 0.0 < self.grid_l < np.inf:
+            raise ParameterError(
+                f"grid L must be finite and positive, got {self.grid_l}")
         # an option the branch does not take is an error, not a no-op
         if self.branch == "gzcs" and self.delta is not None:
             raise ParameterError("delta (the envelope cutoff width) does not "

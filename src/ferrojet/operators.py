@@ -97,26 +97,18 @@ def dn1_apply(grid: SpectralGrid, eta, xi) -> np.ndarray:
     )
 
 
-def dn2_apply(grid: SpectralGrid, ea, eb, xi) -> np.ndarray:
-    """Symmetrised bilinear K2; dn2_apply(grid, eta, eta, xi) is K2(eta) xi."""
+def dn2_apply(grid: SpectralGrid, eta, xi) -> np.ndarray:
+    """K2(eta) xi."""
     k0xi = dn0_apply(grid, xi)
     xiz = grid.deriv_values(xi)
     xizz = grid.deriv_values(xi, 2)
-    t1 = 0.5 * grid.deriv_values(grid.product_values([ea, eb, k0xi]), 2)
-    t2 = 0.5 * dn0_apply(grid, grid.product_values([ea, eb, xizz]))
-    t3 = 0.5 * grid.deriv_values(grid.product_values([ea, eb, xiz]))
-    t4 = -0.5 * dn0_apply(grid, grid.product_values([ea, eb, k0xi]))
-    nested_ab = dn0_apply(
-        grid, grid.product_values([ea, dn0_apply(grid, grid.product_values([eb, k0xi]))])
+    t1 = 0.5 * grid.deriv_values(grid.product_values([eta, eta, k0xi]), 2)
+    t2 = 0.5 * dn0_apply(grid, grid.product_values([eta, eta, xizz]))
+    t3 = 0.5 * grid.deriv_values(grid.product_values([eta, eta, xiz]))
+    t4 = -0.5 * dn0_apply(grid, grid.product_values([eta, eta, k0xi]))
+    t5 = dn0_apply(
+        grid, grid.product_values([eta, dn0_apply(grid, grid.product_values([eta, k0xi]))])
     )
-    if ea is eb:
-        t5 = nested_ab
-    else:
-        nested_ba = dn0_apply(
-            grid,
-            grid.product_values([eb, dn0_apply(grid, grid.product_values([ea, k0xi]))]),
-        )
-        t5 = 0.5 * (nested_ab + nested_ba)
     return t1 + t2 + t3 + t4 + t5
 
 
@@ -128,7 +120,7 @@ def dn_expansion(grid: SpectralGrid, eta, xi, order: int) -> np.ndarray:
     if order >= 1:
         out = out + dn1_apply(grid, eta, xi)
     if order >= 2:
-        out = out + dn2_apply(grid, eta, eta, xi)
+        out = out + dn2_apply(grid, eta, xi)
     return out
 
 

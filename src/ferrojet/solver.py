@@ -269,7 +269,11 @@ class SolverProblem:
 
 @dataclass
 class SolveReport:
-    """Outcome of one Newton run."""
+    """Outcome of one Newton run.
+
+    ``iterations`` counts the iterates, the seed included: it is
+    ``len(residual_history)``, whether or not the run converged.
+    """
 
     converged: bool
     iterations: int
@@ -310,16 +314,23 @@ def _newton_step(problem: SolverProblem, v: np.ndarray, r: np.ndarray,
     return y / precond, {"iterations": its, "relative_residual": rel, "rtol": rtol}
 
 
+def _check_tol(tol: float) -> None:
+    """A Newton tolerance is finite and positive (NaN fails too): inf would
+    accept the seed, and 0 or less is never met."""
+    if not 0.0 < tol < np.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
+
+
 def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
             max_iter: int, epsilon: float, branch: str) -> SolveReport:
+    _check_tol(tol)
     v = np.array(v0, dtype=float)
     grid = problem.basis.grid
     precond = _flat_diagonal(problem)
     r = problem.residual_at(v)
     rmax, rl2 = _res_norms(grid, problem.basis, r)
     history, linear_solves = [rmax], []
-    its = 0
-    for its in range(1, max_iter + 1):
+    for _ in range(max_iter):
         if rmax <= tol:
             break
         step, trace = _newton_step(problem, v, r, precond)
@@ -349,7 +360,7 @@ def _newton(problem: SolverProblem, v0: np.ndarray, tol: float,
         history.append(rmax)
     return SolveReport(
         converged=rmax <= tol,
-        iterations=its,
+        iterations=len(history),
         final_residual=rmax,
         final_residual_l2=rl2,
         solution=problem.basis.field(v),

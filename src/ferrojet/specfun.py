@@ -21,24 +21,25 @@ where the log-series cancellation is still harmless.  All ratios that enter
 Green's-kernel code are formed from scaled values, so nothing overflows for
 arguments up to 1e4 and beyond.
 
-I0, I1, K0 and K1 are evaluated jointly (``_bessel01_scaled``): one pass of
-the I0/I1 series, then below SEAM_K the K0/K1 log series that reuses those
-I values, or above it one 26-term Chebyshev sum for K0 and K1 together.
-The I series stop at the first term below 1e-17 of the partial sum in
-every element; the term counts are only caps.  I2 keeps its own series (no
-recurrence from I0, I1, whose cancellation f' would feel).
+Every ascending power series is summed by one loop, ``_series``: the sums
+of rows of a coefficient table times t^m, t = (z/2)^2, each stopped at the
+first term after the leading one below 1e-17 of its partial sum in every
+element (the table's length is only a cap).  One table, ``_SERIES_COEFFS``,
+holds the rows: I_nu / (z/2)^nu for nu = 0, 1, 2 (DLMF 10.25.2) and the
+K0 and K1 log sums (DLMF 10.31.1), which one step (``_k01_from_log_sums``)
+turns into K0 and K1 with the log and 1/z terms.  I2 keeps its own row (no
+recurrence from I0, I1, whose cancellation f' would feel).  I0, I1, K0 and
+K1 are evaluated jointly (``_bessel01_scaled``): one pass of the I0/I1
+rows, then below SEAM_K one pass of the K rows, or above it one 26-term
+Chebyshev sum for K0 and K1 together.
 
-The K0/K1 log series is written once.  Its sums are power series in
-t = (z/2)^2 with the K rows of one coefficient table (``_LATTICE_COEFFS``),
-taken to the term count ``_series_terms`` gives by the same 1e-17 rule at
-the largest argument, and one step (``_k01_from_log_sums``) adds the log
-and 1/z terms.  The elementwise K (``_kv_series_scaled``) and the lattice
-evaluator ``_bessel01_lattice`` both go through it.  That evaluator serves
-the Green's-kernel build's (mode x radial point) grid z = x_j s_p with
-x s <= SEAM_I and gives the four unscaled: the I series and the K log
-sums are power series in (x/2)^2 s^2, so all four are one matrix product
-of a (modes x terms) table with a (terms x points) table; K above SEAM_K
-is the same Chebyshev series.
+The lattice evaluator ``_bessel01_lattice`` serves the Green's-kernel
+build's (mode x radial point) grid z = x_j s_p with x s <= SEAM_I and
+gives the four unscaled.  Their sums are power series in (x/2)^2 s^2 with
+four rows of the same table (``_LATTICE_COEFFS``), so all four are one
+matrix product of a (modes x terms) table with a (terms x points) table,
+taken to the term count ``_series_terms`` reads from ``_series`` at the
+largest argument; K above SEAM_K is the same Chebyshev series.
 
 Everything is vectorised over numpy arrays; scalars in give scalars out.
 The modified Struve functions L0, L1, which only the kernel identities need,
@@ -96,21 +97,67 @@ def _asym_coeffs(nu: int, n: int) -> np.ndarray:
 _ASYM_A = {nu: _asym_coeffs(nu, _ASYM_TERMS) for nu in (0, 1, 2)}
 
 
-def _probe(x: np.ndarray) -> tuple:
+# K0 and K1 log-series coefficients of t^m / (m!)^2: H_m and
+# (H_m + H_{m+1} - 2 gamma) / (m + 1), with harmonic numbers H_m (H_0 = 0)
+_HARMONIC = np.cumsum(np.r_[0.0, 1.0 / np.arange(1, _K_SERIES_TERMS + 1)])
+_K0_COEFFS = _HARMONIC[:-1]
+_K1_COEFFS = ((_HARMONIC[:-1] + _HARMONIC[1:] - 2.0 * _EULER_GAMMA)
+              / np.arange(1, _K_SERIES_TERMS + 1))
+
+
+def _series_coeffs() -> np.ndarray:
+    # per term m, the coefficients of t^m, t = (z/2)^2, in the five power
+    # series: I_nu / (z/2)^nu for nu = 0, 1, 2, the K0 log-series sum and
+    # the K1 one (K terms beyond the K cap are zero)
+    m = np.arange(_I_SERIES_TERMS)
+    fac = np.array([float(math.factorial(j)) for j in range(_I_SERIES_TERMS + 2)])
+    k = np.zeros((2, _I_SERIES_TERMS))
+    k[:, :_K_SERIES_TERMS] = _K0_COEFFS, _K1_COEFFS
+    return np.stack([*(1.0 / (fac[m] * fac[m + nu]) for nu in (0, 1, 2)),
+                     *(k / fac[m] ** 2)])
+
+
+_SERIES_COEFFS = _series_coeffs()  # (5, terms)
+# the rows of the lattice sums: I0, 2 I1 / z and the K0, K1 log sums
+_LATTICE_COEFFS = _SERIES_COEFFS[[0, 1, 3, 4]]
+
+
+def _probe(t: np.ndarray) -> tuple:
     """Index of the largest argument, the element whose series stops last."""
-    return np.unravel_index(np.argmax(x), x.shape)
+    return np.unravel_index(np.argmax(t), t.shape)
 
 
 def _converged(term: np.ndarray, total: np.ndarray, probe: tuple) -> bool:
-    """Every element's newest term is below _SERIES_RTOL of its partial sum.
+    """Every element's newest term is below _SERIES_RTOL of its partial sum,
+    in absolute value (the K1 log sum is signed).
 
-    Both are nonnegative.  The test over every element runs only once the
-    probe element (``_probe``) has passed, so each term costs a scalar
-    comparison until the series is nearly done, and the answer is the full
-    test's.
+    The test over every element runs only once the first row's probe
+    element (``_probe``) has passed, so each term costs a scalar comparison
+    until the series is nearly done, and the answer is the full test's.
     """
-    return bool(term[probe] <= _SERIES_RTOL * total[probe]
-                and np.all(term <= _SERIES_RTOL * total))
+    return bool(abs(term[probe]) <= _SERIES_RTOL * abs(total[probe])
+                and np.all(np.abs(term) <= _SERIES_RTOL * np.abs(total)))
+
+
+def _series(t: np.ndarray, rows: np.ndarray) -> tuple:
+    """Sums of rows[:, m] t^m over m, one per row, and the terms taken.
+
+    Every sum stops at the first term after the leading one that is below
+    _SERIES_RTOL of its partial sum in every element (``_converged``), or
+    at the last column of rows.  The sums have shape (rows, *t.shape).
+    """
+    coeffs = rows.T.reshape(rows.shape[::-1] + (1,) * t.ndim)
+    probe = (0,) + _probe(t)
+    power = np.ones_like(t)
+    total = coeffs[0] * power
+    term = np.empty_like(total)
+    for m in range(1, len(coeffs)):
+        power *= t
+        np.multiply(coeffs[m], power, out=term)
+        total += term
+        if _converged(term, total, probe):
+            return total, m + 1
+    return total, len(coeffs)
 
 
 def _iv_series_scaled(x: np.ndarray, orders: tuple) -> list:
@@ -119,19 +166,9 @@ def _iv_series_scaled(x: np.ndarray, orders: tuple) -> list:
     Valid for 0 <= x <= SEAM_I.  The terms are positive, so stopping at the
     first negligible term per element loses nothing.
     """
-    t = 0.25 * x * x
-    probe = _probe(x)
-    terms = [(0.5 * x) ** nu / math.factorial(nu) for nu in orders]
-    totals = [term.copy() for term in terms]
-    for m in range(1, _I_SERIES_TERMS):
-        for term, total, nu in zip(terms, totals, orders):
-            term *= t
-            term *= 1.0 / (m * (m + nu))
-            total += term
-        if all(_converged(term, total, probe) for term, total in zip(terms, totals)):
-            break
+    sums, _ = _series(0.25 * x * x, _SERIES_COEFFS[list(orders)])  # row nu is I_nu's
     e = np.exp(-x)
-    return [total * e for total in totals]
+    return [(0.5 * x) ** nu * s * e for nu, s in zip(orders, sums)]
 
 
 def _iv_asym_scaled(nu: int, x: np.ndarray) -> np.ndarray:
@@ -158,60 +195,16 @@ def _iv_scaled(x: np.ndarray, orders: tuple) -> list:
     return out
 
 
-# K0 and K1 log-series coefficients of t^m / (m!)^2: H_m and
-# (H_m + H_{m+1} - 2 gamma) / (m + 1), with harmonic numbers H_m (H_0 = 0)
-_HARMONIC = np.cumsum(np.r_[0.0, 1.0 / np.arange(1, _K_SERIES_TERMS + 1)])
-_K0_COEFFS = _HARMONIC[:-1]
-_K1_COEFFS = ((_HARMONIC[:-1] + _HARMONIC[1:] - 2.0 * _EULER_GAMMA)
-              / np.arange(1, _K_SERIES_TERMS + 1))
-
-
-def _lattice_coeffs() -> np.ndarray:
-    # per term m, the coefficients of t^m in the four power-series sums: I0,
-    # 2 I1 / z, the K0 log-series sum and the K1 one (K terms beyond the K
-    # cap are zero)
-    m = np.arange(_I_SERIES_TERMS)
-    fac = np.array([float(math.factorial(j)) for j in range(_I_SERIES_TERMS + 1)])
-    k = np.zeros((2, _I_SERIES_TERMS))
-    k[:, :_K_SERIES_TERMS] = _K0_COEFFS, _K1_COEFFS
-    return np.stack([1.0 / fac[m] ** 2, 1.0 / (fac[m] * fac[m + 1]), *(k / fac[m] ** 2)])
-
-
-_LATTICE_COEFFS = _lattice_coeffs()  # (4, terms)
-
-
 def _series_terms(z: float) -> int:
     """Terms the power-series sums take for arguments up to z <= SEAM_I.
 
-    The rule of the elementwise series at the largest argument, where every
-    series stops last: the I0/I1 pass and, at min(z, SEAM_K), the K0/K1
-    log-series pass each run to their first terms below _SERIES_RTOL of the
-    partial sums, or to their caps.
+    The rule of the elementwise series (``_series``) at the largest
+    argument, where every series stops last: the I0/I1 rows at
+    t = (z/2)^2 and the K rows at min(z, SEAM_K).
     """
-    t = 0.25 * z * z
-    term0, term1 = 1.0, 0.5 * z
-    total0, total1 = term0, term1
-    n_i = _I_SERIES_TERMS
-    for m in range(1, _I_SERIES_TERMS):
-        term0 *= t / (m * m)
-        term1 *= t / (m * (m + 1))
-        total0 += term0
-        total1 += term1
-        if term0 <= _SERIES_RTOL * total0 and term1 <= _SERIES_RTOL * total1:
-            n_i = m + 1
-            break
-    t = min(t, 0.25 * SEAM_K**2)
-    term, s0, s1 = 1.0, 0.0, float(_K1_COEFFS[0])
-    n_k = _K_SERIES_TERMS
-    for m in range(1, _K_SERIES_TERMS):
-        term *= t / (m * m)
-        d0, d1 = term * _K0_COEFFS[m], term * _K1_COEFFS[m]
-        s0 += d0
-        s1 += d1
-        if d0 <= _SERIES_RTOL * s0 and d1 <= _SERIES_RTOL * abs(s1):
-            n_k = m + 1
-            break
-    return max(n_i, n_k)
+    zk = min(z, SEAM_K)
+    return max(_series(np.array(0.25 * z * z), _SERIES_COEFFS[:2])[1],
+               _series(np.array(0.25 * zk * zk), _SERIES_COEFFS[3:])[1])
 
 
 def _k01_from_log_sums(z, i0, i1, s0, s1):
@@ -219,7 +212,7 @@ def _k01_from_log_sums(z, i0, i1, s0, s1):
 
         K0 = s0 - (log(z/2) + gamma) I0,  K1 = 1/z + log(z/2) I1 - (z/4) s1,
 
-    with s0, s1 the sums of the K rows of _LATTICE_COEFFS in t = (z/2)^2.
+    with s0, s1 the sums of the K rows of _SERIES_COEFFS in t = (z/2)^2.
     """
     lg = np.log(0.5 * z)
     return s0 - (lg + _EULER_GAMMA) * i0, 1.0 / z + lg * i1 - 0.25 * z * s1
@@ -228,13 +221,10 @@ def _k01_from_log_sums(z, i0, i1, s0, s1):
 def _kv_series_scaled(x: np.ndarray, i0: np.ndarray, i1: np.ndarray):
     """(e^x K0, e^x K1) from the log series; valid for 0 < x <= SEAM_K.
 
-    i0, i1 are e^-x I0(x) and e^-x I1(x) at the same points.  The log sums
-    are the polynomials in t = (x/2)^2 whose coefficients are the K rows of
-    _LATTICE_COEFFS, to the term count ``_series_terms`` gives at the
-    largest x.
+    i0, i1 are e^-x I0(x) and e^-x I1(x) at the same points; the log sums
+    are the K rows of _SERIES_COEFFS in t = (x/2)^2.
     """
-    terms = _series_terms(float(np.max(x)))
-    s0, s1 = polyval(0.25 * x * x, _LATTICE_COEFFS[2:, :terms].T)
+    (s0, s1), _ = _series(0.25 * x * x, _SERIES_COEFFS[3:])
     e = np.exp(x)
     k0, k1 = _k01_from_log_sums(x, i0 * e, i1 * e, s0, s1)
     return k0 * e, k1 * e

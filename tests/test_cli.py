@@ -480,6 +480,33 @@ def test_config_file_names_are_validated(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+@pytest.mark.parametrize("nu2, nu3", [
+    ("1", "7"), ("2.24", "0"), ("nan", "0"), ("1", "nan"), ("1", "0"),
+], ids=lambda v: v)
+def test_linear_law_takes_only_its_own_derivatives(tmp_path, capsys, source, nu2, nu3):
+    # the linear law has nu2 = 1 and nu3 = 0; any other value used to be
+    # recorded in run_metadata.json though the run never read it
+    out = tmp_path / "out"
+    if source == "flags":
+        law = ["--law", "linear", "--nu2", nu2, "--nu3", nu3]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"law = linear\nnu2 = {nu2}\nnu3 = {nu3}\n")
+        law = ["--config", str(cfg)]
+    rc = main(["dispersion", "--gamma", "5", *law, "--out", str(out)])
+    if (nu2, nu3) == ("1", "0"):
+        assert rc == 0
+        config = read_json(out / "run_metadata.json")["config"]
+        assert (config["law"], config["nu2"], config["nu3"]) == ("linear", 1.0, 0.0)
+        return
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ParameterError"
+    assert err["message"].startswith("the linear law has nu2 = 1 and nu3 = 0")
+    assert not out.exists()
+
+
 def test_run_suite_rejects_an_unknown_suite():
     with pytest.raises(ParameterError, match="unknown check suite 'foo'"):
         checks.run_suite("foo")

@@ -750,7 +750,7 @@ def _box_grid_probe(L):
 
     kp, km, k0 = K(a), K(-a), K(0.0)
     return {1: ((kp - km) / (2 * a), op.dn1_apply(grid, eta, xi)),
-            2: ((kp + km - 2.0 * k0) / (2 * a * a), op.dn2_apply(grid, eta, eta, xi))}
+            2: ((kp + km - 2.0 * k0) / (2 * a * a), op.dn2_apply(grid, eta, xi))}
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ IN_CHECKS = ["_panels", "integral_abs_G", "integral_abs_H1", "integral_H3",
              "SEAM_L", "_L_SERIES_TERMS"]
 # helpers that only tests call
 IN_REFERENCE = ["kinetic_term2_alt", "kinetic_term3_alt", "diff_matrix",
-                "boundary_row"]
+                "boundary_row", "dn2_bilinear"]
 
 
 @pytest.mark.parametrize("module", list(EXPORTS), ids=lambda m: m.__name__)
@@ -138,6 +138,36 @@ def test_each_linear_symbol_has_one_owner():
         if info.name != "specfun":
             module = importlib.import_module(f"ferrojet.{info.name}")
             assert "F_SERIES_CUT" not in _names_read(module), info.name
+
+
+def _function_nodes(module) -> dict:
+    """Every function definition in ``module``'s source, by name."""
+    return {node.name: node for node in ast.walk(ast.parse(inspect.getsource(module)))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def _calls(node) -> list:
+    """The names of the functions ``node`` calls by a bare name."""
+    return [call.func.id for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)]
+
+
+def test_one_loop_sums_every_power_series():
+    # the I, K and Struve series and the lattice's term count all go through
+    # specfun._series, the one caller of the stopping test; none keeps a
+    # term recurrence of its own
+    callers = []
+    for info in pkgutil.iter_modules(ferrojet.__path__):
+        module = importlib.import_module(f"ferrojet.{info.name}")
+        callers += [(info.name, name) for name, node in _function_nodes(module).items()
+                    if "_converged" in _calls(node)]
+    assert callers == [("specfun", "_series")]
+    for module, name in ((specfun, "_series_terms"), (specfun, "_iv_series_scaled"),
+                         (specfun, "_kv_series_scaled"), (checks, "_lv_series")):
+        node = _function_nodes(module)[name]
+        assert not [n for n in ast.walk(node) if isinstance(n, (ast.For, ast.While))], name
+        assert "_series" in _calls(node), name
+    assert not {"_converged", "_probe"} & _names_imported_from(checks, "specfun")
 
 
 # parameters every caller left at one value, now module constants

@@ -1,5 +1,7 @@
 """Surface operators: expansions, Taylor consistency, coefficient extraction."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,16 @@ def test_dn_expansion_order_zero_eta_independent(grid, smooth_eta):
     assert np.max(np.abs(c - b)) == 0.0
     with pytest.raises(ParameterError):
         op.dn_expansion(grid, smooth_eta, xi, 3)
+
+
+def test_dn2_apply_takes_one_surface(grid, smooth_eta):
+    # K2(eta) xi takes eta once; the two-surface bilinear form, which only
+    # the nodal reference's J.v reads, lives in tests/reference.py and is
+    # dn2_apply on the diagonal
+    assert list(inspect.signature(op.dn2_apply).parameters) == ["grid", "eta", "xi"]
+    eta, xi = 0.1 * smooth_eta, np.sin(grid.z)
+    assert np.array_equal(op.dn2_apply(grid, eta, xi),
+                          reference.dn2_bilinear(grid, eta, eta, xi))
 
 
 def test_pressure_zero_on_quiescent_jet(grid, linear_law):
@@ -269,7 +281,7 @@ class _NodalKineticLinearization:
     def apply(self, rows, pressure_fields, c2):
         grid, eta, xi = self.grid, self.eta, self.xi_comb
         rho = grid.to_rvalues(rows)
-        dP = op.dn1_apply(grid, rho, xi) + 2.0 * op.dn2_apply(grid, eta, rho, xi)
+        dP = op.dn1_apply(grid, rho, xi) + 2.0 * reference.dn2_bilinear(grid, eta, rho, xi)
         dP = dP + op.dn_expansion(grid, eta, rho + grid.product_values([eta, rho]), 2)
         dPf = grid.refine_values(dP)
         rzf = grid.refine_values(grid.deriv_values(rho))

@@ -268,6 +268,37 @@ def test_failed_newton_keeps_its_history(linear_law):
     assert back.linear_solves == exc.linear_solves
 
 
+SOLVES = {
+    "kdv": lambda law, tol: solver.solve_full_dispersion_kdv(5.0, law, 0.1, tol=tol),
+    "nls": lambda law, tol: solver.solve_full_dispersion_nls(15.0, law, 0.1, tol=tol),
+    "gzcs": lambda law, tol: solver.solve_travelling_wave(5.0, law, 0.1, tol=tol),
+    "gzcs-oracle": lambda law, tol: solver.solve_travelling_wave(
+        5.0, law, 0.1, dn_oracle=True, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.inf, 0.0, -1.0, np.nan])
+@pytest.mark.parametrize("solve", list(SOLVES))
+def test_solves_reject_a_tolerance_they_cannot_mean(solve, tol, linear_law):
+    # inf used to return converged after no Newton step, and 0, -1 and NaN
+    # ran to a Newton stagnation at the rounding floor
+    with pytest.raises(ParameterError,
+                       match=f"tol must be finite and positive, got {tol}"):
+        SOLVES[solve](linear_law, tol)
+
+
+def test_iterations_count_the_iterates_in_both_outcomes(linear_law, monkeypatch):
+    # a converged run and one stopped by its iteration cap both report
+    # len(residual_history); the stopped one used to report one fewer
+    rep = solver.solve_travelling_wave(5.0, linear_law, 0.1)
+    assert rep.converged and rep.iterations == len(rep.residual_history) == 4
+    monkeypatch.setattr(solver, "NEWTON_MAX_ITER", 2)
+    rep = solver.solve_travelling_wave(5.0, linear_law, 0.1)
+    assert not rep.converged
+    assert rep.iterations == len(rep.residual_history) == 3
+    assert len(rep.diagnostics["linear_solves"]) == 2
+
+
 def test_convergence_study_synthetic():
     eps = [0.4, 0.2, 0.1, 0.05]
     study = solver.convergence_study(eps, [e**2 for e in eps], [1e-14] * 4,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from ferrojet import checks
 from ferrojet import specfun as sf
@@ -11,6 +12,8 @@ from ferrojet.checks import (
     struve_l_quadrature,
 )
 from ferrojet.errors import DomainError
+
+import reference
 
 # frozen oracle values (trapezoidal quadrature of the integral
 # representations, cross-checked against 30-digit arithmetic)
@@ -125,7 +128,7 @@ def test_k_alone_is_the_joint_evaluators_k():
 
 def _every_element_stop(term, total, probe):
     """The former stopping test: every element after every term."""
-    return bool(np.all(term <= sf._SERIES_RTOL * total))
+    return bool(np.all(np.abs(term) <= sf._SERIES_RTOL * np.abs(total)))
 
 
 def _build_arguments():
@@ -162,11 +165,52 @@ def test_series_stop_matches_the_every_element_test(monkeypatch):
         return i_vals + [checks._lv_series(n, np.atleast_1d(x)) for n in (0, 1)]
 
     fast = [evaluate(x) for x in sets]
+    # Struve L stops through specfun's one series loop too
     monkeypatch.setattr(sf, "_converged", _every_element_stop)
-    monkeypatch.setattr(checks, "_converged", _every_element_stop)
     for x, got in zip(sets, fast):
         for a, b in zip(got, evaluate(x)):
             assert np.array_equal(a, b)
+
+
+def test_series_terms_match_the_scalar_recurrences():
+    # the lattice sums' term count, read from the one series loop at the
+    # largest argument, is the count the former scalar recurrences gave
+    seams = np.array([sf.SEAM_K, sf.SEAM_I])
+    z = np.concatenate([np.linspace(0.0, sf.SEAM_I, 30001), seams,
+                        np.nextafter(seams, 0.0), [np.nextafter(sf.SEAM_K, np.inf)]])
+    got = [sf._series_terms(float(v)) for v in z]
+    assert got == [reference.series_terms(float(v)) for v in z]
+    # and the lattice's rows are the former table's, bit for bit
+    assert np.array_equal(sf._LATTICE_COEFFS, reference.lattice_coeffs())
+
+
+def test_series_values_match_the_term_recurrences():
+    # rows[:, m] t^m summed by the one loop against the former term
+    # recurrences: I to 2e-15, K (the log sums to the lattice's term count,
+    # by polyval) to 1e-14 and Struve L to 3e-15, relative.  Near SEAM_K,
+    # K0 = s0 - (log(x/2) + gamma) I0 cancels about tenfold, so both sums'
+    # roundings reach K0 amplified: both read up to 1e-14 from mpmath there
+    # (the bound of test_joint_evaluator_matches_scipy_and_public_functions)
+    x = np.concatenate([np.logspace(-6, np.log10(sf.SEAM_I), 4001),
+                        np.linspace(1e-6, sf.SEAM_I, 4001)])
+    for nu in (0, 1, 2):
+        want = reference.iv_series_scaled(x, nu)
+        got = sf._iv_series_scaled(x, (nu,))[0]
+        assert np.max(np.abs(got - want) / want) <= 2e-15, nu
+    xk = np.concatenate([np.logspace(-6, np.log10(sf.SEAM_K), 2001),
+                         np.linspace(1.0, sf.SEAM_K, 2001)])
+    i0, i1 = (reference.iv_series_scaled(xk, nu) for nu in (0, 1))
+    rows = reference.lattice_coeffs()[2:, :reference.series_terms(sf.SEAM_K)]
+    s0, s1 = polyval(0.25 * xk * xk, rows.T)
+    e = np.exp(xk)
+    want = sf._k01_from_log_sums(xk, i0 * e, i1 * e, s0, s1)
+    for got, ref in zip(sf._kv_series_scaled(xk, i0, i1), want):
+        assert np.max(np.abs(got - ref * e) / (ref * e)) <= 1e-14
+    xl = np.concatenate([np.logspace(-6, np.log10(checks.SEAM_L), 4001),
+                         np.linspace(1e-6, checks.SEAM_L, 4001)])
+    for nu in (0, 1):
+        want = reference.lv_series(nu, xl)
+        assert np.max(np.abs(checks._lv_series(nu, xl) - want) / want) <= 3e-15, nu
 
 
 def _rule_points(nr):
